@@ -100,7 +100,12 @@ _RAW_CACHE = {}
 
 
 def _raw_gram_data(ro):
-    """Signature-cached exact reference Grams of the stress basis."""
+    """Signature-cached exact reference Grams of the stress basis.
+
+    Contraction order: the monomial Gram multiplies one factor first, then
+    G4 and divG are each one GEMM of the two factors over their remaining
+    axes; B1W and W3 multiply the factor by the small product Gram @ modes^T.
+    """
     if ro in _RAW_CACHE:
         return _RAW_CACHE[ro]
     basis = ps.to_matrix_rows(ps.basis_variable("lambda2", ro.shifted(1)))
@@ -108,15 +113,17 @@ def _raw_gram_data(ro):
     nb = basis.dim
     mats = basis.coeffs.reshape(nb, 3, 3, -1)
     G3 = mo.gram_simplex(3, deg)
-    # G4[b, b', q, s] = int sum_p psi_b[p,q] psi_b'[p,s]
-    G4 = np.einsum("bpqn,nm,cpsm->bcqs", mats, G3, mats)
+    # G4[b, b', q, s] = int sum_p psi_b[p,q] psi_b'[p,s]: rows (b, q), columns (p, n)
+    X = mats.transpose(0, 2, 1, 3).reshape(3 * nb, -1)
+    XG = (mats @ G3.T).transpose(0, 2, 1, 3).reshape(3 * nb, -1)
+    G4 = (X @ XG.T).reshape(nb, 3, nb, 3).transpose(0, 2, 1, 3)
     divs = ps.differentiate(basis.coeffs, deg, "div")   # (nb, 3, n3(rt))
     Gd = mo.gram_simplex(3, ro.tet)
-    divG = np.einsum("bln,nm,clm->bc", divs, Gd, divs)
+    divG = divs.reshape(nb, -1) @ (divs @ Gd.T).reshape(nb, -1).T
     modes = ps.volume_modes(ro.tet)[:, 0, :]            # (nm, n3(rt))
-    B1W = np.einsum("bln,nm,jm->blj", divs, Gd, modes)  # (nb, 3, nm)
+    B1W = divs @ (Gd @ modes.T)                         # (nb, 3, nm)
     modesE = mo.embed(modes, 3, ro.tet, deg)
-    W3 = np.einsum("bcn,nm,jm->bcj", basis.coeffs, G3, modesE)  # (nb, 9, nm)
+    W3 = basis.coeffs @ (G3 @ modesE.T)                 # (nb, 9, nm)
     data = (basis, G4, divG, B1W, W3)
     _RAW_CACHE[ro] = data
     return data

@@ -314,7 +314,10 @@ def cmd_infsup(args):
                           "out", "tol_scale", "config"])
     ts = _tol_scale(opts)
     material = _material(opts)
-    levels = [int(x) for x in str(opts.get("levels") or "1,2").split(",") if x]
+    try:
+        levels = [int(x) for x in str(opts.get("levels") or "1,2").split(",") if x]
+    except ValueError as exc:
+        raise ConfigError(f"infsup --levels is a comma list of n: {exc}") from exc
     rows = []
     betas = []
     for n in levels:
@@ -377,8 +380,10 @@ def cmd_converge(args):
     ts = _tol_scale(opts)
     material = _material(opts)
     r = int(opts.get("r") or 0)
-    n_levels = int(opts.get("levels") or 3)
-    levels = [2**k for k in range(n_levels)]
+    n_levels = str(opts.get("levels") or 3)
+    if not n_levels.isdigit() or int(n_levels) < 1:
+        raise ConfigError(f"converge --levels is a number of levels >= 1, not {n_levels!r}")
+    levels = [2**k for k in range(int(n_levels))]
     case = sl.default_convergence_case(material)
     report = sl.convergence_study(case, r, levels=levels)
     rows = [{k: v for k, v in row.items() if k != "runtime"} for row in report.rows]
@@ -417,7 +422,6 @@ def build_parser():
         sp.add_argument("--orders", help="comma list of per-tet orders (min rule)")
         sp.add_argument("--lambda", dest="lame_lambda", type=float, help="Lame lambda")
         sp.add_argument("--mu", type=float, help="Lame mu")
-        sp.add_argument("--levels", help="refinement levels")
         sp.add_argument("--samples", type=int, help="sampled fields per diagram")
 
     mesh_p = sub.add_parser("mesh", help="mesh utilities")
@@ -440,6 +444,10 @@ def build_parser():
         add_common(cp)
         if name == "solve":
             cp.add_argument("--case", help="patch | sine | taylor")
+        if name == "infsup":
+            cp.add_argument("--levels", help="comma list of n (default 1,2)")
+        if name == "converge":
+            cp.add_argument("--levels", help="number of levels, n = 1, 2, 4, ... (default 3)")
         cp.set_defaults(func=fn)
     return p
 

@@ -192,7 +192,6 @@ class FieldSample:
 #   piola   : sigma(x) = (1/det A) sigmahat(xhat) A^T      (row-wise flux map)
 #   op2     : U(x) = A^{-T} Uhat(xhat) A^T
 #   op1     : W(x) = A What(xhat) A^{-1}
-TRANSFORMS = ("compose", "piola", "op2", "op1")
 
 
 def _push_matrix(kind, amap):
@@ -1204,8 +1203,8 @@ class StressSpace:
             mu_ref = mo.embed(S, 2, rf, deg)          # (ns, n2(deg)) in yhat
             sign = mesh.tet_face_sign[t, f] * _REF_OUTWARD_SIGN[f]
             tr = ps.trace_normal(mats, deg, rframe, ps._ref_face_subst(f, deg))
-            vals = sign * np.einsum("bln,nm,sm->slb", tr, G2[f], mu_ref)
-            rows.append(vals.reshape(-1, nb))
+            vals = sign * (tr @ (G2[f] @ mu_ref.T))      # (nb, 3, ns)
+            rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
             ns = mu_ref.shape[0]
             face_slices.append(slice(pos, pos + 3 * ns))
             pos += 3 * ns
@@ -1233,8 +1232,7 @@ class StressSpace:
             M = amap.A.T @ amap.A
             Ncoef = Nb.coeffs.reshape(Nb.dim, 3, 3, -1)
             nuM = np.einsum("jpkn,kq->jpqn", Ncoef, M)
-            vals = np.einsum("bpqn,nm,jpqm->jb", mats, G3, nuM)
-            rows.append(vals)
+            rows.append(nuM.reshape(Nb.dim, -1) @ (basis.coeffs @ G3.T).reshape(nb, -1).T)
         int_slice = slice(pos, pos + Nb.dim)
         pos = int_slice.stop
         dof_ids.extend(range(offset, offset + Nb.dim))
@@ -1316,10 +1314,6 @@ class StressSpace:
             block = np.einsum("q,jqpl,qpl->j", ws.vol_rule.weights, nuM, Upull)
             rhs[elem.int_slice] = block
         return rhs
-
-    # dof layout sizes for external callers
-    def element_dof_count(self, t):
-        return self.elements[t].C.shape[0]
 
     def interpolate_element(self, t, U):
         """Monomial coefficients (9, n) of the element interpolant."""

@@ -163,19 +163,20 @@ def build_complex(vertices, tets):
     )
 
 
+_FACE_VERTS = np.array(reftet.FACE_VERTS)
+_EDGE_VERTS = np.array(reftet.EDGE_VERTS)
+
+
 def affine_of(mesh, tet_id):
     """Affine map of the reference tet onto tet tet_id."""
     p = mesh.tet_vertices(tet_id)
     A = np.column_stack([p[1] - p[0], p[2] - p[0], p[3] - p[0]])
     det = float(np.linalg.det(A))
-    lengths = [
-        np.linalg.norm(p[i] - p[j]) for i in range(4) for j in range(i + 1, 4)
-    ]
+    lengths = np.linalg.norm(p[_EDGE_VERTS[:, 0]] - p[_EDGE_VERTS[:, 1]], axis=1)
     vol = abs(det) / 6.0
-    areas = 0.0
-    for fv in reftet.FACE_VERTS:
-        q = p[list(fv)]
-        areas += 0.5 * np.linalg.norm(np.cross(q[1] - q[0], q[2] - q[0]))
+    q = p[_FACE_VERTS]                                  # (face, vertex, xyz)
+    normals = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+    areas = np.sum(0.5 * np.linalg.norm(normals, axis=1))
     return AffineMap(
         A=A,
         b=p[0].copy(),

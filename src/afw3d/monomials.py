@@ -54,12 +54,6 @@ def embed(coeffs, dim, deg_from, deg_to):
     )
 
 
-def truncate(coeffs, dim, deg_from, deg_to):
-    """Drop coefficients above deg_to (which must all be ~zero in use)."""
-    assert deg_to <= deg_from
-    return np.asarray(coeffs, dtype=float)[..., : count(dim, deg_to)].copy()
-
-
 @lru_cache(maxsize=None)
 def _mul_table(dim, deg1, deg2):
     e1 = exponents(dim, deg1)

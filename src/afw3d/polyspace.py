@@ -65,12 +65,6 @@ class RefOrders:
             tuple(e + k for e in self.edges),
         )
 
-    @property
-    def is_uniform(self):
-        return all(f == self.tet for f in self.faces) and all(
-            e == self.tet for e in self.edges
-        )
-
 
 @dataclass(frozen=True)
 class FaceFrame:
@@ -175,22 +169,21 @@ def trace_normal(coeffs, deg, frame, subst=None):
     """Normal component on a face: (..., 3, n3) -> (..., n2)."""
     S = _face_subst(frame, deg) if subst is None else subst
     c = np.asarray(coeffs, dtype=float)
-    return np.einsum("...jn,nm,j->...m", c, S, frame.normal)
+    return frame.normal @ (c @ S)
 
 
 def trace_tangential(coeffs, deg, frame, subst=None):
     """Tangential components on a face: (..., 3, n3) -> (..., 2, n2)."""
     S = _face_subst(frame, deg) if subst is None else subst
     c = np.asarray(coeffs, dtype=float)
-    T = np.column_stack([frame.t1, frame.t2])
-    return np.einsum("...jn,nm,ja->...am", c, S, T)
+    return np.vstack([frame.t1, frame.t2]) @ (c @ S)
 
 
 def trace_edge_tangential(coeffs, deg, frame):
     """Tangential component along an edge: (..., 3, n3) -> (..., n1)."""
     S = mo.substitution_matrix(3, deg, frame.tangent.reshape(3, 1), frame.origin)
     c = np.asarray(coeffs, dtype=float)
-    return np.einsum("...jn,nm,j->...m", c, S, frame.tangent)
+    return frame.tangent @ (c @ S)
 
 
 def trace(basis_or_coeffs, deg, sub, kind):

@@ -25,14 +25,6 @@ class InfeasibleConstraints(Exception):
 
 
 @dataclass
-class StabilityReport:
-    levels: list = field(default_factory=list)
-
-    def add(self, **kw):
-        self.levels.append(kw)
-
-
-@dataclass
 class ConvergenceReport:
     rows: list = field(default_factory=list)
 
@@ -96,7 +88,7 @@ def kernel_coercivity(mesh, orders, material, system=None):
     import scipy.linalg
 
     w = scipy.linalg.eigh(0.5 * (ZA + ZA.T), 0.5 * (ZM + ZM.T), eigvals_only=True)
-    div_norms = np.einsum("ki,ij,kj->k", Z, Mdiv.toarray(), Z)
+    div_norms = np.sum(Z * (Mdiv @ Z.T).T, axis=1)
     return KernelCoercivity(
         ratio=float(w[0]),
         kernel_dim=Z.shape[0],

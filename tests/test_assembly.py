@@ -236,3 +236,28 @@ def test_error_norms_independent_of_quad_deg(cube1, material):
             for q in (None, 4, 8, 12)]
     assert max(vals) - min(vals) < 1e-9 * fixed
     assert abs(vals[0] - fixed) < 1e-7 * fixed
+
+
+def test_raw_gram_data_matches_plain_einsum():
+    mesh = unit_cube_mesh(1)
+    om = OrderMap.random(mesh, 0, 2, seed=1)
+    sigs = {om.ref_orders(mesh, t) for t in range(mesh.n_tets)}
+    assert len(sigs) > 1
+    for ro in sigs:
+        basis, G4, divG, B1W, W3 = assembly._raw_gram_data(ro)
+        deg = ro.tet + 1
+        mats = basis.coeffs.reshape(basis.dim, 3, 3, -1)
+        G3 = mo.gram_simplex(3, deg)
+        divs = ps.differentiate(basis.coeffs, deg, "div")
+        Gd = mo.gram_simplex(3, ro.tet)
+        modes = ps.volume_modes(ro.tet)[:, 0, :]
+        modesE = mo.embed(modes, 3, ro.tet, deg)
+        expected = [
+            np.einsum("bpqn,nm,cpsm->bcqs", mats, G3, mats),
+            np.einsum("bln,nm,clm->bc", divs, Gd, divs),
+            np.einsum("bln,nm,jm->blj", divs, Gd, modes),
+            np.einsum("bcn,nm,jm->bcj", basis.coeffs, G3, modesE),
+        ]
+        for got, want in zip((G4, divG, B1W, W3), expected):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
