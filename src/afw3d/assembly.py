@@ -10,13 +10,13 @@ against exact fields, whose rule checks itself (interp.l2_norm).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import interp, linalg, monomials as mo, polyspace as ps, quadrature, tensor_ops
 from .interp import DiscreteField, FieldSample, StressSpace, Workspace
-from .mesh import affine_of
 
 
 class FactorizationBreakdown(Exception):
@@ -96,9 +96,7 @@ def build_dof_map(mesh, orders, space=None):
     )
 
 
-_RAW_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _raw_gram_data(ro):
     """Signature-cached exact reference Grams of the stress basis.
 
@@ -106,8 +104,6 @@ def _raw_gram_data(ro):
     G4 and divG are each one GEMM of the two factors over their remaining
     axes; B1W and W3 multiply the factor by the small product Gram @ modes^T.
     """
-    if ro in _RAW_CACHE:
-        return _RAW_CACHE[ro]
     basis = ps.to_matrix_rows(ps.basis_variable("lambda2", ro.shifted(1)))
     deg = ro.tet + 1
     nb = basis.dim
@@ -124,9 +120,7 @@ def _raw_gram_data(ro):
     B1W = divs @ (Gd @ modes.T)                         # (nb, 3, nm)
     modesE = mo.embed(modes, 3, ro.tet, deg)
     W3 = basis.coeffs @ (G3 @ modesE.T)                 # (nb, 9, nm)
-    data = (basis, G4, divG, B1W, W3)
-    _RAW_CACHE[ro] = data
-    return data
+    return basis, G4, divG, B1W, W3
 
 
 def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
@@ -154,7 +148,7 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
         basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
         nb = basis.dim
         elem = space.elements[t]
-        X = linalg.lu_apply(elem.lu, np.eye(nb))    # dual-basis combinations
+        X = elem.X
         M = amap.A.T @ amap.A
         # <sigma_b, sigma_c> = (1/J) int psihat_b : (psihat_c M)
         M_raw = np.einsum("bcqs,sq->bc", G4, M) / J
@@ -231,7 +225,7 @@ def assemble_stress_grams(system):
         basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
         nb = basis.dim
         elem = space.elements[t]
-        X = linalg.lu_apply(elem.lu, np.eye(nb))
+        X = elem.X
         M = amap.A.T @ amap.A
         M_raw = np.einsum("bcqs,sq->bc", G4, M) / amap.det
         D_raw = divG / amap.det
@@ -421,11 +415,10 @@ def export_solution(prefix, mesh, orders, solution, n_sample=2):
     lines = ["tet,x,y,z," + ",".join(f"sigma_{i}{j}" for i in range(3) for j in range(3))
              + ",u_0,u_1,u_2,p_0,p_1,p_2"]
     for t in range(mesh.n_tets):
-        amap = affine_of(mesh, t)
-        pts = amap.apply(rule.points)
-        sv = sigma_h.evaluate_ref(t, rule.points, amap).reshape(len(pts), -1)
-        uv = u_h.evaluate_ref(t, rule.points, amap)
-        pv = p_h.evaluate_ref(t, rule.points, amap)
+        pts = mesh.amaps[t].apply(rule.points)
+        sv = sigma_h.evaluate_ref(t, rule.points).reshape(len(pts), -1)
+        uv = u_h.evaluate_ref(t, rule.points)
+        pv = p_h.evaluate_ref(t, rule.points)
         for q in range(len(pts)):
             vals = [t] + list(pts[q]) + list(sv[q]) + list(uv[q]) + list(pv[q])
             lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals))

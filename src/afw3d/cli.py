@@ -2,10 +2,17 @@
 stability runs and convergence studies.
 
 Every subcommand writes a CSV table and a JSON report (schema
-afw3d-report/1) into the output directory and prints a summary; the exit
-code is 0 only when every check passed its tolerance.  Identical
+afw3d-report/1) into the output directory and prints a summary.  Identical
 configuration and seed produce byte-identical output files, so runtimes
 are printed but never written.
+
+Exit codes:
+  0  every check passed its tolerance;
+  1  a check failed its tolerance;
+  2  the configuration or the --mesh file is invalid (one line on stderr);
+  3  a numerical failure stopped the run: FactorizationBreakdown,
+     SingularMomentSystem, NoAdmissibleT, ConformityViolation or
+     DegreeTooHigh (one line on stderr).
 """
 
 import argparse
@@ -15,9 +22,11 @@ import sys
 import numpy as np
 
 from . import assembly, interp, linalg, monomials as mo, polyspace as ps
-from . import stability_lab as sl
+from . import quadrature, stability_lab as sl
 from . import tensor_ops
 from .mesh import (
+    DegenerateTet,
+    NonManifoldFace,
     OrderMap,
     build_complex,
     read_mesh,
@@ -32,6 +41,15 @@ R_MAX_CAP = 4
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_NUMERICAL_FAILURE = 3
+
+NUMERICAL_FAILURES = (
+    assembly.FactorizationBreakdown,
+    interp.SingularMomentSystem,
+    interp.NoAdmissibleT,
+    interp.ConformityViolation,
+    quadrature.DegreeTooHigh,
+)
 
 
 class ConfigError(Exception):
@@ -87,8 +105,10 @@ def _parse_orders(text, n_tets):
 
 def _get_mesh(opts):
     if opts.get("mesh"):
-        mesh, tet_orders = read_mesh(opts["mesh"])
-        return mesh, tet_orders
+        try:
+            return read_mesh(opts["mesh"])
+        except (OSError, ValueError, IndexError, DegenerateTet, NonManifoldFace) as exc:
+            raise ConfigError(f"cannot read mesh file {opts['mesh']}: {exc}") from exc
     n = int(opts.get("n") or 1)
     return unit_cube_mesh(n), None
 
@@ -224,8 +244,6 @@ def cmd_verify_tensor(args):
 
 def _trace_lemma_error(rng, n_samples, deg=3, face=0):
     """Max L2(F) norm of s1(W).n for W with zero tangential traces on F."""
-    from . import quadrature
-
     full = np.eye(9 * mo.count(3, deg)).reshape(-1, 9, mo.count(3, deg))
     tr = ps.trace(full, deg, face, "tangential-face")   # (nb, 3, 2, n2)
     rows = tr.reshape(full.shape[0], -1).T
@@ -464,6 +482,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ coefficients plus a transform kind that says how reference values push
 forward to physical ones.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import linalg, monomials as mo, polyspace as ps, quadrature, reftet, tensor_ops
-from .mesh import affine_of
 
 
 class SingularMomentSystem(Exception):
@@ -124,24 +124,20 @@ class FieldSample:
         arr = np.array(entries, dtype=object)
         shape = arr.shape
         flat = [sp.sympify(e) for e in arr.ravel()]
-        fs = [sp.lambdify(xyz, e, "numpy") for e in flat]
-        dfs = [
-            [sp.lambdify(xyz, sp.diff(e, v), "numpy") for v in xyz] for e in flat
-        ]
+        f_all = sp.lambdify(xyz, flat, "numpy")
+        df_all = sp.lambdify(xyz, [sp.diff(e, v) for e in flat for v in xyz], "numpy")
 
-        def _eval(fn, pts):
-            out = fn(pts[:, 0], pts[:, 1], pts[:, 2])
-            return np.broadcast_to(np.asarray(out, dtype=float), (len(pts),)).copy()
+        def _eval(fn, pts, out_shape):
+            # constant entries come back as scalars; broadcast them to the points
+            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+            cols = np.broadcast_arrays(x, *fn(x, y, z))[1:]
+            return np.stack(cols, axis=-1).astype(float).reshape((len(pts),) + out_shape)
 
         def val(pts, tet):
-            cols = [_eval(f, pts) for f in fs]
-            return np.stack(cols, axis=-1).reshape((len(pts),) + shape)
+            return _eval(f_all, pts, shape)
 
         def jac(pts, tet):
-            cols = [
-                np.stack([_eval(d, pts) for d in row], axis=-1) for row in dfs
-            ]
-            return np.stack(cols, axis=-2).reshape((len(pts),) + shape + (3,))
+            return _eval(df_all, pts, shape + (3,))
 
         return FieldSample(shape, val, jac)
 
@@ -227,27 +223,23 @@ class DiscreteField:
     def shape(self):
         return (3, 3) if self.coeffs[0].shape[0] == 9 else (3,)
 
-    def evaluate_ref(self, t, ref_pts, amap=None):
-        """Physical values at reference points of element t: (m, *shape).
-
-        amap, when given, is element t's affine map, which then is not
-        recomputed.
-        """
+    def evaluate_ref(self, t, ref_pts):
+        """Physical values at reference points of element t: (m, *shape)."""
         c = self.coeffs[t]
         vals = mo.evaluate(c, 3, self.degs[t], ref_pts)   # (ncomp, m)
         vals = np.moveaxis(vals, -1, 0)
         if c.shape[0] == 3:
             return vals
         W = vals.reshape(-1, 3, 3)
-        LR = _push_matrix(self.kind, affine_of(self.mesh, t) if amap is None else amap)
+        LR = _push_matrix(self.kind, self.mesh.amaps[t])
         if LR is None:
             return W
         L, R = LR
         return np.einsum("ij,mjk,kl->mil", L, W, R)
 
-    def jacobian_ref(self, t, ref_pts, amap=None):
+    def jacobian_ref(self, t, ref_pts):
         """Physical derivatives at reference points: (m, *shape, 3)."""
-        amap = affine_of(self.mesh, t) if amap is None else amap
+        amap = self.mesh.amaps[t]
         c = self.coeffs[t]
         deg = self.degs[t]
         dref = np.stack(
@@ -266,15 +258,13 @@ class DiscreteField:
         return np.einsum("ij,mjkl,kn->minl", L, W, R)
 
     def as_sample(self):
-        mesh = self.mesh
+        amaps = self.mesh.amaps
 
         def val(pts, tet):
-            amap = affine_of(mesh, tet)
-            return self.evaluate_ref(tet, amap.pull(pts), amap)
+            return self.evaluate_ref(tet, amaps[tet].pull(pts))
 
         def jac(pts, tet):
-            amap = affine_of(mesh, tet)
-            return self.jacobian_ref(tet, amap.pull(pts), amap)
+            return self.jacobian_ref(tet, amaps[tet].pull(pts))
 
         return FieldSample(self.shape, val, jac)
 
@@ -304,8 +294,7 @@ def field_divergence(df):
     assert df.kind == "piola"
     out, degs = [], []
     for t in range(df.mesh.n_tets):
-        amap = affine_of(df.mesh, t)
-        d = ps.differentiate(df.coeffs[t], df.degs[t], "div") / amap.det
+        d = ps.differentiate(df.coeffs[t], df.degs[t], "div") / df.mesh.amaps[t].det
         out.append(d)
         degs.append(max(df.degs[t] - 1, 0))
     return df.copy_with(out, kind="compose", degs=degs, space="p3_vec")
@@ -320,7 +309,7 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
     """L2 norm of field, or of field - minus, over the elements tets.
 
     field is a FieldSample (with tet hints) or a DiscreteField; minus, when
-    given, is a DiscreteField.  Each element's affine map is computed once.
+    given, is a DiscreteField.
 
     If field is a DiscreteField the integrand is polynomial on each element
     and one rule of degree quad_deg is used; it is exact once quad_deg is at
@@ -337,7 +326,6 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
     rules still disagree at quadrature.MAX_DEGREE.
     """
     tets = range(mesh.n_tets) if tets is None else tets
-    amaps = [affine_of(mesh, t) for t in tets]
 
     def sums(rules):
         """Squared norm under each rule, and int |e| (|field| + |minus|)
@@ -346,15 +334,16 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
         cuts = np.cumsum([len(r.weights) for r in rules])[:-1]
         totals = np.zeros(len(rules))
         floor = 0.0
-        for t, amap in zip(tets, amaps):
+        for t in tets:
+            amap = mesh.amaps[t]
             if isinstance(field, DiscreteField):
-                v = field.evaluate_ref(t, pts, amap)
+                v = field.evaluate_ref(t, pts)
             else:
                 v = field.value(amap.apply(pts), t)
             e = v.reshape(len(pts), -1)
             size = np.linalg.norm(e, axis=1)
             if minus is not None:
-                w = minus.evaluate_ref(t, pts, amap).reshape(len(pts), -1)
+                w = minus.evaluate_ref(t, pts).reshape(len(pts), -1)
                 e = e - w
                 size += np.linalg.norm(w, axis=1)
             e_sq = np.sum(e**2, axis=1)
@@ -381,17 +370,8 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
 
 
 def h1_seminorm(mesh, sample, quad_deg, tets=None):
-    rule = quadrature.rule_for(3, quad_deg)
-    total = 0.0
-    tets = range(mesh.n_tets) if tets is None else tets
-    for t in tets:
-        amap = affine_of(mesh, t)
-        if isinstance(sample, DiscreteField):
-            jac = sample.jacobian_ref(t, rule.points)
-        else:
-            jac = sample.jacobian(amap.apply(rule.points), t)
-        total += amap.det * np.sum(rule.weights * np.sum(jac.reshape(len(jac), -1) ** 2, axis=1))
-    return float(np.sqrt(total))
+    """H1 seminorm of a FieldSample: the l2_norm of its Jacobian."""
+    return l2_norm(mesh, FieldSample(sample.shape + (3,), sample.jacobian), quad_deg, tets)
 
 
 def h1_norm(mesh, sample, quad_deg, tets=None):
@@ -404,6 +384,11 @@ def h1_norm(mesh, sample, quad_deg, tets=None):
 
 # ---------------------------------------------------------------------------
 # reference moment systems
+#
+# Both trimmed interpolants are fixed by the same face / divergence /
+# auxiliary conditions.  The 1minus conditions are the 2minus ones with
+# tangential instead of normal face traces, and with S1 applied to the
+# field in the divergence and auxiliary rows.
 
 @dataclass
 class MomentSystem:
@@ -426,11 +411,6 @@ class MomentSystem:
         return self.matrix.shape[0]
 
 
-def _matrix_basis_cached(tag_builder, orders):
-    vec = tag_builder(orders)
-    return ps.to_matrix_rows(vec)
-
-
 def _aux_families(r):
     """(curl-image block, gradient-complement block) embedded at degree r."""
     f = ps.curl_image_basis(r)
@@ -445,199 +425,120 @@ def _aux_families(r):
     return fam_f, fam_g
 
 
-def _moment_rows_2minus(orders, t):
+def _face_directions(kind, f):
+    """Directions (a, 3) a face condition tests on reference face f: the
+    normal for 2minus, the two tangents for 1minus."""
+    frame = ps.REF_FACE_FRAMES[f]
+    return frame.normal[None, :] if kind == "2minus" else np.vstack([frame.t1, frame.t2])
+
+
+def _moment_rows(kind, orders, t):
+    """(matrix, row groups, basis) of the kind's conditions at parameter t."""
     rt = orders.tet
-    basis = _matrix_basis_cached(lambda o: ps.basis_variable("lambda2_minus", o.shifted(1)), orders)
-    deg = rt + 1
+    if kind == "2minus":
+        vec, deg = ps.basis_variable("lambda2_minus", orders.shifted(1)), rt + 1
+    else:
+        vec, deg = ps.basis_lambda1_minus_edge_zero(orders.shifted(2)), rt + 2
+    basis = ps.to_matrix_rows(vec)
     nb = basis.dim
     mats = basis.coeffs.reshape(nb, 3, 3, -1)
     rows = []
-    groups = {}
-    start = 0
-    # face rows: for each face, modes of P_{rF}(F;V)
+    # face rows: traces against P_{rF}(F;V), ordered (mode, direction, row)
     for f in range(4):
         rf = orders.faces[f]
-        tr = ps.trace_normal(mats, deg, ps.REF_FACE_FRAMES[f], ps._ref_face_subst(f, deg))
-        # tr: (nb, 3, n2(deg))
-        modes = ps.scalar_face_modes(f, rf)        # (ns, 1, n2(rf))
+        modes = ps.scalar_face_modes(f, rf)                  # (ns, 1, n2(rf))
         if modes.shape[0] == 0:
             continue
-        G2 = ps.ref_face_gram(f, deg)
-        memb = np.zeros((modes.shape[0], mo.count(2, deg)))
-        memb[:, : modes.shape[-1]] = modes[:, 0, :]
-        vals = np.einsum("bln,nm,sm->slb", tr, G2, memb)  # (ns, 3, nb)
-        rows.append(vals.reshape(-1, nb))
-    groups["face"] = slice(0, sum(r.shape[0] for r in rows))
-    start = groups["face"].stop
+        tr = _face_directions(kind, f) @ (mats @ ps._ref_face_subst(f, deg))  # (nb, 3, a, n2)
+        memb = mo.embed(modes[:, 0, :], 2, rf, deg)
+        vals = tr @ (ps.ref_face_gram(f, deg) @ memb.T)      # (nb, 3, a, ns)
+        rows.append(vals.transpose(3, 2, 1, 0).reshape(-1, nb))
+    n_face = sum(r.shape[0] for r in rows)
+    coeffs = basis.coeffs if kind == "2minus" else tensor_ops.S1_MATRIX @ basis.coeffs
     # divergence rows against zero-mean vector modes
-    divs = ps.differentiate(basis.coeffs, deg, "div")     # (nb, 3, n3(rt))
-    zm = ps.zero_mean_volume_modes(rt)                    # (nz, 1, n3(rt))
-    if zm.shape[0]:
-        G3 = mo.gram_simplex(3, rt)
-        vals = np.einsum("bln,nm,sm->slb", divs, G3, zm[:, 0, :])
-        rows.append(vals.reshape(-1, nb))
-        groups["div"] = slice(start, start + 3 * zm.shape[0])
-        start = groups["div"].stop
-    else:
-        groups["div"] = slice(start, start)
+    divs = ps.differentiate(coeffs, deg, "div")              # (nb, 3, n3(deg-1))
+    zm = mo.embed(ps.zero_mean_volume_modes(rt)[:, 0, :], 3, rt, deg - 1)
+    vals = divs @ (mo.gram_simplex(3, deg - 1) @ zm.T)       # (nb, 3, nz)
+    rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
+    n_div = 3 * zm.shape[0]
     # auxiliary rows against h(t) = (1-t) f + t g
     fam_f, fam_g = _aux_families(rt)
-    if fam_f.shape[0]:
-        G3b = mo.gram_simplex(3, deg)
-        fam = (1.0 - t) * fam_f + t * fam_g
-        famE = np.zeros((fam.shape[0], 9, mo.count(3, deg)))
-        famE[:, :, : fam.shape[-1]] = fam
-        vals = np.einsum("bcn,nm,kcm->kb", basis.coeffs, G3b, famE)
-        rows.append(vals)
-        groups["aux"] = slice(start, start + fam.shape[0])
-    else:
-        groups["aux"] = slice(start, start)
-    M = np.vstack(rows) if rows else np.zeros((0, nb))
-    return M, groups, basis
+    fam = mo.embed((1.0 - t) * fam_f + t * fam_g, 3, max(rt, 0), deg)
+    rows.append(np.tensordot(fam, coeffs @ mo.gram_simplex(3, deg), axes=([1, 2], [1, 2])))
+    groups = {
+        "face": slice(0, n_face),
+        "div": slice(n_face, n_face + n_div),
+        "aux": slice(n_face + n_div, n_face + n_div + len(fam)),
+    }
+    return np.vstack(rows), groups, basis
 
 
-def _moment_rows_1minus(orders, t):
-    rt = orders.tet
-    basis = _matrix_basis_cached(
-        lambda o: ps.basis_lambda1_minus_edge_zero(o.shifted(2)), orders
-    )
-    deg = rt + 2
-    nb = basis.dim
-    mats = basis.coeffs.reshape(nb, 3, 3, -1)
-    rows = []
-    groups = {}
-    # face rows: tangential components against P_{rF}(F;V)
-    for f in range(4):
-        rf = orders.faces[f]
-        tr = ps.trace_tangential(mats, deg, ps.REF_FACE_FRAMES[f], ps._ref_face_subst(f, deg))
-        # (nb, 3, 2, n2)
-        modes = ps.scalar_face_modes(f, rf)
-        if modes.shape[0] == 0:
-            continue
-        G2 = ps.ref_face_gram(f, deg)
-        memb = np.zeros((modes.shape[0], mo.count(2, deg)))
-        memb[:, : modes.shape[-1]] = modes[:, 0, :]
-        vals = np.einsum("blan,nm,sm->salb", tr, G2, memb)   # (ns,2,3,nb)
-        rows.append(vals.reshape(-1, nb))
-    groups["face"] = slice(0, sum(r.shape[0] for r in rows))
-    start = groups["face"].stop
-    # div S1 rows
-    s1c = np.einsum("pq,bqn->bpn", tensor_ops.S1_MATRIX, basis.coeffs)
-    divs = ps.differentiate(s1c, deg, "div")   # (nb, 3, n3(deg-1))
-    zm = ps.zero_mean_volume_modes(rt)
-    if zm.shape[0]:
-        G3 = mo.gram_simplex(3, deg - 1)
-        zmE = np.zeros((zm.shape[0], mo.count(3, deg - 1)))
-        zmE[:, : zm.shape[-1]] = zm[:, 0, :]
-        vals = np.einsum("bln,nm,sm->slb", divs, G3, zmE)
-        rows.append(vals.reshape(-1, nb))
-        groups["div"] = slice(start, start + 3 * zm.shape[0])
-        start = groups["div"].stop
-    else:
-        groups["div"] = slice(start, start)
-    # auxiliary rows: S1(omega) against h(t)
-    fam_f, fam_g = _aux_families(rt)
-    if fam_f.shape[0]:
-        G3b = mo.gram_simplex(3, deg)
-        fam = (1.0 - t) * fam_f + t * fam_g
-        famE = np.zeros((fam.shape[0], 9, mo.count(3, deg)))
-        famE[:, :, : fam.shape[-1]] = fam
-        vals = np.einsum("bcn,nm,kcm->kb", s1c, G3b, famE)
-        rows.append(vals)
-        groups["aux"] = slice(start, start + fam.shape[0])
-    else:
-        groups["aux"] = slice(start, start)
-    M = np.vstack(rows) if rows else np.zeros((0, nb))
-    return M, groups, basis
-
-
-def build_moment_system_2minus(orders, t):
-    """Square matrix of the trimmed-flux interpolation conditions at t."""
-    M, groups, basis = _moment_rows_2minus(orders, t)
+def build_moment_system(kind, orders, t):
+    """Square matrix of the kind's trimmed interpolation conditions at t."""
+    M, groups, basis = _moment_rows(kind, orders, t)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(
-            f"2minus system is {M.shape[0]}x{M.shape[1]} for orders {orders}"
+            f"{kind} system is {M.shape[0]}x{M.shape[1]} for orders {orders}"
         )
-    return MomentSystem("2minus", orders, t, M, groups, basis)
+    return MomentSystem(kind, orders, t, M, groups, basis)
 
 
-def build_moment_system_1minus(orders, t):
-    """Square matrix of the trimmed-edge interpolation conditions at t."""
-    M, groups, basis = _moment_rows_1minus(orders, t)
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(
-            f"1minus system is {M.shape[0]}x{M.shape[1]} for orders {orders}"
-        )
-    return MomentSystem("1minus", orders, t, M, groups, basis)
+_moment_rows_2minus = partial(_moment_rows, "2minus")
+build_moment_system_2minus = partial(build_moment_system, "2minus")
+build_moment_system_1minus = partial(build_moment_system, "1minus")
 
 
 def _equilibrated_logdet(M):
+    """log|det| of M with its rows scaled to unit max norm; -inf if singular."""
     if M.shape[0] == 0:
-        return 1, 0.0
+        return 0.0
     scale = np.abs(M).max(axis=1)
     if np.any(scale == 0.0):
-        return 0, -np.inf
+        return -np.inf
     sign, logmag = linalg.det_sign_and_logmag(M / scale[:, None])
-    return sign, logmag
+    return -np.inf if sign == 0 else logmag
 
 
-_T_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def select_t(orders):
     """Deterministic homotopy parameter for one order signature.
 
     Scans t over {j/64} and keeps the t maximizing the smaller of the two
     row-equilibrated log-determinants, so both moment systems are safely
-    invertible at the returned value.
+    invertible at the returned value.  Without auxiliary rows (r <= 1)
+    neither system depends on t, and 0.0 is returned.
     """
     if isinstance(orders, int):
         orders = ps.RefOrders.uniform(orders)
-    if orders in _T_CACHE:
-        return _T_CACHE[orders]
-    M2f, g2, b2 = _moment_rows_2minus(orders, 0.0)
-    M2g, _, _ = _moment_rows_2minus(orders, 1.0)
-    M1f, g1, b1 = _moment_rows_1minus(orders, 0.0)
-    M1g, _, _ = _moment_rows_1minus(orders, 1.0)
-    for M, b, name in ((M2f, b2, "2minus"), (M1f, b1, "1minus")):
-        if M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(
-                f"{name} system is {M.shape[0]}x{M.shape[1]} for orders {orders}"
-            )
+    if ps.curl_dim(orders.tet) == 0:
+        return 0.0
+    ends = [
+        (build_moment_system(kind, orders, 0.0).matrix, build_moment_system(kind, orders, 1.0).matrix)
+        for kind in ("2minus", "1minus")
+    ]
     best_t, best_score = None, -np.inf
     for t in T_GRID:
-        score = np.inf
-        for Mf, Mg in ((M2f, M2g), (M1f, M1g)):
-            M = (1.0 - t) * Mf + t * Mg if Mf.shape[0] else Mf
-            sign, logmag = _equilibrated_logdet(M)
-            score = min(score, -np.inf if sign == 0 else logmag)
+        score = min(_equilibrated_logdet((1.0 - t) * Mf + t * Mg) for Mf, Mg in ends)
         if score > best_score:
             best_t, best_score = float(t), score
     if best_t is None or not np.isfinite(best_score):
         raise NoAdmissibleT(f"all grid values of t are singular for {orders}")
-    _T_CACHE[orders] = best_t
     return best_t
 
 
-_SYSTEM_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def reference_systems(orders):
     """(2minus, 1minus) moment systems at the selected t, LU-factored."""
-    if orders in _SYSTEM_CACHE:
-        return _SYSTEM_CACHE[orders]
     t = select_t(orders)
-    sys2 = build_moment_system_2minus(orders, t)
-    sys1 = build_moment_system_1minus(orders, t)
-    for s in (sys2, sys1):
+    systems = tuple(build_moment_system(kind, orders, t) for kind in ("2minus", "1minus"))
+    for s in systems:
         try:
             s.lu = linalg.lu_factor(s.matrix)
         except linalg.SingularMatrix as exc:
             raise SingularMomentSystem(
                 f"{s.kind} system singular at t={t} for {orders}"
             ) from exc
-    _SYSTEM_CACHE[orders] = (sys2, sys1)
-    return sys2, sys1
+    return systems
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +562,7 @@ class Workspace:
         self.face_deg = self.vol_deg
         tri = quadrature.rule_for(2, self.face_deg)
         self.tri_rule = tri
-        self.amaps = [affine_of(mesh, t) for t in range(mesh.n_tets)]
+        self.amaps = mesh.amaps
         self.face_points = []
         self.face_weights = []   # physical surface measure
         for fid in range(mesh.n_faces):
@@ -698,16 +599,11 @@ class Workspace:
         yhat = frame.to_y(xhat)
         modes = ps.scalar_face_modes(local_face, rf)
         vals = mo.evaluate(modes[:, 0, :], 2, rf, yhat) if modes.shape[0] else np.zeros((0, len(yhat)))
-        # reference surface measure: dshat = ds * area(Fhat)/area(F)
-        w_ref = self.face_weights[fid] * (frame.area / _face_area(self.mesh, fid))
+        # the pulled-back points are the rule's points on the reference face
+        w_ref = self.tri_rule.weights * (frame.area / 0.5)
         out = (vals, w_ref, xhat, fid)
         self._mode_cache[key] = out
         return out
-
-
-def _face_area(mesh, fid):
-    v = mesh.vertices[mesh.faces[fid]]
-    return 0.5 * np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +619,7 @@ def project_l2_p3(mesh, orders, f, ws=None):
         modes = ps.volume_modes(rt)[:, 0, :]          # (nm, n3)
         vals = mo.evaluate(modes, 3, rt, rule.points)  # (nm, q)
         if isinstance(f, DiscreteField):
-            fv = f.evaluate_ref(t, rule.points, ws.amaps[t])
+            fv = f.evaluate_ref(t, rule.points)
         else:
             fv = f.value(ws.vol_points(t), t)          # (q, 3)
         gamma = np.einsum("q,nq,qi->in", rule.weights, vals, fv)
@@ -767,111 +663,53 @@ def _pullback_op1(W, amap):
     return FieldSample((3, 3), val, jac)
 
 
-def _rhs_2minus(ws, t, sysm, Uhat):
-    """Right-hand side of the 2minus conditions for the pulled-back field."""
+def _rhs(ws, t, sysm, Uhat):
+    """Right-hand side of sysm's conditions for the pulled-back field."""
     orders = sysm.orders
-    deg = orders.tet + 1
-    amap = ws.amaps[t]
-    rhs = np.zeros(sysm.dim)
-    pos = 0
-    # face rows
+    rule = ws.vol_rule
+    rhs = []
     for f in range(4):
-        rf = orders.faces[f]
-        modes_vals, w_ref, xhat, fid = ws.face_modes_at_ref_points(t, f, rf)
+        modes_vals, w_ref, xhat, fid = ws.face_modes_at_ref_points(t, f, orders.faces[f])
         if modes_vals.shape[0] == 0:
             continue
-        n_hat = ps.REF_FACE_FRAMES[f].normal
-        Uv = Uhat.value(xhat, t)                     # (q,3,3)
-        Un = np.einsum("mij,j->mi", Uv, n_hat)       # (q,3)
-        block = np.einsum("q,sq,qi->si", w_ref, modes_vals, Un)
-        take = block.shape[0] * 3
-        rhs[pos : pos + take] = block.reshape(-1)
-        pos += take
-    # div rows
+        Ut = Uhat.value(xhat, t) @ _face_directions(sysm.kind, f).T    # (q, 3, a)
+        rhs.append(np.einsum("q,sq,qia->sai", w_ref, modes_vals, Ut).ravel())
+    field = Uhat if sysm.kind == "2minus" else Uhat.apply_s1()
     zm = ps.zero_mean_volume_modes(orders.tet)
     if zm.shape[0]:
-        zv = mo.evaluate(zm[:, 0, :], 3, orders.tet, ws.vol_rule.points)
-        J = Uhat.jacobian(ws.vol_rule.points, t)     # (q,3,3,3)
-        divU = np.einsum("mikk->mi", J)
-        block = np.einsum("q,sq,qi->si", ws.vol_rule.weights, zv, divU)
-        take = block.size
-        rhs[pos : pos + take] = block.reshape(-1)
-        pos += take
-    # aux rows
+        zv = mo.evaluate(zm[:, 0, :], 3, orders.tet, rule.points)
+        divU = np.einsum("mikk->mi", field.jacobian(rule.points, t))
+        rhs.append(np.einsum("q,sq,qi->si", rule.weights, zv, divU).ravel())
     fam_f, fam_g = _aux_families(orders.tet)
     if fam_f.shape[0]:
         fam = (1.0 - sysm.t) * fam_f + sysm.t * fam_g
-        hv = mo.evaluate(fam, 3, max(orders.tet, 0), ws.vol_rule.points)  # (k,9,q)
-        Uv = Uhat.value(ws.vol_rule.points, t).reshape(-1, 9)             # (q,9)
-        block = np.einsum("q,kcq,qc->k", ws.vol_rule.weights, hv, Uv)
-        rhs[pos : pos + len(block)] = block
-        pos += len(block)
-    assert pos == sysm.dim
+        hv = mo.evaluate(fam, 3, max(orders.tet, 0), rule.points)      # (k,9,q)
+        Uv = field.value(rule.points, t).reshape(-1, 9)                 # (q,9)
+        rhs.append(np.einsum("q,kcq,qc->k", rule.weights, hv, Uv))
+    rhs = np.concatenate(rhs)
+    assert len(rhs) == sysm.dim
     return rhs
 
 
-def _rhs_1minus(ws, t, sysm, What):
-    orders = sysm.orders
-    amap = ws.amaps[t]
-    rhs = np.zeros(sysm.dim)
-    pos = 0
-    for f in range(4):
-        rf = orders.faces[f]
-        modes_vals, w_ref, xhat, fid = ws.face_modes_at_ref_points(t, f, rf)
-        if modes_vals.shape[0] == 0:
-            continue
-        frame = ps.REF_FACE_FRAMES[f]
-        Wv = What.value(xhat, t)
-        Wt = np.einsum("mij,ja->mia", Wv, np.column_stack([frame.t1, frame.t2]))
-        block = np.einsum("q,sq,qia->sai", w_ref, modes_vals, Wt)  # (s,2,3)
-        take = block.size
-        rhs[pos : pos + take] = block.reshape(-1)
-        pos += take
-    zm = ps.zero_mean_volume_modes(orders.tet)
-    if zm.shape[0]:
-        zv = mo.evaluate(zm[:, 0, :], 3, orders.tet, ws.vol_rule.points)
-        J = What.jacobian(ws.vol_rule.points, t)
-        # div S1 W from the jacobian of W
-        JS1 = (
-            np.swapaxes(J, 1, 2)
-            - np.einsum("miik->mk", J)[:, None, None, :] * np.eye(3)[None, :, :, None]
-        )
-        divS1 = np.einsum("mikk->mi", JS1)
-        block = np.einsum("q,sq,qi->si", ws.vol_rule.weights, zv, divS1)
-        take = block.size
-        rhs[pos : pos + take] = block.reshape(-1)
-        pos += take
-    fam_f, fam_g = _aux_families(orders.tet)
-    if fam_f.shape[0]:
-        fam = (1.0 - sysm.t) * fam_f + sysm.t * fam_g
-        hv = mo.evaluate(fam, 3, max(orders.tet, 0), ws.vol_rule.points)
-        Wv = What.value(ws.vol_rule.points, t)
-        S1W = np.swapaxes(Wv, 1, 2) - np.einsum("mii->m", Wv)[:, None, None] * np.eye(3)
-        block = np.einsum("q,kcq,qc->k", ws.vol_rule.weights, hv, S1W.reshape(-1, 9))
-        rhs[pos : pos + len(block)] = block
-        pos += len(block)
-    assert pos == sysm.dim
-    return rhs
+_rhs_2minus = _rhs
+
+
+def _solve_moments(ws, t, sysm, Uhat):
+    """Element coefficients (9, nmono) of the interpolant of sysm's kind."""
+    x = linalg.lu_apply(sysm.lu, _rhs(ws, t, sysm, Uhat))
+    return np.einsum("b,bcn->cn", x, sysm.basis.coeffs)
 
 
 def interp_p2minus(ws, t, U):
     """Element coefficients (9, nmono) of the trimmed-flux interpolant."""
-    orders = ws.ref_orders(t)
-    sys2, _ = reference_systems(orders)
-    Uhat = _pullback_op2(U, ws.amaps[t])
-    rhs = _rhs_2minus(ws, t, sys2, Uhat)
-    x = linalg.lu_apply(sys2.lu, rhs)
-    return np.einsum("b,bcn->cn", x, sys2.basis.coeffs)
+    sys2, _ = reference_systems(ws.ref_orders(t))
+    return _solve_moments(ws, t, sys2, _pullback_op2(U, ws.amaps[t]))
 
 
 def interp_p1minus(ws, t, W):
     """Element coefficients (9, nmono) of the trimmed-edge interpolant."""
-    orders = ws.ref_orders(t)
-    _, sys1 = reference_systems(orders)
-    What = _pullback_op1(W, ws.amaps[t])
-    rhs = _rhs_1minus(ws, t, sys1, What)
-    x = linalg.lu_apply(sys1.lu, rhs)
-    return np.einsum("b,bcn->cn", x, sys1.basis.coeffs)
+    _, sys1 = reference_systems(ws.ref_orders(t))
+    return _solve_moments(ws, t, sys1, _pullback_op1(W, ws.amaps[t]))
 
 
 def interp_p2minus_global(mesh, orders, U, ws=None):
@@ -1020,8 +858,7 @@ def conformity_error(df, n_pts_rule=4):
         frame = ps.make_face_frame(verts)
         vals = []
         for t in tets:
-            amap = affine_of(mesh, t)
-            V = df.evaluate_ref(t, amap.pull(pts), amap)
+            V = df.evaluate_ref(t, mesh.amaps[t].pull(pts))
             if df.kind in ("piola", "op2"):
                 tr = np.einsum("mij,j->mi", V, frame.normal)
             elif df.kind == "op1":
@@ -1049,9 +886,9 @@ def clement(mesh, W, orders=None, quad_deg=6):
     sums = np.zeros((mesh.n_vertices, 3, 3))
     vols = np.zeros(mesh.n_vertices)
     for t in range(mesh.n_tets):
-        amap = affine_of(mesh, t)
+        amap = mesh.amaps[t]
         if isinstance(W, DiscreteField):
-            vals = W.evaluate_ref(t, rule.points, amap)
+            vals = W.evaluate_ref(t, rule.points)
         else:
             vals = W.value(amap.apply(rule.points), t)
         integral = amap.det * np.einsum("q,qij->ij", rule.weights, vals)
@@ -1124,6 +961,7 @@ class StressElement:
     deg: int
     C: np.ndarray            # rows: faces (local 0..3), div, interior
     lu: object
+    X: np.ndarray            # dual basis C^{-1}: shape functions in the basis
     dof_ids: np.ndarray      # global ids in row order
     face_slices: list        # per local face
     div_slice: slice
@@ -1132,10 +970,20 @@ class StressElement:
     mu_counts: list          # scalar mode count per local face
 
 
-@dataclass
-class _InteriorData:
-    nbasis: object
-    G4: np.ndarray           # (nN, nb, 3, 3): contract with A^T A
+@lru_cache(maxsize=None)
+def _divfree_interior(rt):
+    """(divergence-free zero-trace matrix basis of degree rt+1, its Gram)."""
+    ring = ps.basis_ring("lambda2", rt + 1)
+    if ring.dim:
+        divs = ps.differentiate(ring.coeffs, rt + 1, "div")
+        combos = linalg.nullspace(divs.reshape(ring.dim, -1).T)
+        N_vec = np.einsum("kb,bcn->kcn", combos, ring.coeffs)
+    else:
+        N_vec = np.zeros((0, 3, mo.count(3, rt + 1)))
+    Nb = ps.to_matrix_rows(
+        ps.PolyBasis("divfree_ring", 3, rt + 1, np.ascontiguousarray(N_vec), rt + 1)
+    )
+    return Nb, mo.gram_simplex(3, rt + 1)
 
 
 class StressSpace:
@@ -1161,7 +1009,6 @@ class StressSpace:
         )
         self.face_offset = np.concatenate([[0], np.cumsum(self.face_ndof)])
         self.n_face_dofs = int(self.face_offset[-1])
-        self._interior_cache = {}
         self.elements = []
         offset = self.n_face_dofs
         for t in range(mesh.n_tets):
@@ -1227,7 +1074,7 @@ class StressSpace:
         offset += 3 * zm.shape[0]
         # interior rows against the divergence-free zero-trace subspace,
         # mapped through M = A^T A (the physical L2 pairing of two flux maps)
-        Nb, G3 = self._interior_data_cached(rt)
+        Nb, G3 = _divfree_interior(rt)
         if Nb.dim:
             M = amap.A.T @ amap.A
             Ncoef = Nb.coeffs.reshape(Nb.dim, 3, 3, -1)
@@ -1251,6 +1098,7 @@ class StressSpace:
             deg=deg,
             C=C,
             lu=lu,
+            X=linalg.lu_apply(lu, np.eye(nb)),
             dof_ids=np.array(dof_ids, dtype=np.int64),
             face_slices=face_slices,
             div_slice=div_slice,
@@ -1259,21 +1107,6 @@ class StressSpace:
             mu_counts=mu_counts,
         )
         return elem, offset
-
-    def _interior_data_cached(self, rt):
-        if rt not in self._interior_cache:
-            ring = ps.basis_ring("lambda2", rt + 1)
-            if ring.dim:
-                divs = ps.differentiate(ring.coeffs, rt + 1, "div")
-                combos = linalg.nullspace(divs.reshape(ring.dim, -1).T)
-                N_vec = np.einsum("kb,bcn->kcn", combos, ring.coeffs)
-            else:
-                N_vec = np.zeros((0, 3, mo.count(3, rt + 1)))
-            Nb = ps.to_matrix_rows(
-                ps.PolyBasis("divfree_ring", 3, rt + 1, np.ascontiguousarray(N_vec), rt + 1)
-            )
-            self._interior_cache[rt] = (Nb, mo.gram_simplex(3, rt + 1))
-        return self._interior_cache[rt]
 
     # -- functionals of a field sample (the interpolation right-hand side)
 
@@ -1303,7 +1136,7 @@ class StressSpace:
             divU = np.einsum("qijj->qi", Uj)
             block = amap.det * np.einsum("q,sq,qi->si", ws.vol_rule.weights, zv, divU)
             rhs[elem.div_slice] = block.reshape(-1)
-        Nb, _ = self._interior_data_cached(ro.tet)
+        Nb, _ = _divfree_interior(ro.tet)
         if Nb.dim:
             M = amap.A.T @ amap.A
             Nv = mo.evaluate(Nb.coeffs, 3, ro.tet + 1, ws.vol_rule.points)

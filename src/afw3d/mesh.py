@@ -7,7 +7,8 @@ assigned lexicographically over sorted vertex tuples, so they are
 deterministic across runs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,8 +77,13 @@ class SimplicialMesh:
     def tet_vertices(self, t):
         return self.vertices[self.tets[t]]
 
+    @cached_property
+    def amaps(self):
+        """Affine map of the reference tet onto each tet, built once."""
+        return tuple(_affine_map(self.tet_vertices(t)) for t in range(self.n_tets))
+
     def h_max(self):
-        return max(affine_of(self, t).h for t in range(self.n_tets))
+        return max(amap.h for amap in self.amaps)
 
 
 def _tet_volume6(p):
@@ -169,7 +175,11 @@ _EDGE_VERTS = np.array(reftet.EDGE_VERTS)
 
 def affine_of(mesh, tet_id):
     """Affine map of the reference tet onto tet tet_id."""
-    p = mesh.tet_vertices(tet_id)
+    return mesh.amaps[tet_id]
+
+
+def _affine_map(p):
+    """Affine map of the reference tet onto the tet with vertices p."""
     A = np.column_stack([p[1] - p[0], p[2] - p[0], p[3] - p[0]])
     det = float(np.linalg.det(A))
     lengths = np.linalg.norm(p[_EDGE_VERTS[:, 0]] - p[_EDGE_VERTS[:, 1]], axis=1)

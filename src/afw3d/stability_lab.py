@@ -3,9 +3,8 @@
 Measures the inf-sup constant of the mixed form through a Schur
 complement eigenproblem, the coercivity of the compliance form on the
 discrete constraint kernel, the residuals of the three commuting
-diagrams, the constructive stability bound (a minimum-norm lifting of
-prescribed divergence and asymmetry data), and h-convergence against
-elementwise best-approximation errors.
+diagrams, and h-convergence against elementwise best-approximation
+errors.
 """
 
 import json
@@ -17,11 +16,7 @@ import scipy.sparse as sp
 
 from . import assembly, interp, linalg, monomials as mo, polyspace as ps, tensor_ops
 from .interp import FieldSample, Workspace
-from .mesh import OrderMap, affine_of, unit_cube_mesh
-
-
-class InfeasibleConstraints(Exception):
-    pass
+from .mesh import OrderMap, unit_cube_mesh
 
 
 @dataclass
@@ -158,43 +153,6 @@ def commuting_diagram_suite(mesh, orders, n_samples=5, seed=0, ws=None, space=No
 
 
 # ---------------------------------------------------------------------------
-# constructive stability bound
-
-def stability_construction_check(mesh, orders, omega, mu_data, material=None, system=None):
-    """Minimum-H(div)-norm stress with prescribed divergence and asymmetry.
-
-    omega and mu_data are coefficient vectors against the orthonormal
-    element modes of the multiplier spaces (same layout as the solution
-    dofs).  Returns (stress dof vector, norm ratio).
-    """
-    material = tensor_ops.Material(1.0, 1.0) if material is None else material
-    if system is None:
-        system = assembly.assemble(mesh, orders, material, None)
-    Mh, _, _ = _hdiv_gram(system)
-    d = assembly.vq_mass_diag(system)
-    n_u = system.dofmap.n_disp
-    # <mu, v_i> = mass * coefficients in the same basis
-    b_mu = d[:n_u] * mu_data
-    b_omega = d[n_u:] * omega
-    C = sp.vstack([system.B1, -system.B2]).tocsr()
-    rhs_c = np.concatenate([b_mu, b_omega])
-    n_s = system.dofmap.n_stress
-    K = sp.bmat([[Mh, C.T], [C, None]], format="csc")
-    rhs = np.concatenate([np.zeros(n_s), rhs_c])
-    x = linalg.solve_sparse(K, rhs)
-    sigma = x[:n_s]
-    feas = np.linalg.norm(C @ sigma - rhs_c) / (1.0 + np.linalg.norm(rhs_c))
-    if not np.isfinite(feas) or feas > 1e-8:
-        raise InfeasibleConstraints(f"constraint residual {feas:.3e}")
-    norm_sigma = float(np.sqrt(sigma @ (Mh @ sigma)))
-    norm_mu = float(np.sqrt(np.sum(b_mu * mu_data)))
-    norm_omega = float(np.sqrt(np.sum(b_omega * omega)))
-    denom = norm_mu + norm_omega
-    ratio = norm_sigma / denom if denom > 0 else 0.0
-    return sigma, ratio
-
-
-# ---------------------------------------------------------------------------
 # best approximation and convergence studies
 
 def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
@@ -225,8 +183,7 @@ def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
         div_phys = np.moveaxis(div_ref, -1, 1) / amap.det    # (nb,q,3)
         raw = np.einsum("q,bqjl,qjl->b", wq, phys, sv)
         raw += np.einsum("q,bqj,qj->b", wq, div_phys, fv)
-        X = linalg.lu_apply(elem.lu, np.eye(nb))
-        rhs[elem.dof_ids] += X.T @ raw
+        rhs[elem.dof_ids] += elem.X.T @ raw
         norm2 += np.sum(wq * (np.sum(sv.reshape(len(wq), -1) ** 2, axis=1)
                               + np.sum(fv**2, axis=1)))
     g = linalg.solve_sparse(Mh, rhs)

@@ -13,3 +13,47 @@ def test_infsup_rejects_a_level_that_is_not_an_integer(tmp_path, capsys):
     code = cli.main(["infsup", "--levels", "1,x", "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG_ERROR
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_missing_mesh_file_is_a_config_error(tmp_path, capsys):
+    code = cli.main(["solve", "--mesh", str(tmp_path / "absent.txt"), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG_ERROR == 2
+    assert "Traceback" not in err and "absent.txt" in err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    from afw3d import assembly
+
+    def breakdown(*args, **kwargs):
+        raise assembly.FactorizationBreakdown("algebraic residual 1.0e+00")
+
+    monkeypatch.setattr(assembly, "solve_case", breakdown)
+    code = cli.main(["solve", "--case", "patch", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL_FAILURE == 3
+    assert err.count("\n") == 1 and "FactorizationBreakdown" in err
+
+
+def _clear_signature_caches():
+    from afw3d import assembly, interp, monomials, polyspace
+
+    for module in (assembly, interp, monomials, polyspace):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_reports_are_byte_identical_with_cold_and_warm_caches(tmp_path):
+    runs = (["solve", "--n", "1", "--r", "1", "--case", "patch"], ["infsup", "--levels", "1"])
+    outputs = []
+    for attempt in range(2):
+        if attempt == 0:
+            _clear_signature_caches()
+        for argv in runs:
+            assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())
+                        if p.suffix in (".json", ".csv")})
+    assert sorted(outputs[0]) == ["infsup.csv", "infsup.json", "solution_samples.csv",
+                                  "solve.csv", "solve.json"]
+    assert outputs[0] == outputs[1]

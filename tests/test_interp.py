@@ -124,6 +124,20 @@ def test_select_t_accepts_plain_int():
     assert interp.select_t(1) == interp.select_t(ps.RefOrders.uniform(1))
 
 
+def test_select_t_is_zero_without_auxiliary_rows():
+    # r <= 1 has no auxiliary rows, so t is not scanned; r = 2 scans to 1.0
+    from afw3d.mesh import unit_cube_mesh
+
+    mesh = unit_cube_mesh(1)
+    om = OrderMap.random(mesh, 0, 2, seed=1)
+    sigs = {om.ref_orders(mesh, t) for t in range(mesh.n_tets)}
+    low = [ro for ro in sigs if ro.tet <= 1]
+    high = [ro for ro in sigs if ro.tet == 2]
+    assert len(low) == 3 and len(high) == 2
+    assert all(interp.select_t(ro) == 0.0 for ro in low + [ps.RefOrders.uniform(1)])
+    assert all(interp.select_t(ro) == 1.0 for ro in high + [ps.RefOrders.uniform(2)])
+
+
 # ---------------------------------------------------------------------------
 # element interpolants
 
@@ -461,3 +475,12 @@ def test_l2_norm_raises_when_rules_never_agree():
     f = FieldSample.from_sympy(["x**(-0.25)"])
     with pytest.raises(quadrature.DegreeTooHigh):
         interp.l2_norm(unit_cube_mesh(1), f, 4)
+
+
+def test_h1_seminorm_of_analytic_field_matches_closed_form():
+    # int_[0,1]^3 (pi cos(pi x))^2 = pi^2/2; a degree-2 start must refine itself
+    from afw3d.mesh import unit_cube_mesh
+
+    f = FieldSample.from_sympy(["sin(pi*x)", "0", "0"])
+    got = interp.h1_seminorm(unit_cube_mesh(1), f, 2)
+    assert abs(got - np.pi / np.sqrt(2)) < 1e-7 * np.pi / np.sqrt(2)
