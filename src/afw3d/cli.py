@@ -28,10 +28,8 @@ from .mesh import (
     DegenerateTet,
     NonManifoldFace,
     OrderMap,
-    build_complex,
     read_mesh,
     unit_cube_mesh,
-    validate_order_map,
     write_mesh,
 )
 
@@ -75,10 +73,10 @@ def _load_config_file(path):
 
 def _merged(args, keys):
     """Config-file values filled in wherever the flag was not given."""
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    cfg = _load_config_file(args.config) if args.config else {}
     merged = {}
     for k in keys:
-        v = getattr(args, k, None)
+        v = getattr(args, k)
         if v is None and k in cfg:
             v = cfg[k]
         merged[k] = v
@@ -139,7 +137,7 @@ def _outdir(opts):
     return out
 
 
-def _finish(name, opts, checks, rows, columns, extras=None):
+def _finish(name, opts, checks, rows, columns):
     """Write the CSV/JSON pair, print the table, return the exit code."""
     out = _outdir(opts)
     sl.write_csv(os.path.join(out, f"{name}.csv"), rows, columns)
@@ -173,8 +171,7 @@ def _tol_scale(opts):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_mesh_gen(args):
-    opts = _merged(args, ["n", "orders", "out", "seed", "mesh", "r", "config"])
+def cmd_mesh_gen(opts):
     mesh, _ = _get_mesh(opts)
     tet_orders = None
     if opts.get("orders"):
@@ -190,8 +187,7 @@ def cmd_mesh_gen(args):
     return _finish("mesh_gen", opts, checks, rows, ["vertices", "edges", "faces", "tets"])
 
 
-def cmd_verify_tensor(args):
-    opts = _merged(args, ["seed", "out", "tol_scale", "config"])
+def cmd_verify_tensor(opts):
     seed = int(opts.get("seed") or 0)
     ts = _tol_scale(opts)
     rng = np.random.default_rng(seed)
@@ -265,8 +261,7 @@ def _trace_lemma_error(rng, n_samples, deg=3, face=0):
     return err
 
 
-def cmd_verify_spaces(args):
-    opts = _merged(args, ["out", "tol_scale", "config"])
+def cmd_verify_spaces(opts):
     ts = _tol_scale(opts)
     checks = []
     err = max(
@@ -307,9 +302,7 @@ def cmd_verify_spaces(args):
     return _finish("verify_spaces", opts, checks, rows, ["check", "error", "tol", "passed"])
 
 
-def cmd_verify_commute(args):
-    opts = _merged(args, ["n", "r", "orders", "seed", "out", "tol_scale", "mesh",
-                          "samples", "config"])
+def cmd_verify_commute(opts):
     seed = int(opts.get("seed") or 0)
     ts = _tol_scale(opts)
     mesh, file_orders = _get_mesh(opts)
@@ -327,9 +320,7 @@ def cmd_verify_commute(args):
                    ["diagram", "residual", "tol", "passed"])
 
 
-def cmd_infsup(args):
-    opts = _merged(args, ["r", "orders", "levels", "lame_lambda", "mu", "seed",
-                          "out", "tol_scale", "config"])
+def cmd_infsup(opts):
     ts = _tol_scale(opts)
     material = _material(opts)
     try:
@@ -360,9 +351,7 @@ def cmd_infsup(args):
                    ["n", "ndof", "beta", "kernel_ratio", "kernel_dim"])
 
 
-def cmd_solve(args):
-    opts = _merged(args, ["n", "r", "orders", "mesh", "lame_lambda", "mu", "case",
-                          "seed", "out", "tol_scale", "config"])
+def cmd_solve(opts):
     ts = _tol_scale(opts)
     material = _material(opts)
     mesh, file_orders = _get_mesh(opts)
@@ -392,9 +381,7 @@ def cmd_solve(args):
                    ["ndof", "sigma_l2", "sigma_hdiv", "u_l2", "p_l2"])
 
 
-def cmd_converge(args):
-    opts = _merged(args, ["r", "levels", "lame_lambda", "mu", "seed", "out",
-                          "tol_scale", "config"])
+def cmd_converge(opts):
     ts = _tol_scale(opts)
     material = _material(opts)
     r = int(opts.get("r") or 0)
@@ -424,49 +411,63 @@ def cmd_converge(args):
 
 # ---------------------------------------------------------------------------
 
+# option key (the argparse dest and the config-file key) -> flag, add_argument kwargs
+FLAGS = {
+    "config": ("--config", dict(help="key=value file; flags take precedence")),
+    "out": ("--out", dict(help="output directory (default afw3d-out)")),
+    "seed": ("--seed", dict(type=int, help="random seed, recorded in reports")),
+    "tol_scale": ("--tol-scale", dict(type=float,
+                                      help="multiply every check tolerance by this factor")),
+    "mesh": ("--mesh", dict(help="mesh file (afw3d-mesh v1)")),
+    "n": ("--n", dict(type=int, help="unit-cube subdivisions")),
+    "r": ("--r", dict(type=int, help="uniform polynomial order")),
+    "orders": ("--orders", dict(help="comma list of per-tet orders (min rule)")),
+    "lame_lambda": ("--lambda", dict(type=float, help="Lame lambda")),
+    "mu": ("--mu", dict(type=float, help="Lame mu")),
+    "samples": ("--samples", dict(type=int, help="sampled fields per diagram")),
+    "case": ("--case", dict(help="patch | sine | taylor")),
+    "levels": ("--levels", dict()),
+}
+LEVELS_HELP = {
+    "infsup": "comma list of n (default 1,2)",
+    "converge": "number of levels, n = 1, 2, 4, ... (default 3)",
+}
+
+# (subcommand, function, help, the option keys it reads)
+COMMON = ("seed", "out", "tol_scale", "config")
+COMMANDS = (
+    ("mesh gen", cmd_mesh_gen, "generate a unit-cube mesh",
+     ("n", "orders", "mesh", "seed", "out", "config")),
+    ("verify tensor", cmd_verify_tensor, "tensor-operator identities", COMMON),
+    ("verify spaces", cmd_verify_spaces, "polynomial-space dimensions and traces",
+     ("out", "tol_scale", "config")),
+    ("verify commute", cmd_verify_commute, "commuting-diagram residuals",
+     ("n", "r", "orders", "mesh", "samples") + COMMON),
+    ("infsup", cmd_infsup, "inf-sup constant and kernel coercivity",
+     ("r", "orders", "levels", "lame_lambda", "mu") + COMMON),
+    ("solve", cmd_solve, "solve a manufactured case",
+     ("n", "r", "orders", "mesh", "lame_lambda", "mu", "case") + COMMON),
+    ("converge", cmd_converge, "h-convergence study",
+     ("r", "levels", "lame_lambda", "mu") + COMMON),
+)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="afw3d", description=__doc__)
     sub = p.add_subparsers(dest="command")
-
-    def add_common(sp):
-        sp.add_argument("--config", help="key=value file; flags take precedence")
-        sp.add_argument("--out", help="output directory (default afw3d-out)")
-        sp.add_argument("--seed", type=int, help="random seed, recorded in reports")
-        sp.add_argument("--tol-scale", dest="tol_scale", type=float,
-                        help="multiply every check tolerance by this factor")
-        sp.add_argument("--mesh", help="mesh file (afw3d-mesh v1)")
-        sp.add_argument("--n", type=int, help="unit-cube subdivisions")
-        sp.add_argument("--r", type=int, help="uniform polynomial order")
-        sp.add_argument("--orders", help="comma list of per-tet orders (min rule)")
-        sp.add_argument("--lambda", dest="lame_lambda", type=float, help="Lame lambda")
-        sp.add_argument("--mu", type=float, help="Lame mu")
-        sp.add_argument("--samples", type=int, help="sampled fields per diagram")
-
-    mesh_p = sub.add_parser("mesh", help="mesh utilities")
-    mesh_sub = mesh_p.add_subparsers(dest="subcommand")
-    gen = mesh_sub.add_parser("gen", help="generate a unit-cube mesh")
-    add_common(gen)
-    gen.set_defaults(func=cmd_mesh_gen)
-
-    ver = sub.add_parser("verify", help="verification suites")
-    ver_sub = ver.add_subparsers(dest="subcommand")
-    for name, fn in (("tensor", cmd_verify_tensor), ("spaces", cmd_verify_spaces),
-                     ("commute", cmd_verify_commute)):
-        vp = ver_sub.add_parser(name)
-        add_common(vp)
-        vp.set_defaults(func=fn)
-
-    for name, fn in (("infsup", cmd_infsup), ("solve", cmd_solve),
-                     ("converge", cmd_converge)):
-        cp = sub.add_parser(name)
-        add_common(cp)
-        if name == "solve":
-            cp.add_argument("--case", help="patch | sine | taylor")
-        if name == "infsup":
-            cp.add_argument("--levels", help="comma list of n (default 1,2)")
-        if name == "converge":
-            cp.add_argument("--levels", help="number of levels, n = 1, 2, 4, ... (default 3)")
-        cp.set_defaults(func=fn)
+    groups = {
+        name: sub.add_parser(name, help=text).add_subparsers(dest="subcommand")
+        for name, text in (("mesh", "mesh utilities"), ("verify", "verification suites"))
+    }
+    for name, fn, text, keys in COMMANDS:
+        *group, leaf = name.split()
+        cp = (groups[group[0]] if group else sub).add_parser(leaf, help=text)
+        for key in keys:
+            flag, kwargs = FLAGS[key]
+            if key == "levels":
+                kwargs = dict(kwargs, help=LEVELS_HELP[name])
+            cp.add_argument(flag, dest=key, **kwargs)
+        cp.set_defaults(func=fn, keys=keys)
     return p
 
 
@@ -478,7 +479,7 @@ def main(argv=None):
         parser.print_help()
         return EXIT_CONFIG_ERROR
     try:
-        return func(args)
+        return func(_merged(args, args.keys))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

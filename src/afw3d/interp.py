@@ -544,6 +544,15 @@ def reference_systems(orders):
 # ---------------------------------------------------------------------------
 # shared quadrature context
 
+# The volume rule exceeds the degree 2(r+2) of the polynomial moment
+# products by 8 and the face rule exceeds the volume rule by 2, because the
+# moments also integrate transcendental data.  With a margin of 6 on both,
+# `verify commute` missed its 1e-9 gate on diagrams 1 and 2 (4.7e-8 at
+# n=1, r=0); with these it passes by more than 100x at r = 0..3.
+VOL_QUAD_MARGIN = 8
+FACE_QUAD_EXTRA = 2
+
+
 class Workspace:
     """Per-(mesh, orders) quadrature data shared by all operators.
 
@@ -553,13 +562,13 @@ class Workspace:
     conforming global field without any further communication.
     """
 
-    def __init__(self, mesh, orders, quad_margin=6):
+    def __init__(self, mesh, orders):
         self.mesh = mesh
         self.orders = orders
         self.rmax = int(orders.tet_orders.max())
-        self.vol_deg = 2 * (self.rmax + 2) + quad_margin
+        self.vol_deg = 2 * (self.rmax + 2) + VOL_QUAD_MARGIN
         self.vol_rule = quadrature.rule_for(3, self.vol_deg)
-        self.face_deg = self.vol_deg
+        self.face_deg = self.vol_deg + FACE_QUAD_EXTRA
         tri = quadrature.rule_for(2, self.face_deg)
         self.tri_rule = tri
         self.amaps = mesh.amaps
@@ -824,7 +833,11 @@ def _outward_normal(mesh, t, local_face):
 # ---------------------------------------------------------------------------
 # conformity and global assembly of element fields
 
-def elementwise_to_global(mesh, orders, kind, degs, per_elem, space="", tol=1e-10):
+CONFORMITY_TOL = 1e-10        # trace jump relative to max(field scale, 1)
+CONFORMITY_RULE_DEG = 4       # face rule of the trace-jump check
+
+
+def elementwise_to_global(mesh, orders, kind, degs, per_elem, space=""):
     """Glue per-element coefficient arrays into a conforming DiscreteField.
 
     Checks interface continuity of the relevant trace (normal for flux
@@ -832,17 +845,17 @@ def elementwise_to_global(mesh, orders, kind, degs, per_elem, space="", tol=1e-1
     """
     df = DiscreteField(mesh, orders, kind, list(degs), list(per_elem), space=space)
     err, scale = conformity_error(df)
-    if err > tol * max(scale, 1.0):
+    if err > CONFORMITY_TOL * max(scale, 1.0):
         raise ConformityViolation(
-            f"interface trace jump {err:.3e} exceeds {tol:.0e} * {max(scale, 1.0):.3e}"
+            f"interface trace jump {err:.3e} exceeds {CONFORMITY_TOL:.0e} * {max(scale, 1.0):.3e}"
         )
     return df
 
 
-def conformity_error(df, n_pts_rule=4):
+def conformity_error(df):
     """Max interface trace jump and the field scale used to normalize it."""
     mesh = df.mesh
-    rule = quadrature.rule_for(2, n_pts_rule)
+    rule = quadrature.rule_for(2, CONFORMITY_RULE_DEG)
     worst = 0.0
     scale = 0.0
     for fid in range(mesh.n_faces):
@@ -876,13 +889,16 @@ def conformity_error(df, n_pts_rule=4):
 # ---------------------------------------------------------------------------
 # Clement smoother and the stabilized interpolant
 
-def clement(mesh, W, orders=None, quad_deg=6):
+CLEMENT_QUAD_DEG = 6
+
+
+def clement(mesh, W, orders=None):
     """Patch-average interpolant onto continuous piecewise linears.
 
     The vertex value is the mean of W over the union of elements touching
     the vertex (its L2 projection onto constants there).
     """
-    rule = quadrature.rule_for(3, quad_deg)
+    rule = quadrature.rule_for(3, CLEMENT_QUAD_DEG)
     sums = np.zeros((mesh.n_vertices, 3, 3))
     vols = np.zeros(mesh.n_vertices)
     for t in range(mesh.n_tets):

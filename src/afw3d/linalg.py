@@ -1,7 +1,6 @@
 """Dense and sparse linear algebra used by every other module.
 
-Thin, contract-enforcing wrappers around numpy/scipy factorizations, plus
-the shifted inverse iteration that powers the inf-sup eigenproblems.  All
+Thin, contract-enforcing wrappers around numpy/scipy factorizations.  All
 numerical tolerances live in one :class:`Tolerances` record so tests and
 callers agree on the thresholds.
 """
@@ -22,18 +21,12 @@ class RankDeficient(Exception):
     pass
 
 
-class NoConvergence(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Tolerances:
     pivot: float = 1e-13          # LU pivot magnitude floor
     lu_residual: float = 1e-10    # ||Ax - b||_inf / (1 + ||b||_inf)
     lstsq_rank: float = 1e-10     # rank cut relative to ||A||_2
     rank: float = 1e-10           # generic numerical-rank cut (polyspace)
-    eig_residual: float = 1e-8    # ||Ax - lam Bx|| / ||x||_B
-    eig_maxiter: int = 500
 
 
 TOL = Tolerances()
@@ -99,37 +92,34 @@ def least_squares(A, b):
 RANK_ABS_FLOOR = 1e-13
 
 
-def nullspace(A, rtol=None):
+def nullspace(A):
     """Orthonormal rows spanning the kernel of A (numerical, via SVD)."""
     A = np.asarray(A, dtype=float)
     if A.size == 0 or A.shape[0] == 0:
         return np.eye(A.shape[1] if A.ndim == 2 else 0)
     if np.abs(A).max() <= RANK_ABS_FLOOR:
         return np.eye(A.shape[1])
-    rtol = TOL.rank if rtol is None else rtol
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > TOL.rank * s[0]))
     return vt[rank:]
 
 
-def row_rank(A, rtol=None):
+def row_rank(A):
     A = np.asarray(A, dtype=float)
     if A.size == 0 or np.abs(A).max() <= RANK_ABS_FLOOR:
         return 0
-    rtol = TOL.rank if rtol is None else rtol
     s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > TOL.rank * s[0]))
 
 
-def independent_rows(A, rtol=None):
+def independent_rows(A):
     """Indices of a maximal independent subset of rows (pivoted QR)."""
     A = np.asarray(A, dtype=float)
     if A.shape[0] == 0 or np.abs(A).max() <= RANK_ABS_FLOOR:
         return np.array([], dtype=np.int64)
-    rtol = TOL.rank if rtol is None else rtol
     _, R, piv = scipy.linalg.qr(A.T, pivoting=True, mode="economic")
     d = np.abs(np.diag(R))
-    rank = int(np.sum(d > rtol * d[0]))
+    rank = int(np.sum(d > TOL.rank * d[0]))
     return np.sort(piv[:rank])
 
 
@@ -144,64 +134,7 @@ def solve_sparse(K, b):
     return lu_solve(K, b)
 
 
-def _as_dense(A):
-    return A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-
-
-def sym_generalized_eig_min(A, B, maxiter=None, residual_tol=None, block=8):
-    """Smallest eigenpair of A x = lam B x, A symmetric, B SPD.
-
-    Shifted block inverse iteration with Rayleigh-Ritz extraction; the
-    block makes the bottom of clustered spectra converge reliably.  The
-    returned pair satisfies ||A x - lam B x|| <= residual_tol * ||x||_B.
-    """
-    maxiter = TOL.eig_maxiter if maxiter is None else maxiter
-    residual_tol = TOL.eig_residual if residual_tol is None else residual_tol
-    Ad = _as_dense(A)
-    Bd = _as_dense(B)
-    n = Ad.shape[0]
-    b = min(block, n)
-    rng = np.random.default_rng(12345)
-    X = rng.standard_normal((n, b))
-    shift = 0.0
-    factor = None
-    lam = None
-    for it in range(maxiter):
-        if factor is None:
-            try:
-                factor = lu_factor(Ad - shift * Bd)
-            except SingularMatrix:
-                # the shift hit an eigenvalue; back off below it a touch
-                shift -= 1e-8 * (1.0 + abs(shift))
-                factor = lu_factor(Ad - shift * Bd)
-        Y = lu_apply(factor, Bd @ X)
-        # B-orthonormalize the block
-        G = Y.T @ Bd @ Y
-        G = 0.5 * (G + G.T)
-        w, V = np.linalg.eigh(G)
-        keep = w > 1e-12 * max(w.max(), 1e-300)
-        if not np.any(keep):
-            raise NoConvergence("block collapsed in inverse iteration")
-        Y = Y @ (V[:, keep] / np.sqrt(w[keep]))
-        if Y.shape[1] < b:
-            Y = np.column_stack([Y, rng.standard_normal((n, b - Y.shape[1]))])
-            G = Y.T @ Bd @ Y
-            w, V = np.linalg.eigh(0.5 * (G + G.T))
-            Y = Y @ (V / np.sqrt(np.maximum(w, 1e-300)))
-        # Rayleigh-Ritz on the block
-        H = Y.T @ Ad @ Y
-        mu, S = np.linalg.eigh(0.5 * (H + H.T))
-        X = Y @ S
-        lam_prev, lam = lam, float(mu[0])
-        x = X[:, 0]
-        r = Ad @ x - lam * (Bd @ x)
-        # accept only once the bottom Ritz value has also stopped moving;
-        # a small residual alone can certify a non-minimal eigenpair when
-        # the spectrum is clustered, so the shift is never chased upward
-        settled = lam_prev is not None and abs(lam - lam_prev) <= max(
-            1e-10 * (1.0 + abs(lam)), 0.01 * residual_tol
-        )
-        if it >= 4 and settled and np.linalg.norm(r) <= residual_tol:
-            nx = np.sqrt(x @ Bd @ x)
-            return lam, x / nx
-    raise NoConvergence(f"no convergence after {maxiter} iterations")
+def sym_generalized_eig_min(A, B):
+    """Smallest eigenpair of A x = lam B x, A symmetric, B SPD; x^T B x = 1."""
+    w, v = scipy.linalg.eigh(A, B, subset_by_index=[0, 0])
+    return float(w[0]), v[:, 0]

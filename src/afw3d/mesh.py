@@ -366,25 +366,33 @@ def write_mesh(path, mesh, tet_orders=None):
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_block(lines, pos, kind, width, parse):
+    """Rows of the count-prefixed block at lines[pos], and the next position."""
+    if pos >= len(lines):
+        raise ValueError(f"file ends before the {kind} count")
+    n = int(lines[pos])
+    body = lines[pos + 1 : pos + 1 + n]
+    if len(body) < n:
+        raise ValueError(f"expected {n} {kind} lines, found {len(body)}")
+    rows = [[parse(x) for x in line.split()] for line in body]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{kind} line {i + 1} has {len(row)} entries, expected {width}")
+    return rows, pos + 1 + n
+
+
 def read_mesh(path):
     """Inverse of write_mesh; returns (mesh, tet_orders or None)."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    if not tokens or tokens[0].strip() != "afw3d-mesh v1":
+        lines = fh.read().rstrip("\n").split("\n")
+    if lines[0].strip() != "afw3d-mesh v1":
         raise ValueError("not an afw3d-mesh v1 file")
-    pos = 1
-    nv = int(tokens[pos]); pos += 1
-    verts = np.array(
-        [[float(x) for x in tokens[pos + i].split()] for i in range(nv)]
-    )
-    pos += nv
-    nt = int(tokens[pos]); pos += 1
-    tets = np.array(
-        [[int(x) for x in tokens[pos + i].split()] for i in range(nt)],
-        dtype=np.int64,
-    )
-    pos += nt
+    verts, pos = _read_block(lines, 1, "vertex", 3, float)
+    tets, pos = _read_block(lines, pos, "tet", 4, int)
     orders = None
-    if pos < len(tokens) and tokens[pos].strip() == "orders":
-        orders = np.array([int(x) for x in tokens[pos + 1].split()], dtype=np.int64)
-    return build_complex(verts, tets), orders
+    if pos < len(lines) and lines[pos].strip() == "orders":
+        if pos + 1 >= len(lines):
+            raise ValueError("file ends after the orders line")
+        orders = np.array([int(x) for x in lines[pos + 1].split()], dtype=np.int64)
+    return build_complex(np.array(verts).reshape(-1, 3),
+                         np.array(tets, dtype=np.int64).reshape(-1, 4)), orders

@@ -119,10 +119,6 @@ def gram_simplex(dim, deg):
     return ints[_mul_table(dim, deg, deg)]
 
 
-def integrate(coeffs, dim, deg):
-    return np.asarray(coeffs, dtype=float) @ integrals_simplex(dim, deg)
-
-
 def eval_basis(dim, deg, points):
     """Vandermonde matrix (npoints, nmono) of the monomial frame."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

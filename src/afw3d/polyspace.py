@@ -17,9 +17,10 @@ lambda1_minus       P_{r-1}(T;V) + x ^ P_{r-1}(T;V)      (Nedelec family)
 
 Variable-order constraints restrict normal face traces (lambda2 family),
 tangential face/edge traces (lambda1 family) subsimplex by subsimplex;
-they are imposed as moments against L2-orthogonal complements of the
-target trace spaces, which turns every space definition into one null
-space computation.  All rank decisions happen at linalg.TOL.rank.
+they are imposed as exact linear conditions on the trace coefficients
+(the coefficients in a degree band vanish, plus a radial condition for
+the tangential face family), which turns every space definition into one
+null space computation.  All rank decisions happen at linalg.TOL.rank.
 """
 
 from dataclasses import dataclass
@@ -29,9 +30,6 @@ import numpy as np
 
 from . import linalg, monomials as mo, reftet
 from .mesh import NonMonotoneOrder
-
-VECTOR_TAGS = ("lambda3_vec", "lambda2", "lambda2_minus", "lambda1_minus")
-
 
 @dataclass(frozen=True)
 class RefOrders:
@@ -222,11 +220,6 @@ def ref_face_gram(face, deg):
     return face_gram(REF_FACE_FRAMES[face], deg)
 
 
-def edge_gram(length, deg):
-    a = np.arange(deg + 1)
-    return length ** (a[:, None] + a[None, :] + 1) / (a[:, None] + a[None, :] + 1)
-
-
 def _inner(X, Y, G):
     return np.einsum("pcn,nm,qcm->pq", X, G, Y)
 
@@ -240,18 +233,17 @@ def _chol(G):
         return V * np.sqrt(w)
 
 
-def _orthonormalize(X, G, rtol=None):
+def _orthonormalize(X, G):
     """L2-orthonormal combinations of the rows of X (rank-revealing)."""
     X = np.asarray(X, dtype=float)
     if X.shape[0] == 0:
         return X.copy()
     if np.abs(X).max() <= linalg.RANK_ABS_FLOOR:
         return np.zeros((0,) + X.shape[1:])
-    rtol = linalg.TOL.rank if rtol is None else rtol
     L = _chol(G)
     W = np.einsum("pcn,nm->pcm", X, L).reshape(X.shape[0], -1)
     U, s, _ = np.linalg.svd(W, full_matrices=False)
-    rank = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > linalg.TOL.rank * s[0])) if s.size and s[0] > 0 else 0
     combos = U[:, :rank] / s[:rank]
     return np.einsum("pk,pcn->kcn", combos, X)
 
@@ -362,10 +354,6 @@ def _independent_subset(span, expected=None):
             f"space dimension {picked.shape[0]} != analytic count {expected}"
         )
     return picked
-
-
-def dim_full(r):
-    return mo.count(3, r)
 
 
 def dim_lambda2_minus(r):
@@ -514,23 +502,6 @@ def basis_ring(tag, r):
 # variable-order trace-constrained spaces
 
 @lru_cache(maxsize=None)
-def _scalar_complement_on_face(face, deg_big, deg_small):
-    """Moments matrix rows: kill the part of a face-scalar above deg_small."""
-    if deg_small >= deg_big:
-        return np.zeros((0, mo.count(2, deg_big)))
-    G = ref_face_gram(face, deg_big)
-    big = np.eye(mo.count(2, deg_big))[:, None, :]
-    if deg_small < 0:
-        comp = _orthonormalize(big, G)
-    else:
-        sub = np.zeros((mo.count(2, deg_small), 1, mo.count(2, deg_big)))
-        sub[:, 0, : mo.count(2, deg_small)] = np.eye(mo.count(2, deg_small))
-        comp = _l2_complement(big, sub, G)
-    # rows act on trace coefficient vectors: moments against complement
-    return np.einsum("kcn,nm->km", comp, G)
-
-
-@lru_cache(maxsize=None)
 def _face_trimmed_tangent_basis(face, d):
     """2D trimmed (rotational) family on a reference face at order d.
 
@@ -555,46 +526,6 @@ def _face_trimmed_tangent_basis(face, d):
     span = np.concatenate([vec, rot])
     expected = d * (d + 2)
     return _independent_subset(span, expected)
-
-
-@lru_cache(maxsize=None)
-def _tangent_complement_on_face(face, deg_big, d_small):
-    """Moment rows killing the part of a tangential trace inside the
-    order-deg_big trimmed face family but outside the order-d_small one.
-
-    Tangential traces of the 3D trimmed family live in the face family of
-    the same order, so the complement is taken within that family; this
-    keeps every constraint row genuinely active.
-    """
-    if d_small >= deg_big:
-        return np.zeros((0, 2, mo.count(2, deg_big)))
-    G = ref_face_gram(face, deg_big)
-    big = _face_trimmed_tangent_basis(face, deg_big)
-    sub_small = _face_trimmed_tangent_basis(face, d_small)
-    if sub_small.shape[0]:
-        sub = np.zeros((sub_small.shape[0], 2, mo.count(2, deg_big)))
-        sub[:, :, : sub_small.shape[-1]] = sub_small
-    else:
-        sub = None
-    comp = _l2_complement(big, sub, G, expected=deg_big * (deg_big + 2) - max(d_small, 0) * (d_small + 2))
-    return np.einsum("kcn,nm->kcm", comp, G)
-
-
-@lru_cache(maxsize=None)
-def _edge_complement(edge, deg_big, deg_small):
-    """Moment rows killing the edge-trace part above deg_small."""
-    if deg_small >= deg_big:
-        return np.zeros((0, deg_big + 1))
-    L = REF_EDGE_FRAMES[edge].length
-    G = edge_gram(L, deg_big)
-    big = np.eye(deg_big + 1)[:, None, :]
-    if deg_small < 0:
-        comp = _orthonormalize(big, G)
-    else:
-        sub = np.zeros((deg_small + 1, 1, deg_big + 1))
-        sub[:, 0, : deg_small + 1] = np.eye(deg_small + 1)
-        comp = _l2_complement(big, sub, G)
-    return np.einsum("kcn,nm->km", comp, G)
 
 
 def _degree_band(coeffs2d, lo, hi):

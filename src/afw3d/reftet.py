@@ -31,6 +31,3 @@ FACE_EDGES = tuple(
     )
     for fv in FACE_VERTS
 )
-
-N_FACES = 4
-N_EDGES = 6

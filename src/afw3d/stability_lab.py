@@ -43,12 +43,7 @@ def infsup_constant(mesh, orders, material=None, system=None):
         system = assembly.assemble(mesh, orders, material, None)
     Mh, _, _ = _hdiv_gram(system)
     B = sp.vstack([system.B1, -system.B2]).tocsr()
-    n_s = system.dofmap.n_stress
-    if n_s < 800:
-        X = np.linalg.solve(Mh.toarray(), B.T.toarray())
-    else:
-        lu = sp.linalg.splu(Mh)
-        X = lu.solve(B.T.toarray())
+    X = linalg.solve_sparse(Mh, B.T.toarray())
     S = B @ X
     S = 0.5 * (S + S.T)
     d = assembly.vq_mass_diag(system)

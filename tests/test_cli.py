@@ -1,3 +1,5 @@
+import pytest
+
 from afw3d import cli
 
 
@@ -57,3 +59,16 @@ def test_reports_are_byte_identical_with_cold_and_warm_caches(tmp_path):
     assert sorted(outputs[0]) == ["infsup.csv", "infsup.json", "solution_samples.csv",
                                   "solve.csv", "solve.json"]
     assert outputs[0] == outputs[1]
+
+
+def test_verify_commute_passes_at_its_defaults(tmp_path):
+    assert cli.main(["verify", "commute", "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["infsup", "--n", "3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_CONFIG_ERROR
+    assert "Traceback" not in err and "--n" in err
+    assert not (tmp_path / "infsup.json").exists()

@@ -160,3 +160,10 @@ def test_mesh_file_rejects_garbage(tmp_path):
     p.write_text("not a mesh\n")
     with pytest.raises(ValueError):
         read_mesh(p)
+
+
+def test_truncated_mesh_file_names_the_missing_lines(tmp_path):
+    p = tmp_path / "short.txt"
+    p.write_text("afw3d-mesh v1\n4\n0.0 0.0 0.0\n1.0 0.0 0.0\n")
+    with pytest.raises(ValueError, match="expected 4 vertex lines, found 2"):
+        read_mesh(p)
