@@ -735,93 +735,6 @@ def interp_p1minus_global(mesh, orders, W, ws=None):
     return elementwise_to_global(mesh, orders, "op1", degs, per_elem, space="p1_minus")
 
 
-# ---------------------------------------------------------------------------
-# physical-moment route (cross-check of the pullback identity)
-
-def interp_p2minus_physical(ws, t, U):
-    """Assemble and solve the flux moment system directly on element t.
-
-    Same element space (pushed-forward reference basis), but with the
-    physically-defined conditions; agrees with interp_p2minus by the
-    intertwining property of the pullback.
-    """
-    orders = ws.ref_orders(t)
-    sys2, _ = reference_systems(orders)
-    amap = ws.amaps[t]
-    basis = sys2.basis
-    nb = basis.dim
-    deg = orders.tet + 1
-    A, Ainv, Ainv_T = amap.A, amap.A_inv, amap.A_inv.T
-    rule = ws.vol_rule
-    # physical values of the mapped basis at volume points
-    ref_vals = mo.evaluate(basis.coeffs, 3, deg, rule.points)   # (nb,9,q)
-    ref_vals = np.moveaxis(ref_vals.reshape(nb, 3, 3, -1), -1, 1)  # (nb,q,3,3)
-    phys_vals = np.einsum("ij,bqjk,kl->bqil", Ainv_T, ref_vals, A.T)
-    rows = []
-    rhs = []
-    xq = amap.apply(rule.points)
-    wq = rule.weights * amap.det
-    Uv = U.value(xq, t)
-    # face rows: physical frames and monomial test modes
-    for f in range(4):
-        rf = orders.faces[f]
-        if rf < 0:
-            continue
-        fid = ws.mesh.tet_faces[t][f]
-        frame = ps.make_face_frame(ws.mesh.vertices[ws.mesh.faces[fid]])
-        pts = ws.face_points[fid]
-        w = ws.face_weights[fid]
-        y = frame.to_y(pts)
-        mv = mo.eval_basis(2, rf, y)                      # (q, ns)
-        xhat = amap.pull(pts)
-        bref = mo.evaluate(basis.coeffs, 3, deg, xhat)    # (nb,9,q)
-        bref = np.moveaxis(bref.reshape(nb, 3, 3, -1), -1, 1)
-        bphys = np.einsum("ij,bqjk,kl->bqil", Ainv_T, bref, A.T)
-        n_out = _outward_normal(ws.mesh, t, f)
-        bn = np.einsum("bqij,j->bqi", bphys, n_out)
-        Ufv = U.value(pts, t)
-        Un = np.einsum("qij,j->qi", Ufv, n_out)
-        for s in range(mv.shape[1]):
-            for l in range(3):
-                rows.append(np.einsum("q,bq->b", w * mv[:, s], bn[:, :, l]))
-                rhs.append(np.sum(w * mv[:, s] * Un[:, l]))
-    # div rows: physical centered monomials of degree 1..rt
-    rt = orders.tet
-    centroid = ws.mesh.tet_vertices(t).mean(axis=0)
-    exps = mo.exponents(3, rt)
-    divs = ps.differentiate(basis.coeffs, deg, "div")      # (nb,3,n3(rt))
-    div_ref = mo.evaluate(divs, 3, rt, rule.points)        # (nb,3,q)
-    # physical divergence of the mapped basis: see the pullback chain rule
-    div_phys = np.einsum("ij,bjq->biq", Ainv_T, div_ref)
-    Ujac = U.jacobian(xq, t)
-    divU = np.einsum("qijj->qi", Ujac)
-    xc = (xq - centroid) / max(amap.h, 1e-30)
-    for e in exps:
-        if e.sum() == 0:
-            continue
-        eta = xc[:, 0] ** e[0] * xc[:, 1] ** e[1] * xc[:, 2] ** e[2]
-        for l in range(3):
-            rows.append(np.einsum("q,bq->b", rule.weights * eta, div_phys[:, l, :]))
-            rhs.append(np.sum(rule.weights * eta * divU[:, l]))
-    # aux rows: A h(xhat, t) A^{-1}
-    fam_f, fam_g = _aux_families(rt)
-    if fam_f.shape[0]:
-        fam = (1.0 - sys2.t) * fam_f + sys2.t * fam_g
-        hv = mo.evaluate(fam, 3, max(rt, 0), rule.points)   # (k,9,q)
-        hv = np.moveaxis(hv.reshape(-1, 3, 3, hv.shape[-1]), -1, 1)
-        h_phys = np.einsum("ij,kqjl,lm->kqim", A, hv, Ainv)
-        for k in range(h_phys.shape[0]):
-            rows.append(
-                np.einsum("q,bqij,qij->b", wq, phys_vals, h_phys[k]) / amap.det
-            )
-            rhs.append(np.einsum("q,qij,qij->", wq, Uv, h_phys[k]) / amap.det)
-    C = np.array(rows)
-    if C.shape[0] != C.shape[1]:
-        raise DimensionMismatch(f"physical system is {C.shape}")
-    x = linalg.lu_solve(C, np.array(rhs))
-    return np.einsum("b,bcn->cn", x, basis.coeffs)
-
-
 def _outward_normal(mesh, t, local_face):
     fid = mesh.tet_faces[t][local_face]
     verts = mesh.vertices[mesh.faces[fid]]

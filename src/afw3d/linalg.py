@@ -124,7 +124,11 @@ def independent_rows(A):
 
 
 def solve_sparse(K, b):
-    """Direct sparse LU solve (falls back to dense below 800 unknowns)."""
+    """Direct sparse LU solve (falls back to dense below 800 unknowns).
+
+    Used for the mass matrix M_h of the stability lab; the saddle-point
+    system is solved by assembly.solve_saddle.
+    """
     b = np.asarray(b, dtype=float)
     if sp.issparse(K):
         n = K.shape[0]
@@ -132,6 +136,20 @@ def solve_sparse(K, b):
             return lu_solve(K.toarray(), b)
         return spla.splu(K.tocsc()).solve(b)
     return lu_solve(K, b)
+
+
+def spd_factor(S):
+    """Sparse factorization handle of a symmetric positive definite matrix.
+
+    SuperLU with diagonal pivots in a minimum-degree ordering of S + S^T, so
+    the factor keeps the symmetric fill of a Cholesky factor; apply it with
+    its .solve method.
+    """
+    try:
+        return spla.splu(sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SingularMatrix(f"sparse factorization failed: {exc}") from exc
 
 
 def sym_generalized_eig_min(A, B):
