@@ -1,0 +1,8 @@
+"""`python -m afw3d`: the afw3d command line (cli.main)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,8 +8,9 @@ bilinear blocks are integrated exactly through reference Gram matrices;
 only load and boundary data use quadrature, and so do the error norms
 against exact fields, whose rule checks itself (interp.l2_norm).
 
-`assemble` keeps the dense element blocks A_e, B1_e, B2_e and builds the
-global A, B1, B2 from them.  `solve_saddle` solves the symmetric
+`assemble` keeps K only as its dense element blocks A_e, B1_e, B2_e; the
+global A, B1, B2 and full_matrix() are built from them on first use, and
+the solve never builds them.  `solve_saddle` solves the symmetric
 indefinite system K x = b by hybridization at the level of dofs (Arnold &
 Brezzi 1985; for weak symmetry Cockburn, Gopalakrishnan & Guzman 2010):
 every stress face dof shared by two tets is split into one copy per tet,
@@ -20,12 +21,12 @@ K_e = [[A_e, B1_e^T, -B2_e^T], [B1_e, 0, 0], [-B2_e, 0, 0]], the
 one-element problem with displacement data, is factored densely; the
 multipliers solve the symmetric positive definite S = sum_e E_e K_e^{-1}
 E_e^T, factored once, and the element fields are recovered locally.  One
-refinement step against the assembled K follows, and the relative
-residual of K must stay below 1e-9.
+refinement step follows, and the relative residual of K must stay below
+1e-9; both apply K element by element (BlockSaddleSystem.matvec).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,18 +49,34 @@ class DofMap:
     stress_elem_dofs: list     # per tet: global stress dof ids (row order)
     disp_elem_dofs: list       # per tet: global displacement ids
     rot_elem_dofs: list
-    face_signs: np.ndarray     # (T, 4) orientation signs of face dofs
 
     @property
     def n_total(self):
         return self.n_stress + self.n_disp + self.n_rot
 
+    def element_dofs(self, t):
+        """Global ids of tet t in element order [stress | displacement | rotation]."""
+        return np.concatenate([self.stress_elem_dofs[t], self.n_stress + self.disp_elem_dofs[t],
+                               self.n_stress + self.n_disp + self.rot_elem_dofs[t]])
+
+
+def _scatter(blocks, row_dofs, col_dofs, shape):
+    """CSR sum of dense blocks; block e lands on rows row_dofs[e], columns col_dofs[e]."""
+    rows = [np.repeat(rd, len(cd)) for rd, cd in zip(row_dofs, col_dofs)]
+    cols = [np.tile(cd, len(rd)) for rd, cd in zip(row_dofs, col_dofs)]
+    vals = [block.ravel() for block in blocks]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    ).tocsr()
+
 
 @dataclass
 class BlockSaddleSystem:
-    A: sp.csr_matrix           # <compliance sigma, tau>
-    B1: sp.csr_matrix          # <div tau, u>
-    B2: sp.csr_matrix          # <s2 tau, q>
+    """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element blocks.
+
+    A, B1, B2 and full_matrix() are assembled from the blocks on first use.
+    """
+
     F: np.ndarray              # <f, v>
     G: np.ndarray              # boundary displacement term on stress dofs
     A_loc: list                # per tet: dense A, B1, B2 blocks in element dof order
@@ -70,6 +87,36 @@ class BlockSaddleSystem:
     material: object
     mesh: object
     orders: object
+
+    @cached_property
+    def A(self):
+        """<compliance sigma, tau>"""
+        sds = self.dofmap.stress_elem_dofs
+        return _scatter(self.A_loc, sds, sds, (self.dofmap.n_stress,) * 2)
+
+    @cached_property
+    def B1(self):
+        """<div tau, u>"""
+        d = self.dofmap
+        return _scatter(self.B1_loc, d.disp_elem_dofs, d.stress_elem_dofs, (d.n_disp, d.n_stress))
+
+    @cached_property
+    def B2(self):
+        """<s2 tau, q>"""
+        d = self.dofmap
+        return _scatter(self.B2_loc, d.rot_elem_dofs, d.stress_elem_dofs, (d.n_rot, d.n_stress))
+
+    def matvec(self, x):
+        """K x = sum_e P_e^T K_e P_e x, applied element by element.
+
+        Column-major K_e makes BLAS sum each entry over the columns in order, as
+        a CSR product does; row-major K_e left 3-5x larger residuals at r >= 3.
+        """
+        y = np.zeros_like(x)
+        for t in range(self.mesh.n_tets):
+            glob = self.dofmap.element_dofs(t)
+            y[glob] += np.asfortranarray(element_block(self, t)) @ x[glob]
+        return y
 
     def full_matrix(self):
         return sp.bmat(
@@ -86,30 +133,22 @@ class BlockSaddleSystem:
 
 
 def build_dof_map(mesh, orders, space=None):
-    """Dof layout for the stress/displacement/rotation triple."""
+    """Dof layout for the stress/displacement/rotation triple.
+
+    Displacement and rotation have the same modes on each tet, so their
+    element numberings are the same.
+    """
     space = StressSpace(mesh, orders) if space is None else space
-    n_stress = space.n_dofs
-    disp, rot = [], []
-    off_u = 0
-    counts = []
-    for t in range(mesh.n_tets):
-        nm = mo.count(3, int(orders.tet_orders[t]))
-        counts.append(3 * nm)
-        disp.append(np.arange(off_u, off_u + 3 * nm, dtype=np.int64))
-        off_u += 3 * nm
-    n_disp = off_u
-    off_p = 0
-    for t in range(mesh.n_tets):
-        rot.append(np.arange(off_p, off_p + counts[t], dtype=np.int64))
-        off_p += counts[t]
+    counts = [3 * mo.count(3, int(orders.tet_orders[t])) for t in range(mesh.n_tets)]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    local = [np.arange(offsets[t], offsets[t + 1]) for t in range(mesh.n_tets)]
     return DofMap(
-        n_stress=n_stress,
-        n_disp=n_disp,
-        n_rot=off_p,
+        n_stress=space.n_dofs,
+        n_disp=int(offsets[-1]),
+        n_rot=int(offsets[-1]),
         stress_elem_dofs=[e.dof_ids for e in space.elements],
-        disp_elem_dofs=disp,
-        rot_elem_dofs=rot,
-        face_signs=mesh.tet_face_sign.copy(),
+        disp_elem_dofs=local,
+        rot_elem_dofs=local,
     )
 
 
@@ -121,7 +160,7 @@ def _raw_gram_data(ro):
     G4 and divG are each one GEMM of the two factors over their remaining
     axes; B1W and W3 multiply the factor by the small product Gram @ modes^T.
     """
-    basis = ps.to_matrix_rows(ps.basis_variable("lambda2", ro.shifted(1)))
+    basis = ps.stress_basis(ro)
     deg = ro.tet + 1
     nb = basis.dim
     mats = basis.coeffs.reshape(nb, 3, 3, -1)
@@ -163,7 +202,7 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
         basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
         nb = basis.dim
         elem = space.elements[t]
-        X = elem.X
+        X = elem.dual_basis()
         M = amap.A.T @ amap.A
         # <sigma_b, sigma_c> = (1/J) int psihat_b : (psihat_c M)
         M_raw = np.einsum("bcqs,sq->bc", G4, M) / J
@@ -206,20 +245,7 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
                 G_raw += np.einsum("q,bqj,qj->b", w, bn, gv)
             G[sd] += X.T @ G_raw
 
-    def build(locs, row_dofs, n_rows):
-        sds = dofmap.stress_elem_dofs
-        rows = [np.repeat(rd, len(sd)) for rd, sd in zip(row_dofs, sds)]
-        cols = [np.tile(sd, len(rd)) for rd, sd in zip(row_dofs, sds)]
-        vals = [loc.ravel() for loc in locs]
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_rows, dofmap.n_stress),
-        ).tocsr()
-
     return BlockSaddleSystem(
-        A=build(A_locs, dofmap.stress_elem_dofs, dofmap.n_stress),
-        B1=build(B1_locs, dofmap.disp_elem_dofs, dofmap.n_disp),
-        B2=build(B2_locs, dofmap.rot_elem_dofs, dofmap.n_rot),
         F=F, G=G, A_loc=A_locs, B1_loc=B1_locs, B2_loc=B2_locs, dofmap=dofmap,
         space=space, material=material, mesh=mesh, orders=orders,
     )
@@ -227,40 +253,27 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
 def assemble_stress_grams(system):
     """(L2 Gram, div Gram) of the stress space in its global dof basis."""
-    mesh, orders, ws = system.mesh, system.orders, system.space.ws
-    space, dofmap = system.space, system.dofmap
-    rowsL, colsL, valsL = [], [], []
-    valsD = []
-    for t in range(mesh.n_tets):
-        ro = ws.ref_orders(t)
+    ws = system.space.ws
+    L2s, divs = [], []
+    for t, elem in enumerate(system.space.elements):
         amap = ws.amaps[t]
-        basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
-        nb = basis.dim
-        elem = space.elements[t]
-        X = elem.X
+        _, G4, divG, _, _ = _raw_gram_data(ws.ref_orders(t))
+        X = elem.dual_basis()
         M = amap.A.T @ amap.A
         M_raw = np.einsum("bcqs,sq->bc", G4, M) / amap.det
-        D_raw = divG / amap.det
-        sd = elem.dof_ids
-        rowsL.append(np.repeat(sd, nb)); colsL.append(np.tile(sd, nb))
-        valsL.append((X.T @ M_raw @ X).ravel())
-        valsD.append((X.T @ D_raw @ X).ravel())
-    n_s = dofmap.n_stress
-    rows = np.concatenate(rowsL); cols = np.concatenate(colsL)
-    Ml2 = sp.coo_matrix((np.concatenate(valsL), (rows, cols)), shape=(n_s, n_s)).tocsr()
-    Mdiv = sp.coo_matrix((np.concatenate(valsD), (rows, cols)), shape=(n_s, n_s)).tocsr()
-    return Ml2, Mdiv
+        L2s.append(X.T @ M_raw @ X)
+        divs.append(X.T @ (divG / amap.det) @ X)
+    sds = system.dofmap.stress_elem_dofs
+    shape = (system.dofmap.n_stress,) * 2
+    return _scatter(L2s, sds, sds, shape), _scatter(divs, sds, sds, shape)
 
 
 def vq_mass_diag(system):
     """Diagonal of the (block-diagonal) L2 mass on displacement+rotation."""
-    mesh = system.mesh
-    d = np.zeros(system.dofmap.n_disp + system.dofmap.n_rot)
-    for t in range(mesh.n_tets):
-        J = system.space.ws.amaps[t].det
-        d[system.dofmap.disp_elem_dofs[t]] = J
-        d[system.dofmap.n_disp + system.dofmap.rot_elem_dofs[t]] = J
-    return d
+    d = np.zeros(system.dofmap.n_disp)
+    for t, ud in enumerate(system.dofmap.disp_elem_dofs):
+        d[ud] = system.mesh.amaps[t].det
+    return np.concatenate([d, d])      # rotation dofs are numbered as displacement ones
 
 
 def element_block(system, t):
@@ -283,37 +296,33 @@ def hybrid_operator(system):
     """
     dof = system.dofmap
     sds = dof.stress_elem_dofs
-    n_s, n_u = dof.n_stress, dof.n_disp
     all_sd = np.concatenate(sds)
     tet_of = np.repeat(np.arange(len(sds)), [len(sd) for sd in sds])
     _, first, counts = np.unique(all_sd, return_index=True, return_counts=True)
     owner = tet_of[first]
     shared = counts > 1
     n_mult = int(shared.sum())
-    mult = np.full(n_s, -1, dtype=np.int64)
+    mult = np.full(dof.n_stress, -1, dtype=np.int64)
     mult[shared] = np.arange(n_mult)
-    elems, rows, cols, vals = [], [], [], []
+    elems, S_blocks, S_dofs = [], [], []
     for t, sd in enumerate(sds):
         try:
             lu = linalg.lu_factor(element_block(system, t))
         except linalg.SingularMatrix as exc:
-            raise FactorizationBreakdown(f"element block of tet {t} is singular") from exc
-        ud, pd = dof.disp_elem_dofs[t], dof.rot_elem_dofs[t]
-        glob = np.concatenate([sd, n_s + ud, n_s + n_u + pd])
-        owned = np.concatenate([owner[sd] == t, np.ones(len(ud) + len(pd), dtype=bool)])
+            raise FactorizationBreakdown(
+                f"element block of tet {t} is singular: {exc}"
+            ) from exc
+        glob = dof.element_dofs(t)
+        owned = np.concatenate([owner[sd] == t, np.ones(len(glob) - len(sd), dtype=bool)])
         pos = np.flatnonzero(shared[sd])
         m = mult[sd[pos]]
         sign = np.where(owned[pos], 1.0, -1.0)
         ET = np.zeros((len(glob), len(pos)))
         ET[pos, np.arange(len(pos))] = sign
         Z = linalg.lu_apply(lu, ET)                 # K_e^{-1} E_e^T
-        rows.append(np.repeat(m, len(m))); cols.append(np.tile(m, len(m)))
-        vals.append((sign[:, None] * Z[pos]).ravel())
+        S_blocks.append(sign[:, None] * Z[pos]); S_dofs.append(m)
         elems.append((lu, glob, owned, pos, m, sign, Z))
-    S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_mult, n_mult),
-    )
+    S = _scatter(S_blocks, S_dofs, S_dofs, (n_mult, n_mult))
     try:
         S_lu = linalg.spd_factor(S)
     except linalg.SingularMatrix as exc:
@@ -339,20 +348,20 @@ def solve_saddle(system):
 
     x = H(rhs) by hybrid_operator, whose stress rows of rhs go to the
     first tet that holds each dof; then one fixed refinement step
-    x += H(rhs - K x) against the assembled K = full_matrix().  The step is
-    part of the solve, not an option: on cube n=1, r=3 with the default
-    convergence case one pass leaves a relative residual of 1.5e-9 and the
-    step brings it to 8e-11.  Raises
+    x += H(rhs - K x).  The step and the residual gate apply K element by
+    element (system.matvec), so the solve builds neither A, B1, B2 nor
+    full_matrix().  The step is part of the solve, not an option: on cube
+    n=1, r=3 with the default convergence case one pass leaves a relative
+    residual of 1.5e-9 and the step brings it to 8e-11.  Raises
     FactorizationBreakdown if an element block (named by its tet) or the
     multiplier system does not factor, or if the residual gate
     ||K x - rhs|| / (1 + ||rhs||) <= 1e-9 fails.
     """
-    K = system.full_matrix()
     rhs = system.full_rhs()
     H = hybrid_operator(system)
     x = H(rhs)
-    x += H(rhs - K @ x)
-    resid = np.linalg.norm(K @ x - rhs) / (1.0 + np.linalg.norm(rhs))
+    x += H(rhs - system.matvec(x))
+    resid = np.linalg.norm(system.matvec(x) - rhs) / (1.0 + np.linalg.norm(rhs))
     if not np.isfinite(resid) or resid > 1e-9:
         raise FactorizationBreakdown(f"algebraic residual {resid:.3e}")
     return split_solution(system, x)

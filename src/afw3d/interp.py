@@ -884,19 +884,25 @@ def interp_p1minus_stabilized(mesh, orders, W, ws=None):
 
 @dataclass
 class StressElement:
-    """Moment system of one element of the conforming stress space."""
+    """Moment system of one element of the conforming stress space.
+
+    It keeps the basis of its signature (ps.stress_basis, one object per
+    signature), the moment matrix C, its LU factors and the dof layout;
+    the dual basis C^{-1} is derived from the LU on demand (dual_basis).
+    """
 
     basis: object            # matrix-valued reference basis (PolyBasis)
     deg: int
     C: np.ndarray            # rows: faces (local 0..3), div, interior
     lu: object
-    X: np.ndarray            # dual basis C^{-1}: shape functions in the basis
     dof_ids: np.ndarray      # global ids in row order
     face_slices: list        # per local face
     div_slice: slice
     int_slice: slice
-    face_mode_coeffs: list   # per local face: test polys in the reference
-    mu_counts: list          # scalar mode count per local face
+
+    def dual_basis(self):
+        """X = C^{-1}: the element shape functions in the basis."""
+        return linalg.lu_apply(self.lu, np.eye(self.basis.dim))
 
 
 @lru_cache(maxsize=None)
@@ -933,13 +939,10 @@ class StressSpace:
         self.face_frames = [
             ps.make_face_frame(mesh.vertices[mesh.faces[f]]) for f in range(mesh.n_faces)
         ]
-        self.face_ndof = np.array(
-            [3 * mo.count(2, int(orders.face_orders[f]) + 1) for f in range(mesh.n_faces)]
-        )
-        self.face_offset = np.concatenate([[0], np.cumsum(self.face_ndof)])
-        self.n_face_dofs = int(self.face_offset[-1])
+        face_ndof = [3 * mo.count(2, int(r) + 1) for r in orders.face_orders]
+        self.face_offset = np.concatenate([[0], np.cumsum(face_ndof)])
         self.elements = []
-        offset = self.n_face_dofs
+        offset = int(self.face_offset[-1])
         for t in range(mesh.n_tets):
             elem, offset = self._build_element(t, offset)
             self.elements.append(elem)
@@ -949,7 +952,7 @@ class StressSpace:
         mesh, orders, ws = self.mesh, self.orders, self.ws
         ro = ws.ref_orders(t)
         rt = ro.tet
-        basis = ps.to_matrix_rows(ps.basis_variable("lambda2", ro.shifted(1)))
+        basis = ps.stress_basis(ro)
         deg = rt + 1
         nb = basis.dim
         amap = ws.amaps[t]
@@ -957,10 +960,7 @@ class StressSpace:
         rows = []
         dof_ids = []
         face_slices = []
-        face_mode_coeffs = []
-        mu_counts = []
         pos = 0
-        G2 = [ps.ref_face_gram(f, deg) for f in range(4)]
         for f in range(4):
             fid = mesh.tet_faces[t][f]
             rf = int(orders.face_orders[fid]) + 1
@@ -978,18 +978,13 @@ class StressSpace:
             S = mo.substitution_matrix(2, rf, L2, c2)
             mu_ref = mo.embed(S, 2, rf, deg)          # (ns, n2(deg)) in yhat
             sign = mesh.tet_face_sign[t, f] * _REF_OUTWARD_SIGN[f]
-            tr = ps.trace_normal(mats, deg, rframe, ps._ref_face_subst(f, deg))
-            vals = sign * (tr @ (G2[f] @ mu_ref.T))      # (nb, 3, ns)
+            tr = ps.trace_normal(mats, rframe, ps._ref_face_subst(f, deg))
+            vals = sign * (tr @ (ps.ref_face_gram(f, deg) @ mu_ref.T))   # (nb, 3, ns)
             rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
             ns = mu_ref.shape[0]
             face_slices.append(slice(pos, pos + 3 * ns))
             pos += 3 * ns
-            base = self.face_offset[fid]
-            for s in range(ns):
-                for l in range(3):
-                    dof_ids.append(base + s * 3 + l)
-            face_mode_coeffs.append(mu_ref)
-            mu_counts.append(ns)
+            dof_ids.append(self.face_offset[fid] + np.arange(3 * ns))
         # divergence rows
         divs = ps.differentiate(basis.coeffs, deg, "div")
         zm = ps.zero_mean_volume_modes(rt)
@@ -999,7 +994,7 @@ class StressSpace:
             rows.append(vals.reshape(-1, nb))
         div_slice = slice(pos, pos + 3 * zm.shape[0])
         pos = div_slice.stop
-        dof_ids.extend(range(offset, offset + 3 * zm.shape[0]))
+        dof_ids.append(np.arange(offset, offset + 3 * zm.shape[0]))
         offset += 3 * zm.shape[0]
         # interior rows against the divergence-free zero-trace subspace,
         # mapped through M = A^T A (the physical L2 pairing of two flux maps)
@@ -1011,7 +1006,7 @@ class StressSpace:
             rows.append(nuM.reshape(Nb.dim, -1) @ (basis.coeffs @ G3.T).reshape(nb, -1).T)
         int_slice = slice(pos, pos + Nb.dim)
         pos = int_slice.stop
-        dof_ids.extend(range(offset, offset + Nb.dim))
+        dof_ids.append(np.arange(offset, offset + Nb.dim))
         offset += Nb.dim
         C = np.vstack(rows) if rows else np.zeros((0, nb))
         if C.shape[0] != C.shape[1]:
@@ -1021,19 +1016,18 @@ class StressSpace:
         try:
             lu = linalg.lu_factor(C)
         except linalg.SingularMatrix as exc:
-            raise SingularMomentSystem(f"stress element system singular on tet {t}") from exc
+            raise SingularMomentSystem(
+                f"stress element system singular on tet {t}: {exc}"
+            ) from exc
         elem = StressElement(
             basis=basis,
             deg=deg,
             C=C,
             lu=lu,
-            X=linalg.lu_apply(lu, np.eye(nb)),
-            dof_ids=np.array(dof_ids, dtype=np.int64),
+            dof_ids=np.concatenate(dof_ids).astype(np.int64),
             face_slices=face_slices,
             div_slice=div_slice,
             int_slice=int_slice,
-            face_mode_coeffs=face_mode_coeffs,
-            mu_counts=mu_counts,
         )
         return elem, offset
 
@@ -1046,9 +1040,6 @@ class StressSpace:
         rhs = np.zeros(elem.C.shape[0])
         for f in range(4):
             fid = mesh.tet_faces[t][f]
-            ns = elem.mu_counts[f]
-            if ns == 0:
-                continue
             gframe = self.face_frames[fid]
             pts = ws.face_points[fid]
             w = ws.face_weights[fid]
@@ -1079,9 +1070,7 @@ class StressSpace:
 
     def interpolate_element(self, t, U):
         """Monomial coefficients (9, n) of the element interpolant."""
-        elem = self.elements[t]
-        x = linalg.lu_apply(elem.lu, self.element_rhs(t, U))
-        return np.einsum("b,bcn->cn", x, elem.basis.coeffs)
+        return self.coeffs_from_dofs(t, self.element_rhs(t, U))
 
     def coeffs_from_dofs(self, t, dof_values):
         elem = self.elements[t]

@@ -24,7 +24,6 @@ class RankDeficient(Exception):
 @dataclass(frozen=True)
 class Tolerances:
     pivot: float = 1e-13          # LU pivot magnitude floor
-    lu_residual: float = 1e-10    # ||Ax - b||_inf / (1 + ||b||_inf)
     lstsq_rank: float = 1e-10     # rank cut relative to ||A||_2
     rank: float = 1e-10           # generic numerical-rank cut (polyspace)
 
@@ -34,19 +33,10 @@ TOL = Tolerances()
 
 def lu_solve(A, b):
     """Solve a square nonsingular dense system by partially pivoted LU."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, m = A.shape
+    n, m = np.shape(A)
     if n != m:
         raise ValueError(f"matrix is {n}x{m}, expected square")
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    scale = max(np.abs(A).max(), 1.0)
-    if pivots.size and pivots.min() <= TOL.pivot * scale:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below {TOL.pivot:.0e} * scale"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return lu_apply(lu_factor(A), b)
 
 
 def lu_factor(A):
@@ -56,7 +46,9 @@ def lu_factor(A):
     pivots = np.abs(np.diag(lu))
     scale = max(np.abs(A).max(), 1.0)
     if pivots.size and pivots.min() <= TOL.pivot * scale:
-        raise SingularMatrix("singular matrix in lu_factor")
+        raise SingularMatrix(
+            f"pivot {pivots.min():.3e} below {TOL.pivot:.0e} * scale"
+        )
     return (lu, piv)
 
 

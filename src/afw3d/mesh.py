@@ -320,10 +320,6 @@ class OrderMap:
             mesh, rng.integers(lo, hi + 1, size=mesh.n_tets)
         )
 
-    @property
-    def r_max(self):
-        return int(self.tet_orders.max())
-
     def ref_orders(self, mesh, t):
         """Orders on the subsimplexes of tet t (see polyspace.RefOrders)."""
         from .polyspace import RefOrders

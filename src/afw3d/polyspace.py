@@ -158,23 +158,16 @@ def _ref_face_subst(face, deg):
     return mo.substitution_matrix(3, deg, L, fr.origin)
 
 
-def _face_subst(frame, deg):
-    L = np.column_stack([frame.t1, frame.t2])
-    return mo.substitution_matrix(3, deg, L, frame.origin)
-
-
-def trace_normal(coeffs, deg, frame, subst=None):
+def trace_normal(coeffs, frame, subst):
     """Normal component on a face: (..., 3, n3) -> (..., n2)."""
-    S = _face_subst(frame, deg) if subst is None else subst
     c = np.asarray(coeffs, dtype=float)
-    return frame.normal @ (c @ S)
+    return frame.normal @ (c @ subst)
 
 
-def trace_tangential(coeffs, deg, frame, subst=None):
+def trace_tangential(coeffs, frame, subst):
     """Tangential components on a face: (..., 3, n3) -> (..., 2, n2)."""
-    S = _face_subst(frame, deg) if subst is None else subst
     c = np.asarray(coeffs, dtype=float)
-    return np.vstack([frame.t1, frame.t2]) @ (c @ S)
+    return np.vstack([frame.t1, frame.t2]) @ (c @ subst)
 
 
 def trace_edge_tangential(coeffs, deg, frame):
@@ -195,9 +188,9 @@ def trace(basis_or_coeffs, deg, sub, kind):
     if c.shape[-2] == 9:
         c = c.reshape(c.shape[:-2] + (3, 3, c.shape[-1]))
     if kind == "normal":
-        return trace_normal(c, deg, REF_FACE_FRAMES[sub], _ref_face_subst(sub, deg))
+        return trace_normal(c, REF_FACE_FRAMES[sub], _ref_face_subst(sub, deg))
     if kind == "tangential-face":
-        return trace_tangential(c, deg, REF_FACE_FRAMES[sub], _ref_face_subst(sub, deg))
+        return trace_tangential(c, REF_FACE_FRAMES[sub], _ref_face_subst(sub, deg))
     if kind == "tangential-edge":
         return trace_edge_tangential(c, deg, REF_EDGE_FRAMES[sub])
     raise ValueError(f"unknown trace kind {kind!r}")
@@ -603,6 +596,12 @@ def basis_variable(tag, orders):
         return _mk(tag + "_var", full.ncomp, full.deg, full.coeffs.copy(), orders)
     rows = np.hstack(rows).T   # (nconstraints, nb)
     return _nullspace_basis(full, rows, tag + "_var", orders)
+
+
+@lru_cache(maxsize=None)
+def stress_basis(orders):
+    """Matrix stress basis of a signature: rows in lambda2 of orders.shifted(1)."""
+    return to_matrix_rows(basis_variable("lambda2", orders.shifted(1)))
 
 
 @lru_cache(maxsize=None)

@@ -178,7 +178,7 @@ def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
         div_phys = np.moveaxis(div_ref, -1, 1) / amap.det    # (nb,q,3)
         raw = np.einsum("q,bqjl,qjl->b", wq, phys, sv)
         raw += np.einsum("q,bqj,qj->b", wq, div_phys, fv)
-        rhs[elem.dof_ids] += elem.X.T @ raw
+        rhs[elem.dof_ids] += elem.dual_basis().T @ raw
         norm2 += np.sum(wq * (np.sum(sv.reshape(len(wq), -1) ** 2, axis=1)
                               + np.sum(fv**2, axis=1)))
     g = linalg.solve_sparse(Mh, rhs)

@@ -336,3 +336,43 @@ def test_multiplier_system_that_does_not_factor_is_a_breakdown(cube1, material,
     monkeypatch.setattr(linalg.spla, "splu", singular)
     with pytest.raises(assembly.FactorizationBreakdown, match="multiplier system"):
         assembly.solve_saddle(system)
+
+
+def test_solve_saddle_builds_no_assembled_matrix(cube1, material, monkeypatch):
+    from afw3d import linalg
+
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    case = _case("taylor", material)
+
+    def system():
+        return assembly.assemble(cube1, om, material, case.f, boundary_g=case.u)
+
+    reference = system()
+    oracle = linalg.solve_sparse(reference.full_matrix(), reference.full_rhs())
+
+    def no_full_matrix(self):
+        raise AssertionError("solve_saddle built full_matrix()")
+
+    monkeypatch.setattr(assembly.BlockSaddleSystem, "full_matrix", no_full_matrix)
+    fresh = system()
+    x = _saddle_vector(fresh, monkeypatch)
+    assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    assert not {"A", "B1", "B2"} & set(vars(fresh))
+
+
+def test_blockwise_matvec_matches_assembled_matrix(cube1, material, rng):
+    system = assembly.assemble(cube1, OrderMap.random(cube1, 0, 2, seed=1), material, None)
+    x = rng.standard_normal(system.dofmap.n_total)
+    Kx = system.full_matrix() @ x
+    assert np.linalg.norm(system.matvec(x) - Kx) <= 1e-13 * np.linalg.norm(Kx)
+
+
+def test_elements_of_one_signature_share_one_basis(cube1, material):
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    space = assembly.assemble(cube1, om, material, None).space
+    by_signature = {}
+    for t, elem in enumerate(space.elements):
+        ro = space.ws.ref_orders(t)
+        assert elem.basis is by_signature.setdefault(ro, elem.basis)
+        assert elem.basis is assembly._raw_gram_data(ro)[0]
+    assert len(by_signature) < cube1.n_tets

@@ -72,3 +72,21 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys):
     assert exc.value.code == cli.EXIT_CONFIG_ERROR
     assert "Traceback" not in err and "--n" in err
     assert not (tmp_path / "infsup.json").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import afw3d
+
+    src = str(Path(afw3d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "afw3d", "verify", "tensor", "--out",
+                           str(tmp_path)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "verify_tensor.json").exists()
