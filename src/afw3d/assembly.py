@@ -8,6 +8,12 @@ bilinear blocks are integrated exactly through reference Gram matrices;
 only load and boundary data use quadrature, and so do the error norms
 against exact fields, whose rule checks itself (interp.l2_norm).
 
+The element blocks are built for blocks of tets that share an order
+signature (signature_blocks): the geometry enters through products with
+the stacked affine maps (one GEMM of the signature's G4 against all A^T A
+for the L2 Grams), and the load and boundary data are evaluated once per
+block through interp.block_values.
+
 `assemble` keeps K only as its dense element blocks A_e, B1_e, B2_e; the
 global A, B1, B2 and full_matrix() are built from them on first use, and
 the solve never builds them.  `solve_saddle` solves the symmetric
@@ -179,6 +185,61 @@ def _raw_gram_data(ro):
     return basis, G4, divG, B1W, W3
 
 
+# Cap on the entries of one stack of element matrices (2 MB).  Each
+# signature group is assembled in blocks of at most BLOCK_ENTRIES // nb^2
+# tets; a 162-tet group at r = 1 (nb = 90) takes six blocks.
+BLOCK_ENTRIES = 2**18
+
+
+def signature_blocks(space):
+    """(signature, tet ids) pairs: the tets of each signature in blocks whose
+    stacks of nb x nb element matrices hold at most BLOCK_ENTRIES entries."""
+    for ro, tets in space.ws.signature_groups.items():
+        nb = ps.stress_basis(ro).dim
+        for block in interp.tet_blocks(tets, nb * nb, BLOCK_ENTRIES):
+            yield ro, block
+
+
+def _l2_grams(space, ro, tets):
+    """(X, M_raw) stacks over the tets of signature ro: the dual bases
+    X = C^{-1} and the raw L2 Grams <sigma_b, sigma_c> = (1/J) int psihat_b :
+    (psihat_c A^T A), the latter one GEMM of G4 against the stacked A^T A."""
+    _, G4, *_ = _raw_gram_data(ro)
+    nb = G4.shape[0]
+    aff = space.mesh.affine
+    A = aff.A[tets]
+    M = np.swapaxes(A, 1, 2) @ A
+    # M_raw[b, c] = sum_{q,s} G4[b, c, q, s] M[s, q]
+    M_raw = np.swapaxes(M, 1, 2).reshape(len(tets), 9) @ G4.reshape(nb * nb, 9).T
+    M_raw = M_raw.reshape(-1, nb, nb) / aff.det[tets, None, None]
+    return space.dual_bases(tets), M_raw
+
+
+def _boundary_raw(ws, ro, tets, g):
+    """(len(tets), nb): int_{boundary faces of the tet} g . (psi_b n) for the
+    raw basis psi_b = (1/J) psihat_b A^T of signature ro.  The (tet, face)
+    pairs go in blocks whose basis values hold at most BLOCK_ENTRIES entries."""
+    mesh, aff = ws.mesh, ws.mesh.affine
+    basis = ps.stress_basis(ro)
+    nb, q = basis.dim, len(ws.tri_rule.weights)
+    out = np.zeros((len(tets), nb))
+    k, lf = np.nonzero(mesh.boundary_face[mesh.tet_faces[tets]])    # (tet, local face) pairs
+    for sel in interp.tet_blocks(np.arange(len(k)), 9 * nb * q, BLOCK_ENTRIES):
+        t = tets[k[sel]]
+        fids = mesh.tet_faces[t, lf[sel]]
+        pts = np.stack([ws.face_points[fid] for fid in fids])         # (pairs, q, 3)
+        w = np.stack([ws.face_weights[fid] for fid in fids])
+        ids = np.repeat(t, q)
+        gv = g.value(pts.reshape(-1, 3), ids).reshape(pts.shape)
+        xhat = aff.pull(t, pts).reshape(-1, 3)
+        bref = mo.evaluate(basis.coeffs, 3, ro.tet + 1, xhat).reshape(nb, 3, 3, len(t), q)
+        bref = bref.transpose(3, 0, 4, 1, 2)                          # (pairs, b, q, j, k)
+        bphys = np.einsum("pbqjk,plk->pbqjl", bref, aff.A[t]) / aff.det[t, None, None, None, None]
+        bn = np.einsum("pbqjl,pl->pbqj", bphys, interp._outward_normal(mesh, t, lf[sel]))
+        np.add.at(out, k[sel], np.einsum("pq,pbqj,pqj->pb", w, bn, gv))
+    return out
+
+
 def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     """Assemble the symmetric block system of the mixed formulation.
 
@@ -190,60 +251,46 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     dofmap = build_dof_map(mesh, orders, space)
     lam, mu = material.lame_lambda, material.lame_mu
     c_tr = lam / (2 * mu * (2 * mu + 3 * lam))
+    aff = mesh.affine
+    S2M = tensor_ops.S2_MATRIX.reshape(3, 3, 3)
 
-    A_locs, B1_locs, B2_locs = [], [], []
-    F = np.zeros(dofmap.n_disp)
+    A_locs, B1_locs, B2_locs = ([None] * mesh.n_tets for _ in range(3))
     G = np.zeros(dofmap.n_stress)
-    rule = ws.vol_rule
-    for t in range(mesh.n_tets):
-        ro = ws.ref_orders(t)
-        amap = ws.amaps[t]
-        J = amap.det
+    for ro, tets in signature_blocks(space):
         basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
         nb = basis.dim
-        elem = space.elements[t]
-        X = elem.dual_basis()
-        M = amap.A.T @ amap.A
-        # <sigma_b, sigma_c> = (1/J) int psihat_b : (psihat_c M)
-        M_raw = np.einsum("bcqs,sq->bc", G4, M) / J
-        trv = np.einsum("bpqn,pq->bn", basis.coeffs.reshape(nb, 3, 3, -1), amap.A)
-        G3 = mo.gram_simplex(3, ro.tet + 1)
-        T_raw = (trv @ G3 @ trv.T) / J
+        A = aff.A[tets]
+        X, M_raw = _l2_grams(space, ro, tets)
+        # tr(psihat_b A^T) as polynomials, (tets, nb, n3)
+        trv = A.reshape(-1, 9) @ basis.coeffs.reshape(nb, 9, -1).transpose(1, 0, 2).reshape(9, -1)
+        trv = trv.reshape(len(tets), nb, -1)
+        J = aff.det[tets, None, None]
+        T_raw = trv @ mo.gram_simplex(3, ro.tet + 1) @ np.swapaxes(trv, 1, 2) / J
         A_raw = M_raw / (2 * mu) - c_tr * T_raw
-        A_loc = X.T @ A_raw @ X
-        B1_raw = B1W.reshape(nb, -1).T              # ((c,j) c-major, b)
-        B1_loc = B1_raw @ X
-        # S2(psihat A^T)_c = sum_{p,q,k} S2M[c, 3p+q] A[q,k] psihat[p,k]
-        S2M = tensor_ops.S2_MATRIX.reshape(3, 3, 3)
-        B2_raw = np.einsum("cpq,qk,bpkj->cjb", S2M, amap.A, W3.reshape(nb, 3, 3, -1))
-        B2_loc = B2_raw.reshape(-1, nb) @ X
-        A_locs.append(A_loc); B1_locs.append(B1_loc); B2_locs.append(B2_loc)
-        sd = elem.dof_ids
-        ud = dofmap.disp_elem_dofs[t]
-        # load vector
-        if f is not None:
-            fq = f.value(ws.vol_points(t), t)       # (q, 3)
-            modes = ps.volume_modes(ro.tet)[:, 0, :]
-            mv = mo.evaluate(modes, 3, ro.tet, rule.points)
-            F[ud] += J * np.einsum("q,jq,qc->cj", rule.weights, mv, fq).reshape(-1)
-        # natural boundary term
+        A_loc = np.swapaxes(X, 1, 2) @ A_raw @ X
+        B1_loc = B1W.reshape(nb, -1).T @ X                 # rows (c, j) c-major
+        # B2_raw[c, j, b] = sum_{p,q,k} S2M[c,p,q] A[q,k] W3[b,p,k,j]: one GEMM of
+        # the stacked A against the signature's product of S2M and W3
+        S2W = np.einsum("cpq,bpkj->qkcjb", S2M, W3.reshape(nb, 3, 3, -1)).reshape(9, -1)
+        B2_loc = (A.reshape(-1, 9) @ S2W).reshape(len(tets), -1, nb) @ X
+        for i, t in enumerate(tets):
+            A_locs[t], B1_locs[t], B2_locs[t] = A_loc[i], B1_loc[i], B2_loc[i]
         if boundary_g is not None:
-            G_raw = np.zeros(nb)
-            for lf in range(4):
-                fid = mesh.tet_faces[t][lf]
-                if not mesh.boundary_face[fid]:
-                    continue
-                pts = ws.face_points[fid]
-                w = ws.face_weights[fid]
-                xhat = amap.pull(pts)
-                bref = mo.evaluate(basis.coeffs, 3, ro.tet + 1, xhat)
-                bref = np.moveaxis(bref.reshape(nb, 3, 3, -1), -1, 1)
-                bphys = np.einsum("bqjk,kl->bqjl", bref, amap.A.T) / J
-                n_out = interp._outward_normal(mesh, t, lf)
-                bn = np.einsum("bqjl,l->bqj", bphys, n_out)
-                gv = boundary_g.value(pts, t)
-                G_raw += np.einsum("q,bqj,qj->b", w, bn, gv)
-            G[sd] += X.T @ G_raw
+            sds = np.stack([space.elements[t].dof_ids for t in tets])
+            G_raw = _boundary_raw(ws, ro, tets, boundary_g)
+            np.add.at(G, sds, (np.swapaxes(X, 1, 2) @ G_raw[..., None])[..., 0])
+
+    F = np.zeros(dofmap.n_disp)
+    if f is not None:
+        rule = ws.vol_rule
+        for rt in np.unique(orders.tet_orders):
+            modes = ps.volume_modes(rt)[:, 0, :]
+            mv = mo.evaluate(modes, 3, rt, rule.points)                       # (nm, q)
+            of_order = np.flatnonzero(orders.tet_orders == rt)
+            for tets in interp.tet_blocks(of_order, len(rule.weights)):
+                fq = interp.block_values(mesh, f, tets, rule.points)       # (tets, q, 3)
+                Fb = aff.det[tets, None, None] * np.einsum("q,jq,tqc->tcj", rule.weights, mv, fq)
+                F[np.stack([dofmap.disp_elem_dofs[t] for t in tets])] = Fb.reshape(len(tets), -1)
 
     return BlockSaddleSystem(
         F=F, G=G, A_loc=A_locs, B1_loc=B1_locs, B2_loc=B2_locs, dofmap=dofmap,
@@ -253,16 +300,15 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
 def assemble_stress_grams(system):
     """(L2 Gram, div Gram) of the stress space in its global dof basis."""
-    ws = system.space.ws
-    L2s, divs = [], []
-    for t, elem in enumerate(system.space.elements):
-        amap = ws.amaps[t]
-        _, G4, divG, _, _ = _raw_gram_data(ws.ref_orders(t))
-        X = elem.dual_basis()
-        M = amap.A.T @ amap.A
-        M_raw = np.einsum("bcqs,sq->bc", G4, M) / amap.det
-        L2s.append(X.T @ M_raw @ X)
-        divs.append(X.T @ (divG / amap.det) @ X)
+    space = system.space
+    L2s, divs = [None] * space.mesh.n_tets, [None] * space.mesh.n_tets
+    for ro, tets in signature_blocks(space):
+        divG = _raw_gram_data(ro)[2]
+        X, M_raw = _l2_grams(space, ro, tets)
+        XT = np.swapaxes(X, 1, 2)
+        div_raw = divG / space.mesh.affine.det[tets, None, None]
+        for t, l2, dv in zip(tets, XT @ M_raw @ X, XT @ div_raw @ X):
+            L2s[t], divs[t] = l2, dv
     sds = system.dofmap.stress_elem_dofs
     shape = (system.dofmap.n_stress,) * 2
     return _scatter(L2s, sds, sds, shape), _scatter(divs, sds, sds, shape)

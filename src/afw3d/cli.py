@@ -101,14 +101,29 @@ def _parse_orders(text, n_tets):
     return np.array(orders, dtype=np.int64)
 
 
+def _int_opt(opts, key, default, lo, hi=None):
+    """opts[key] as an integer in [lo, hi], or default when it is not set."""
+    v = opts.get(key)
+    if v is None or v == "":
+        return default
+    try:
+        v = int(v)
+    except ValueError:
+        raise ConfigError(f"{FLAGS[key][0]} is not an integer: {v!r}") from None
+    if hi is None and v < lo:
+        raise ConfigError(f"{FLAGS[key][0]} must be at least {lo}, not {v}")
+    if hi is not None and not lo <= v <= hi:
+        raise ConfigError(f"{FLAGS[key][0]} out of range [{lo}, {hi}]: {v}")
+    return v
+
+
 def _get_mesh(opts):
     if opts.get("mesh"):
         try:
             return read_mesh(opts["mesh"])
         except (OSError, ValueError, IndexError, DegenerateTet, NonManifoldFace) as exc:
             raise ConfigError(f"cannot read mesh file {opts['mesh']}: {exc}") from exc
-    n = int(opts.get("n") or 1)
-    return unit_cube_mesh(n), None
+    return unit_cube_mesh(_int_opt(opts, "n", 1, 1)), None
 
 
 def _get_orders(mesh, opts, file_orders=None):
@@ -116,10 +131,7 @@ def _get_orders(mesh, opts, file_orders=None):
         return OrderMap.from_tet_orders(mesh, _parse_orders(opts["orders"], mesh.n_tets))
     if file_orders is not None:
         return OrderMap.from_tet_orders(mesh, file_orders)
-    r = int(opts.get("r") or 0)
-    if r < 0 or r > R_MAX_CAP:
-        raise ConfigError(f"r out of range [0, {R_MAX_CAP}]: {r}")
-    return OrderMap.uniform(mesh, r)
+    return OrderMap.uniform(mesh, _int_opt(opts, "r", 0, 0, R_MAX_CAP))
 
 
 def _material(opts):
@@ -165,7 +177,16 @@ def _check(name, value, tol):
 
 
 def _tol_scale(opts):
-    return float(opts.get("tol_scale") or 1.0)
+    v = opts.get("tol_scale")
+    if v is None or v == "":
+        return 1.0
+    try:
+        v = float(v)
+    except ValueError:
+        raise ConfigError(f"--tol-scale is not a number: {v!r}") from None
+    if not v > 0:
+        raise ConfigError(f"--tol-scale must be positive: {v}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +209,7 @@ def cmd_mesh_gen(opts):
 
 
 def cmd_verify_tensor(opts):
-    seed = int(opts.get("seed") or 0)
+    seed = _int_opt(opts, "seed", 0, 0)
     ts = _tol_scale(opts)
     rng = np.random.default_rng(seed)
     checks = []
@@ -303,11 +324,11 @@ def cmd_verify_spaces(opts):
 
 
 def cmd_verify_commute(opts):
-    seed = int(opts.get("seed") or 0)
+    seed = _int_opt(opts, "seed", 0, 0)
     ts = _tol_scale(opts)
     mesh, file_orders = _get_mesh(opts)
     orders = _get_orders(mesh, opts, file_orders)
-    n_samples = int(opts.get("samples") or 3)
+    n_samples = _int_opt(opts, "samples", 3, 0)
     res = sl.commuting_diagram_suite(mesh, orders, n_samples=n_samples, seed=seed)
     checks = [
         _check("diagram1_div_full", res["d1"], 1e-9 * ts),
@@ -327,6 +348,8 @@ def cmd_infsup(opts):
         levels = [int(x) for x in str(opts.get("levels") or "1,2").split(",") if x]
     except ValueError as exc:
         raise ConfigError(f"infsup --levels is a comma list of n: {exc}") from exc
+    if not levels or min(levels) < 1:
+        raise ConfigError(f"infsup --levels is a comma list of n >= 1, not {opts['levels']!r}")
     rows = []
     betas = []
     for n in levels:
@@ -384,7 +407,7 @@ def cmd_solve(opts):
 def cmd_converge(opts):
     ts = _tol_scale(opts)
     material = _material(opts)
-    r = int(opts.get("r") or 0)
+    r = _int_opt(opts, "r", 0, 0, R_MAX_CAP)
     n_levels = str(opts.get("levels") or 3)
     if not n_levels.isdigit() or int(n_levels) < 1:
         raise ConfigError(f"converge --levels is a number of levels >= 1, not {n_levels!r}")

@@ -12,12 +12,22 @@ matrix factorization per order signature serves every element.
 A DiscreteField stores, per element, reference-coordinate monomial
 coefficients plus a transform kind that says how reference values push
 forward to physical ones.
+
+Mesh-wide quadrature runs on blocks of tets, not one tet at a time.  A
+block (tet_blocks, at most BLOCK_POINTS points) is mapped through the
+stacked affine data of the mesh (SimplicialMesh.affine) and evaluated once
+(block_values): an analytic FieldSample in one call with one tet id per
+point, a DiscreteField with one matrix product per degree group followed by
+the pushforward of the whole stack.  l2_norm, h1_seminorm, h1_norm,
+project_l2_p3 and clement work this way; the moment interpolants still
+solve one element system at a time.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg, monomials as mo, polyspace as ps, quadrature, reftet, tensor_ops
 
@@ -190,17 +200,25 @@ class FieldSample:
 #   op1     : W(x) = A What(xhat) A^{-1}
 
 
-def _push_matrix(kind, amap):
-    """(L, R) with value = L @ what @ R for matrix fields (None for compose)."""
+def _push_matrices(kind, aff, tets):
+    """(L, R) stacks (len(tets), 3, 3) with value = L @ what @ R for matrix
+    fields (None for compose)."""
     if kind == "compose":
         return None
+    A, A_inv = aff.A[tets], aff.A_inv[tets]
     if kind == "piola":
-        return np.eye(3) / amap.det, amap.A.T
+        return np.eye(3) / aff.det[tets][:, None, None], np.swapaxes(A, 1, 2)
     if kind == "op2":
-        return amap.A_inv.T, amap.A.T
+        return np.swapaxes(A_inv, 1, 2), np.swapaxes(A, 1, 2)
     if kind == "op1":
-        return amap.A, amap.A_inv
+        return A, A_inv
     raise ValueError(kind)
+
+
+@lru_cache(maxsize=None)
+def _grad_matrix(deg):
+    """D with the gradient coefficients (..., 3, n3(deg-1)) = (coeffs @ D) reshaped."""
+    return np.hstack([mo.diff_matrix(3, deg, ax) for ax in range(3)])
 
 
 @dataclass
@@ -210,6 +228,11 @@ class DiscreteField:
     coeffs[t] has shape (ncomp, nmono(deg[t])) in reference coordinates of
     element t; kind fixes the pushforward.  Vector fields have ncomp 3 and
     matrix fields ncomp 9.
+
+    A block of tets is evaluated at shared reference points with one
+    matrix product per degree group (evaluate_block, jacobian_block), and
+    the pushforward is applied to the whole stack; evaluate_ref and
+    jacobian_ref are the one-tet calls.
     """
 
     mesh: object
@@ -223,50 +246,105 @@ class DiscreteField:
     def shape(self):
         return (3, 3) if self.coeffs[0].shape[0] == 9 else (3,)
 
+    def _stacked(self, tets, deriv):
+        """(degree, (len(tets), ncomp or 3 ncomp, n)) coefficients of the
+        values or the reference gradients of tets, which share one degree."""
+        deg = self.degs[tets[0]]
+        C = np.stack([self.coeffs[t] for t in tets])
+        if not deriv:
+            return deg, C
+        dC = C @ _grad_matrix(deg)
+        return max(deg - 1, 0), dC.reshape(len(tets), 3 * C.shape[1], -1)
+
+    def _by_degree(self, tets, deriv, n_pts):
+        """Index arrays of tets by degree, and an empty array
+        (len(tets), 3 ncomp if deriv else ncomp, n_pts) for the reference values."""
+        degs = np.array([self.degs[t] for t in tets])
+        width = self.coeffs[0].shape[0] * (3 if deriv else 1)
+        groups = [np.flatnonzero(degs == d) for d in np.unique(degs)]
+        return groups, np.empty((len(tets), width, n_pts))
+
+    def _push(self, tets, ref, deriv):
+        """Physical values (N, m, *shape) or derivatives (N, m, *shape, 3) of
+        reference values or gradients ref (N, m, ncomp or 3 ncomp) in tets (N,).
+        Each factor of the pushforward is one matrix product per tet over all
+        its points."""
+        aff = self.mesh.affine
+        N, m = ref.shape[:2]
+        ncomp = self.coeffs[0].shape[0]
+        if deriv:                                           # d/dx = (d/dxhat) A^{-1}
+            ref = (ref.reshape(N, -1, 3) @ aff.A_inv[tets]).reshape(N, m, ncomp, 3)
+        if ncomp == 3:
+            return ref
+        out_shape = (N, m, 3, 3) + ref.shape[3:]
+        LR = _push_matrices(self.kind, aff, tets)
+        if LR is None:
+            return ref.reshape(out_shape)
+        L, R = LR
+        W = np.swapaxes(ref.reshape(N, m, 3, 3, -1), 3, 4)   # (N, m, j, d, k); d: 1 or 3
+        d = W.shape[3]
+        WR = (W.reshape(N, -1, 3) @ R).reshape(N, m, 3, d, 3)           # sum over k
+        LWR = L @ np.moveaxis(WR, 2, 1).reshape(N, 3, -1)               # sum over j
+        return np.swapaxes(np.moveaxis(LWR.reshape(N, 3, m, d, 3), 1, 2), 3, 4).reshape(out_shape)
+
+    def _block(self, tets, ref_pts, deriv):
+        """_push of the tets at reference points ref_pts: (m, 3), shared by the
+        tets (one matrix product per degree group), or (len(tets), m, 3)."""
+        tets = np.asarray(tets, dtype=np.int64)
+        ref_pts = np.atleast_2d(ref_pts)
+        m = ref_pts.shape[-2]
+        groups, ref = self._by_degree(tets, deriv, m)
+        for sel in groups:
+            deg, C = self._stacked(tets[sel], deriv)
+            if ref_pts.ndim == 2:
+                V = mo.eval_basis(3, deg, ref_pts)
+                ref[sel] = (C.reshape(-1, C.shape[-1]) @ V.T).reshape(len(sel), -1, m)
+            else:
+                V = mo.eval_basis(3, deg, ref_pts[sel].reshape(-1, 3)).reshape(len(sel), m, -1)
+                ref[sel] = C @ np.swapaxes(V, 1, 2)
+        return self._push(tets, np.swapaxes(ref, 1, 2), deriv)
+
+    def evaluate_block(self, tets, ref_pts):
+        """Physical values at reference points of each element: (len(tets), m, *shape)."""
+        return self._block(tets, ref_pts, False)
+
+    def jacobian_block(self, tets, ref_pts):
+        """Physical derivatives at reference points: (len(tets), m, *shape, 3)."""
+        return self._block(tets, ref_pts, True)
+
     def evaluate_ref(self, t, ref_pts):
         """Physical values at reference points of element t: (m, *shape)."""
-        c = self.coeffs[t]
-        vals = mo.evaluate(c, 3, self.degs[t], ref_pts)   # (ncomp, m)
-        vals = np.moveaxis(vals, -1, 0)
-        if c.shape[0] == 3:
-            return vals
-        W = vals.reshape(-1, 3, 3)
-        LR = _push_matrix(self.kind, self.mesh.amaps[t])
-        if LR is None:
-            return W
-        L, R = LR
-        return np.einsum("ij,mjk,kl->mil", L, W, R)
+        return self.evaluate_block([t], ref_pts)[0]
 
     def jacobian_ref(self, t, ref_pts):
         """Physical derivatives at reference points: (m, *shape, 3)."""
-        amap = self.mesh.amaps[t]
-        c = self.coeffs[t]
-        deg = self.degs[t]
-        dref = np.stack(
-            [mo.evaluate(mo.diff(c, 3, deg, ax), 3, max(deg - 1, 0), ref_pts) for ax in range(3)],
-            axis=-2,
-        )  # (ncomp, 3, m)
-        dref = np.moveaxis(dref, -1, 0)   # (m, ncomp, 3ref)
-        dphys = np.einsum("mck,kl->mcl", dref, amap.A_inv)
-        if c.shape[0] == 3:
-            return dphys
-        W = dphys.reshape(-1, 3, 3, 3)
-        LR = _push_matrix(self.kind, amap)
-        if LR is None:
-            return W
-        L, R = LR
-        return np.einsum("ij,mjkl,kn->minl", L, W, R)
+        return self.jacobian_block([t], ref_pts)[0]
+
+    def _at_points(self, pts, tet, deriv):
+        """Values or derivatives at physical points; tet is one tet id or one
+        per point.  The points are grouped by tet: when every tet has the
+        same number of points, the group is evaluated as a block of tets at
+        their own points; otherwise each point is a block row of its own."""
+        if np.ndim(tet) == 0:
+            return self._block([tet], self.mesh.amaps[tet].pull(pts), deriv)[0]
+        tet = np.asarray(tet, dtype=np.int64)
+        order = np.argsort(tet, kind="stable")
+        tets, counts = np.unique(tet, return_counts=True)
+        if np.all(counts == counts[0]):
+            x = pts[order].reshape(len(tets), counts[0], 3)
+        else:
+            tets, x = tet[order], pts[order][:, None, :]
+        vals = self._block(tets, self.mesh.affine.pull(tets, x), deriv)
+        out = np.empty((len(pts),) + vals.shape[2:])
+        out[order] = vals.reshape(out.shape)
+        return out
 
     def as_sample(self):
-        amaps = self.mesh.amaps
-
-        def val(pts, tet):
-            return self.evaluate_ref(tet, amaps[tet].pull(pts))
-
-        def jac(pts, tet):
-            return self.jacobian_ref(tet, amaps[tet].pull(pts))
-
-        return FieldSample(self.shape, val, jac)
+        return FieldSample(
+            self.shape,
+            lambda pts, tet: self._at_points(pts, tet, False),
+            lambda pts, tet: self._at_points(pts, tet, True),
+        )
 
     def copy_with(self, coeffs, kind=None, degs=None, space=None):
         return DiscreteField(
@@ -300,6 +378,38 @@ def field_divergence(df):
     return df.copy_with(out, kind="compose", degs=degs, space="p3_vec")
 
 
+# ---------------------------------------------------------------------------
+# block evaluation
+
+# Cap on the points at which one block of tets is evaluated: a 9-component
+# array over a full block takes 1.2 MB, and its Jacobian 3.5 MB.  Larger
+# caps ran no faster, and raised the peak RSS of a solve with error norms:
+# by 3 MB on a 48-tet mixed-order cube at 2**16, and by 2.3 MB on a 162-tet
+# cube at 2**17, where the load vector became one block.
+BLOCK_POINTS = 2**14
+
+
+def tet_blocks(tets, per_tet, cap=BLOCK_POINTS):
+    """tets in consecutive blocks of near-equal size, each of at most
+    cap // per_tet tets (at least one)."""
+    tets = np.asarray(tets, dtype=np.int64)
+    if len(tets) == 0:
+        return []
+    return np.array_split(tets, -(-len(tets) // max(cap // per_tet, 1)))
+
+
+def block_values(mesh, field, tets, ref_pts):
+    """Values (len(tets), m, *shape) of field at the reference points ref_pts
+    (m, 3) mapped into each of tets.  A DiscreteField is evaluated by
+    evaluate_block; a FieldSample once at all the mapped points, with the
+    tet of each point as its hint."""
+    if isinstance(field, DiscreteField):
+        return field.evaluate_block(tets, ref_pts)
+    x = mesh.affine.apply(tets, ref_pts)
+    v = field.value(x.reshape(-1, 3), np.repeat(tets, len(ref_pts)))
+    return v.reshape((len(tets), len(ref_pts)) + v.shape[1:])
+
+
 # Agreement on the squared norm that ends l2_norm's refinement of its rule
 # for analytic data: 1e-7 relative on the norm itself.
 L2_SQ_RTOL = 2e-7
@@ -309,7 +419,9 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
     """L2 norm of field, or of field - minus, over the elements tets.
 
     field is a FieldSample (with tet hints) or a DiscreteField; minus, when
-    given, is a DiscreteField.
+    given, is a DiscreteField.  The tets are evaluated in blocks
+    (tet_blocks, block_values): each block maps the points of all its tets,
+    evaluates once and contracts with the weights.
 
     If field is a DiscreteField the integrand is polynomial on each element
     and one rule of degree quad_deg is used; it is exact once quad_deg is at
@@ -325,32 +437,26 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
     patch test, never settles.  Raises quadrature.DegreeTooHigh if the
     rules still disagree at quadrature.MAX_DEGREE.
     """
-    tets = range(mesh.n_tets) if tets is None else tets
+    tets = np.arange(mesh.n_tets) if tets is None else np.asarray(tets, dtype=np.int64)
+    det = mesh.affine.det
 
     def sums(rules):
         """Squared norm under each rule, and int |e| (|field| + |minus|)
         under the last, from one evaluation on all their points."""
         pts = np.vstack([r.points for r in rules])
-        cuts = np.cumsum([len(r.weights) for r in rules])[:-1]
+        weights = scipy.linalg.block_diag(*[r.weights for r in rules])   # (rules, points)
         totals = np.zeros(len(rules))
         floor = 0.0
-        for t in tets:
-            amap = mesh.amaps[t]
-            if isinstance(field, DiscreteField):
-                v = field.evaluate_ref(t, pts)
-            else:
-                v = field.value(amap.apply(pts), t)
-            e = v.reshape(len(pts), -1)
-            size = np.linalg.norm(e, axis=1)
+        for block in tet_blocks(tets, len(pts)):
+            e = block_values(mesh, field, block, pts).reshape(len(block), len(pts), -1)
+            size = np.linalg.norm(e, axis=2)
             if minus is not None:
-                w = minus.evaluate_ref(t, pts).reshape(len(pts), -1)
+                w = minus.evaluate_block(block, pts).reshape(e.shape)
                 e = e - w
-                size += np.linalg.norm(w, axis=1)
-            e_sq = np.sum(e**2, axis=1)
-            totals += amap.det * np.array(
-                [r.weights @ q for r, q in zip(rules, np.split(e_sq, cuts))]
-            )
-            floor += amap.det * (rules[-1].weights @ np.split(np.sqrt(e_sq) * size, cuts)[-1])
+                size += np.linalg.norm(w, axis=2)
+            e_sq = np.sum(e**2, axis=2)                  # (tets, points)
+            totals += det[block] @ (e_sq @ weights.T)
+            floor += det[block] @ ((np.sqrt(e_sq) * size) @ weights[-1])
         return totals, floor
 
     if isinstance(field, DiscreteField):
@@ -587,13 +693,15 @@ class Workspace:
             self.face_points.append(pts)
             self.face_weights.append(tri.weights * (area / 0.5))
         self._ref_orders = [orders.ref_orders(mesh, t) for t in range(mesh.n_tets)]
+        groups = {}
+        for t, ro in enumerate(self._ref_orders):
+            groups.setdefault(ro, []).append(t)
+        # tet ids of each order signature, in order of first appearance
+        self.signature_groups = {ro: np.array(ts) for ro, ts in groups.items()}
         self._mode_cache = {}
 
     def ref_orders(self, t):
         return self._ref_orders[t]
-
-    def vol_points(self, t):
-        return self.amaps[t].apply(self.vol_rule.points)
 
     def face_modes_at_ref_points(self, t, local_face, rf):
         """Orthonormal reference-face modes evaluated at the pulled-back
@@ -621,20 +729,17 @@ class Workspace:
 def project_l2_p3(mesh, orders, f, ws=None):
     """Elementwise L2 projection onto the vector space of order r(T)."""
     ws = Workspace(mesh, orders) if ws is None else ws
-    coeffs, degs = [], []
     rule = ws.vol_rule
-    for t in range(mesh.n_tets):
-        rt = int(orders.tet_orders[t])
-        modes = ps.volume_modes(rt)[:, 0, :]          # (nm, n3)
-        vals = mo.evaluate(modes, 3, rt, rule.points)  # (nm, q)
-        if isinstance(f, DiscreteField):
-            fv = f.evaluate_ref(t, rule.points)
-        else:
-            fv = f.value(ws.vol_points(t), t)          # (q, 3)
-        gamma = np.einsum("q,nq,qi->in", rule.weights, vals, fv)
-        c = np.einsum("in,nm->im", gamma, modes)       # back to monomials
-        coeffs.append(c)
-        degs.append(rt)
+    coeffs = [None] * mesh.n_tets
+    for rt in np.unique(orders.tet_orders):
+        modes = ps.volume_modes(rt)[:, 0, :]                          # (nm, n3)
+        vals = mo.evaluate(modes, 3, rt, rule.points)                  # (nm, q)
+        P = (rule.weights * vals).T @ modes                           # values -> monomials
+        for block in tet_blocks(np.flatnonzero(orders.tet_orders == rt), len(rule.weights)):
+            fv = block_values(mesh, f, block, rule.points)            # (tets, q, 3)
+            for t, c in zip(block, np.swapaxes(fv, 1, 2) @ P):
+                coeffs[t] = c
+    degs = [int(r) for r in orders.tet_orders]
     return DiscreteField(mesh, orders, "compose", degs, coeffs, space="p3_vec")
 
 
@@ -736,11 +841,12 @@ def interp_p1minus_global(mesh, orders, W, ws=None):
 
 
 def _outward_normal(mesh, t, local_face):
-    fid = mesh.tet_faces[t][local_face]
-    verts = mesh.vertices[mesh.faces[fid]]
-    n = np.cross(verts[1] - verts[0], verts[2] - verts[0])
-    n = n / np.linalg.norm(n)
-    return n * mesh.tet_face_sign[t, local_face]
+    """Unit outward normal of local face local_face of tet t; arrays t and
+    local_face give one normal per pair."""
+    verts = mesh.vertices[mesh.faces[mesh.tet_faces[t, local_face]]]   # (..., 3, 3)
+    n = np.cross(verts[..., 1, :] - verts[..., 0, :], verts[..., 2, :] - verts[..., 0, :])
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    return n * mesh.tet_face_sign[t, local_face][..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -766,37 +872,33 @@ def elementwise_to_global(mesh, orders, kind, degs, per_elem, space=""):
 
 
 def conformity_error(df):
-    """Max interface trace jump and the field scale used to normalize it."""
+    """Max interface trace jump and the field scale used to normalize it.
+
+    The field is evaluated once on each side of all interior faces, at the
+    points of one face rule per face."""
     mesh = df.mesh
     rule = quadrature.rule_for(2, CONFORMITY_RULE_DEG)
-    worst = 0.0
-    scale = 0.0
-    for fid in range(mesh.n_faces):
-        tets = mesh.face_tets[fid]
-        if len(tets) != 2:
-            continue
-        verts = mesh.vertices[mesh.faces[fid]]
-        pts = (
-            verts[0]
-            + np.outer(rule.points[:, 0], verts[1] - verts[0])
-            + np.outer(rule.points[:, 1], verts[2] - verts[0])
-        )
-        frame = ps.make_face_frame(verts)
-        vals = []
-        for t in tets:
-            V = df.evaluate_ref(t, mesh.amaps[t].pull(pts))
-            if df.kind in ("piola", "op2"):
-                tr = np.einsum("mij,j->mi", V, frame.normal)
-            elif df.kind == "op1":
-                tr = np.einsum(
-                    "mij,ja->mia", V, np.column_stack([frame.t1, frame.t2])
-                )
-            else:
-                tr = V
-            vals.append(tr)
-            scale = max(scale, np.abs(V).max())
-        worst = max(worst, np.abs(vals[0] - vals[1]).max())
-    return worst, scale
+    fids = np.array([f for f, ts in enumerate(mesh.face_tets) if len(ts) == 2], dtype=np.int64)
+    if len(fids) == 0:
+        return 0.0, 0.0
+    verts = mesh.vertices[mesh.faces[fids]]                           # (faces, 3, 3)
+    pts = verts[:, None, 0] + rule.points @ (verts[:, 1:] - verts[:, None, 0])
+    frames = [mesh.face_frames[f] for f in fids]
+    if df.kind in ("piola", "op2"):
+        dirs = np.array([fr.normal for fr in frames])[:, :, None]      # (faces, 3, 1)
+    elif df.kind == "op1":
+        dirs = np.array([np.column_stack([fr.t1, fr.t2]) for fr in frames])
+    else:
+        dirs = None
+    sample = df.as_sample()
+    vals, scale = [], 0.0
+    for side in range(2):
+        tets = np.array([mesh.face_tets[f][side] for f in fids])
+        V = sample.value(pts.reshape(-1, 3), np.repeat(tets, len(rule.weights)))
+        V = V.reshape(pts.shape[:2] + V.shape[1:])
+        vals.append(V if dirs is None else V @ dirs[:, None])
+        scale = max(scale, np.abs(V).max())
+    return np.abs(vals[0] - vals[1]).max(), scale
 
 
 # ---------------------------------------------------------------------------
@@ -812,34 +914,21 @@ def clement(mesh, W, orders=None):
     the vertex (its L2 projection onto constants there).
     """
     rule = quadrature.rule_for(3, CLEMENT_QUAD_DEG)
+    det = mesh.affine.det
+    integrals = np.empty((mesh.n_tets, 3, 3))
+    for block in tet_blocks(np.arange(mesh.n_tets), len(rule.weights)):
+        vals = block_values(mesh, W, block, rule.points)          # (tets, q, 3, 3)
+        integrals[block] = det[block, None, None] * np.einsum("q,tqij->tij", rule.weights, vals)
     sums = np.zeros((mesh.n_vertices, 3, 3))
-    vols = np.zeros(mesh.n_vertices)
-    for t in range(mesh.n_tets):
-        amap = mesh.amaps[t]
-        if isinstance(W, DiscreteField):
-            vals = W.evaluate_ref(t, rule.points)
-        else:
-            vals = W.value(amap.apply(rule.points), t)
-        integral = amap.det * np.einsum("q,qij->ij", rule.weights, vals)
-        vol = amap.det / 6.0
-        for v in mesh.tets[t]:
-            sums[v] += integral
-            vols[v] += vol
-    vertex_vals = sums / vols[:, None, None]
-    coeffs, degs = [], []
+    np.add.at(sums, mesh.tets, integrals[:, None])
+    vols = np.bincount(mesh.tets.ravel(), np.repeat(det / 6.0, 4), mesh.n_vertices)
+    vertex_vals = (sums / vols[:, None, None]).reshape(-1, 9)[mesh.tets]   # (T, 4, 9)
     idx1 = mo.index_of(3, 1)
-    for t in range(mesh.n_tets):
-        vv = vertex_vals[mesh.tets[t]]      # (4,3,3)
-        c = np.zeros((9, mo.count(3, 1)))
-        flat = vv.reshape(4, 9)
-        c[:, 0] = flat[0]
-        c[:, idx1[(1, 0, 0)]] = flat[1] - flat[0]
-        c[:, idx1[(0, 1, 0)]] = flat[2] - flat[0]
-        c[:, idx1[(0, 0, 1)]] = flat[3] - flat[0]
-        coeffs.append(c)
-        degs.append(1)
-    field = DiscreteField(mesh, orders, "compose", degs, coeffs, space="linear_mat")
-    return field
+    c = np.zeros((mesh.n_tets, 9, mo.count(3, 1)))
+    c[:, :, 0] = vertex_vals[:, 0]
+    for k, e in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        c[:, :, idx1[e]] = vertex_vals[:, k + 1] - vertex_vals[:, 0]
+    return DiscreteField(mesh, orders, "compose", [1] * mesh.n_tets, list(c), space="linear_mat")
 
 
 def lift_linear_into_op1(ws, t, lin_field):
@@ -921,6 +1010,15 @@ def _divfree_interior(rt):
     return Nb, mo.gram_simplex(3, rt + 1)
 
 
+@lru_cache(maxsize=None)
+def _face_trace(ro, f):
+    """(nb, 3, n2(r+1)): the normal traces of the stress basis of signature ro
+    on reference face f."""
+    basis = ps.stress_basis(ro)
+    return ps.trace_normal(basis.coeffs.reshape(basis.dim, 3, 3, -1), ps.REF_FACE_FRAMES[f],
+                           ps._ref_face_subst(f, ro.tet + 1))
+
+
 class StressSpace:
     """The H(div)-conforming matrix-valued flux space of order r+1.
 
@@ -936,9 +1034,7 @@ class StressSpace:
         self.mesh = mesh
         self.orders = orders
         self.ws = Workspace(mesh, orders) if ws is None else ws
-        self.face_frames = [
-            ps.make_face_frame(mesh.vertices[mesh.faces[f]]) for f in range(mesh.n_faces)
-        ]
+        self.face_frames = mesh.face_frames
         face_ndof = [3 * mo.count(2, int(r) + 1) for r in orders.face_orders]
         self.face_offset = np.concatenate([[0], np.cumsum(face_ndof)])
         self.elements = []
@@ -956,7 +1052,6 @@ class StressSpace:
         deg = rt + 1
         nb = basis.dim
         amap = ws.amaps[t]
-        mats = basis.coeffs.reshape(nb, 3, 3, -1)
         rows = []
         dof_ids = []
         face_slices = []
@@ -978,8 +1073,8 @@ class StressSpace:
             S = mo.substitution_matrix(2, rf, L2, c2)
             mu_ref = mo.embed(S, 2, rf, deg)          # (ns, n2(deg)) in yhat
             sign = mesh.tet_face_sign[t, f] * _REF_OUTWARD_SIGN[f]
-            tr = ps.trace_normal(mats, rframe, ps._ref_face_subst(f, deg))
-            vals = sign * (tr @ (ps.ref_face_gram(f, deg) @ mu_ref.T))   # (nb, 3, ns)
+            # (nb, 3, ns); the trace of the signature is cached, the association kept
+            vals = sign * (_face_trace(ro, f) @ (ps.ref_face_gram(f, deg) @ mu_ref.T))
             rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
             ns = mu_ref.shape[0]
             face_slices.append(slice(pos, pos + 3 * ns))
@@ -1067,6 +1162,10 @@ class StressSpace:
             block = np.einsum("q,jqpl,qpl->j", ws.vol_rule.weights, nuM, Upull)
             rhs[elem.int_slice] = block
         return rhs
+
+    def dual_bases(self, tets):
+        """(len(tets), nb, nb): the dual bases of tets, which share one signature."""
+        return np.stack([self.elements[t].dual_basis() for t in tets])
 
     def interpolate_element(self, t, U):
         """Monomial coefficients (9, n) of the element interpolant."""

@@ -46,6 +46,24 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
+class AffineStack:
+    """The affine maps of all tets stacked: x = A[t] xhat + b[t]."""
+
+    A: np.ndarray        # (T, 3, 3)
+    A_inv: np.ndarray    # (T, 3, 3)
+    b: np.ndarray        # (T, 3)
+    det: np.ndarray      # (T,)
+
+    def apply(self, tets, xhat):
+        """(len(tets), m, 3): the reference points xhat (m, 3) mapped into each tet."""
+        return xhat @ np.swapaxes(self.A[tets], 1, 2) + self.b[tets][:, None, :]
+
+    def pull(self, tets, x):
+        """(len(tets), m, 3): the physical points x[i] (m, 3) pulled back by the map of tets[i]."""
+        return (x - self.b[tets][:, None, :]) @ np.swapaxes(self.A_inv[tets], 1, 2)
+
+
+@dataclass(frozen=True)
 class SimplicialMesh:
     vertices: np.ndarray          # (V, 3)
     tets: np.ndarray              # (T, 4) vertex ids, positively oriented
@@ -81,6 +99,23 @@ class SimplicialMesh:
     def amaps(self):
         """Affine map of the reference tet onto each tet, built once."""
         return tuple(_affine_map(self.tet_vertices(t)) for t in range(self.n_tets))
+
+    @cached_property
+    def affine(self):
+        """The maps of amaps as stacked arrays (AffineStack), built once."""
+        return AffineStack(
+            A=np.array([m.A for m in self.amaps]).reshape(-1, 3, 3),
+            A_inv=np.array([m.A_inv for m in self.amaps]).reshape(-1, 3, 3),
+            b=np.array([m.b for m in self.amaps]).reshape(-1, 3),
+            det=np.array([m.det for m in self.amaps]),
+        )
+
+    @cached_property
+    def face_frames(self):
+        """Orthonormal frame of each global face (polyspace.make_face_frame), built once."""
+        from .polyspace import make_face_frame
+
+        return tuple(make_face_frame(self.vertices[f]) for f in self.faces)
 
     def h_max(self):
         return max(amap.h for amap in self.amaps)

@@ -158,29 +158,27 @@ def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
     ws = system.space.ws
     Mh, _, _ = _hdiv_gram(system)
     space = system.space
-    n_s = system.dofmap.n_stress
-    rhs = np.zeros(n_s)
-    rule = ws.vol_rule
+    rhs = np.zeros(system.dofmap.n_stress)
+    w = ws.vol_rule.weights
+    aff = mesh.affine
     norm2 = 0.0
-    for t in range(mesh.n_tets):
-        elem = space.elements[t]
-        amap = ws.amaps[t]
-        nb = elem.basis.dim
-        xq = amap.apply(rule.points)
-        wq = rule.weights * amap.det
-        sv = case.sigma.value(xq, t)
-        fv = case.f.value(xq, t)           # div sigma*
-        ref_vals = mo.evaluate(elem.basis.coeffs, 3, elem.deg, rule.points)
-        ref_vals = np.moveaxis(ref_vals.reshape(nb, 3, 3, -1), -1, 1)
-        phys = np.einsum("bqjk,kl->bqjl", ref_vals, amap.A.T) / amap.det
-        divs = ps.differentiate(elem.basis.coeffs, elem.deg, "div")
-        div_ref = mo.evaluate(divs, 3, elem.deg - 1, rule.points)
-        div_phys = np.moveaxis(div_ref, -1, 1) / amap.det    # (nb,q,3)
-        raw = np.einsum("q,bqjl,qjl->b", wq, phys, sv)
-        raw += np.einsum("q,bqj,qj->b", wq, div_phys, fv)
-        rhs[elem.dof_ids] += elem.dual_basis().T @ raw
-        norm2 += np.sum(wq * (np.sum(sv.reshape(len(wq), -1) ** 2, axis=1)
-                              + np.sum(fv**2, axis=1)))
+    for ro, tets in assembly.signature_blocks(space):
+        basis = ps.stress_basis(ro)
+        nb, deg = basis.dim, ro.tet + 1
+        sv = interp.block_values(mesh, case.sigma, tets, ws.vol_rule.points)   # (tets, q, 3, 3)
+        fv = interp.block_values(mesh, case.f, tets, ws.vol_rule.points)       # div sigma*
+        # int psi_b : sigma* + div psi_b . div sigma*, with psi_b = (1/J) psihat_b A^T
+        ref = mo.evaluate(basis.coeffs, 3, deg, ws.vol_rule.points)               # (nb, 9, q)
+        div_ref = mo.evaluate(ps.differentiate(basis.coeffs, deg, "div"), 3, deg - 1,
+                              ws.vol_rule.points)                                 # (nb, 3, q)
+        svA = (w[:, None, None] * (sv @ aff.A[tets][:, None])).reshape(len(tets), -1)
+        raw = svA @ np.swapaxes(ref, 1, 2).reshape(nb, -1).T
+        wfv = (w[:, None] * fv).reshape(len(tets), -1)
+        raw += wfv @ np.swapaxes(div_ref, 1, 2).reshape(nb, -1).T
+        sds = np.stack([space.elements[t].dof_ids for t in tets])
+        np.add.at(rhs, sds, (np.swapaxes(space.dual_bases(tets), 1, 2) @ raw[..., None])[..., 0])
+        sq = np.sum(sv.reshape(len(tets), len(w), -1) ** 2, axis=2) + np.sum(fv**2, axis=2)
+        norm2 += aff.det[tets] @ (sq @ w)
     g = linalg.solve_sparse(Mh, rhs)
     best_sigma_sq = max(norm2 - g @ rhs, 0.0)
     pu = interp.project_l2_p3(mesh, orders, case.u, ws)

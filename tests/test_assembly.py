@@ -376,3 +376,63 @@ def test_elements_of_one_signature_share_one_basis(cube1, material):
         assert elem.basis is by_signature.setdefault(ro, elem.basis)
         assert elem.basis is assembly._raw_gram_data(ro)[0]
     assert len(by_signature) < cube1.n_tets
+
+
+def _per_tet_assembly(mesh, om, material, f, g, space):
+    """A_e, B1_e, B2_e, F and G built one tet at a time from the reference Grams."""
+    ws = space.ws
+    dofmap = assembly.build_dof_map(mesh, om, space)
+    lam, mu = material.lame_lambda, material.lame_mu
+    c_tr = lam / (2 * mu * (2 * mu + 3 * lam))
+    S2M = tensor_ops.S2_MATRIX.reshape(3, 3, 3)
+    rule = ws.vol_rule
+    A_locs, B1_locs, B2_locs = [], [], []
+    F, G = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress)
+    for t in range(mesh.n_tets):
+        ro, amap, elem = ws.ref_orders(t), mesh.amaps[t], space.elements[t]
+        J = amap.det
+        basis, G4, divG, B1W, W3 = assembly._raw_gram_data(ro)
+        nb = basis.dim
+        X = elem.dual_basis()
+        M_raw = np.einsum("bcqs,sq->bc", G4, amap.A.T @ amap.A) / J
+        trv = np.einsum("bpqn,pq->bn", basis.coeffs.reshape(nb, 3, 3, -1), amap.A)
+        T_raw = trv @ mo.gram_simplex(3, ro.tet + 1) @ trv.T / J
+        A_locs.append(X.T @ (M_raw / (2 * mu) - c_tr * T_raw) @ X)
+        B1_locs.append(B1W.reshape(nb, -1).T @ X)
+        B2_raw = np.einsum("cpq,qk,bpkj->cjb", S2M, amap.A, W3.reshape(nb, 3, 3, -1))
+        B2_locs.append(B2_raw.reshape(-1, nb) @ X)
+        modes = ps.volume_modes(ro.tet)[:, 0, :]
+        mv = mo.evaluate(modes, 3, ro.tet, rule.points)
+        fq = f.value(amap.apply(rule.points), t)
+        F[dofmap.disp_elem_dofs[t]] += J * np.einsum("q,jq,qc->cj", rule.weights, mv, fq).ravel()
+        G_raw = np.zeros(nb)
+        for lf in range(4):
+            fid = mesh.tet_faces[t][lf]
+            if not mesh.boundary_face[fid]:
+                continue
+            pts, w = ws.face_points[fid], ws.face_weights[fid]
+            bref = mo.evaluate(basis.coeffs, 3, ro.tet + 1, amap.pull(pts))
+            bref = np.moveaxis(bref.reshape(nb, 3, 3, -1), -1, 1)
+            n_out = interp._outward_normal(mesh, t, lf)
+            bn = np.einsum("bqjk,kl,l->bqj", bref, amap.A.T / J, n_out)
+            G_raw += np.einsum("q,bqj,qj->b", w, bn, g.value(pts, t))
+        G[elem.dof_ids] += X.T @ G_raw
+    return A_locs, B1_locs, B2_locs, F, G
+
+
+def test_blocked_assembly_matches_per_tet_loop(cube1, material):
+    from afw3d import stability_lab
+
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    case = stability_lab.default_convergence_case(material)
+    system = assembly.assemble(cube1, om, material, case.f, boundary_g=case.u)
+    A, B1, B2, F, G = _per_tet_assembly(cube1, om, material, case.f, case.u, system.space)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    for t in range(cube1.n_tets):
+        assert close(system.A_loc[t], A[t])
+        assert close(system.B1_loc[t], B1[t])
+        assert close(system.B2_loc[t], B2[t])
+    assert close(system.F, F) and close(system.G, G)

@@ -90,3 +90,44 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "verify_tensor.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--n", "0"], "--n"),
+    (["mesh", "gen", "--n", "0"], "--n"),
+    (["mesh", "gen", "--n", "-1"], "--n"),
+    (["infsup", "--levels", "0"], "--levels"),
+    (["infsup", "--levels", ","], "--levels"),
+    (["verify", "commute", "--samples", "-1"], "--samples"),
+    (["converge", "--r", "5"], "--r"),
+    (["solve", "--tol-scale", "0"], "--tol-scale"),
+])
+def test_out_of_range_input_is_a_config_error(tmp_path, capsys, argv, flag):
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert err.count("\n") == 1 and "Traceback" not in err and flag in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_out_of_range_config_file_value_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 0\n")
+    code = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert "--n" in capsys.readouterr().err
+
+
+def test_verify_commute_honours_zero_samples(tmp_path, monkeypatch):
+    from afw3d import stability_lab
+
+    seen = []
+    suite = stability_lab.commuting_diagram_suite
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["n_samples"])
+        return suite(*args, **kwargs)
+
+    monkeypatch.setattr(stability_lab, "commuting_diagram_suite", recording)
+    assert cli.main(["verify", "commute", "--samples", "0", "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert seen == [0]

@@ -568,3 +568,92 @@ def test_h1_seminorm_of_analytic_field_matches_closed_form():
     f = FieldSample.from_sympy(["sin(pi*x)", "0", "0"])
     got = interp.h1_seminorm(unit_cube_mesh(1), f, 2)
     assert abs(got - np.pi / np.sqrt(2)) < 1e-7 * np.pi / np.sqrt(2)
+
+
+# ---------------------------------------------------------------------------
+# block evaluation against per-tet loops
+
+def _discrete_values(df, t, ref_pts):
+    """Physical values of df on tet t, computed from its coefficients alone."""
+    amap = df.mesh.amaps[t]
+    v = np.moveaxis(mo.evaluate(df.coeffs[t], 3, df.degs[t], ref_pts), -1, 0)
+    if v.shape[1] == 3:
+        return v
+    W = v.reshape(-1, 3, 3)
+    if df.kind == "piola":
+        return W @ amap.A.T / amap.det
+    assert df.kind == "compose"
+    return W
+
+
+def _per_tet_l2(mesh, values, deg, tets):
+    """sqrt(sum_t det_t sum_q w_q |values(t, x_q, xhat_q)|^2), one tet at a time."""
+    rule = quadrature.rule_for(3, deg)
+    total = 0.0
+    for t in tets:
+        amap = mesh.amaps[t]
+        v = values(t, amap.apply(rule.points), rule.points).reshape(len(rule.weights), -1)
+        total += amap.det * (rule.weights @ np.sum(v**2, axis=1))
+    return np.sqrt(total)
+
+
+def test_block_l2_norm_matches_per_tet_loop_on_mixed_orders(cube2, rng):
+    # degree 2 data against a piola field of degrees 1..3: the integrand has
+    # degree 6, so l2_norm settles at its first pair of rules (6 and 8)
+    om = OrderMap.random(cube2, 0, 2, seed=1)
+    assert len(set(om.tet_orders.tolist())) > 1
+    U = random_matrix_poly(rng, 2)
+    sig = interp.interp_p2(cube2, om, U)
+    got = interp.l2_norm(cube2, U, 8, minus=sig)
+    want = _per_tet_l2(cube2, lambda t, x, xh: U.value(x) - _discrete_values(sig, t, xh),
+                       8, range(cube2.n_tets))
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_block_l2_norm_passes_tet_hints_on_a_subset(cube2, rng):
+    om = OrderMap.uniform(cube2, 0)
+    W = random_matrix_poly(rng, 2)
+    R = interp.clement(cube2, W, om)
+    subset = [0, 5, 17, 30, 47]
+    got = interp.l2_norm(cube2, W - R.as_sample(), 6, tets=subset)
+    want = _per_tet_l2(cube2, lambda t, x, xh: W.value(x) - _discrete_values(R, t, xh), 6, subset)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_block_l2_norm_matches_per_tet_loop_over_several_blocks(rng):
+    from afw3d.mesh import unit_cube_mesh
+
+    mesh = unit_cube_mesh(3)
+    om = OrderMap.uniform(mesh, 1)
+    f = FieldSample.from_poly(rng.standard_normal((3, mo.count(3, 3))), 3)
+    proj = interp.project_l2_p3(mesh, om, f)
+    n_pts = len(quadrature.rule_for(3, 10).weights) + len(quadrature.rule_for(3, 12).weights)
+    assert mesh.n_tets * n_pts > interp.BLOCK_POINTS
+    assert len(interp.tet_blocks(np.arange(mesh.n_tets), n_pts)) > 1
+    got = interp.l2_norm(mesh, f, 12, minus=proj)
+    want = _per_tet_l2(mesh, lambda t, x, xh: f.value(x) - _discrete_values(proj, t, xh),
+                       12, range(mesh.n_tets))
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_face_frames_are_built_once_per_mesh(cube1):
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    space = interp.StressSpace(cube1, om)
+    assert space.face_frames is cube1.face_frames
+    fr = ps.make_face_frame(cube1.vertices[cube1.faces[3]])
+    assert np.array_equal(cube1.face_frames[3].normal, fr.normal)
+
+
+@pytest.mark.parametrize("ids", [[0, 0, 3, 1, 3, 3, 5], [2, 0, 4, 2, 0, 4]],
+                         ids=["uneven", "even-unsorted"])
+def test_discrete_sample_takes_one_tet_per_point(cube2, rng, ids):
+    om = OrderMap.random(cube2, 0, 2, seed=1)
+    sig = interp.interp_p2(cube2, om, random_matrix_poly(rng, 2))
+    ids = np.array(ids)
+    xhat = rng.random((len(ids), 3)) / 3.0
+    x = np.array([cube2.amaps[t].apply(p)[0] for t, p in zip(ids, xhat)])
+    sample = sig.as_sample()
+    values = np.array([_discrete_values(sig, t, p[None])[0] for t, p in zip(ids, xhat)])
+    jacobians = np.array([sig.jacobian_ref(t, p[None])[0] for t, p in zip(ids, xhat)])
+    for got, want in ((sample.value(x, ids), values), (sample.jacobian(x, ids), jacobians)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

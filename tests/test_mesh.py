@@ -167,3 +167,16 @@ def test_truncated_mesh_file_names_the_missing_lines(tmp_path):
     p.write_text("afw3d-mesh v1\n4\n0.0 0.0 0.0\n1.0 0.0 0.0\n")
     with pytest.raises(ValueError, match="expected 4 vertex lines, found 2"):
         read_mesh(p)
+
+
+def test_affine_stack_matches_the_per_tet_maps(cube1, rng):
+    aff = cube1.affine
+    tets = np.array([4, 0, 2])
+    xhat = rng.random((5, 3))
+    x = aff.apply(tets, xhat)
+    for i, t in enumerate(tets):
+        amap = cube1.amaps[t]
+        assert np.array_equal(aff.A[t], amap.A) and np.array_equal(aff.A_inv[t], amap.A_inv)
+        assert np.array_equal(aff.b[t], amap.b) and aff.det[t] == amap.det
+        assert np.allclose(x[i], amap.apply(xhat), atol=1e-15)
+    assert np.allclose(aff.pull(tets, x), xhat[None], atol=1e-14)
