@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import interp, linalg, monomials as mo, polyspace as ps, quadrature, tensor_ops
+from . import expr, interp, linalg, monomials as mo, polyspace as ps, quadrature, tensor_ops
 from .interp import DiscreteField, FieldSample, StressSpace, Workspace
 
 
@@ -80,7 +80,8 @@ def _scatter(blocks, row_dofs, col_dofs, shape):
 class BlockSaddleSystem:
     """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element blocks.
 
-    A, B1, B2 and full_matrix() are assembled from the blocks on first use.
+    A, B1, B2, full_matrix() and the stress Grams are assembled from the
+    blocks on first use.
     """
 
     F: np.ndarray              # <f, v>
@@ -99,6 +100,11 @@ class BlockSaddleSystem:
         """<compliance sigma, tau>"""
         sds = self.dofmap.stress_elem_dofs
         return _scatter(self.A_loc, sds, sds, (self.dofmap.n_stress,) * 2)
+
+    @cached_property
+    def stress_grams(self):
+        """(L2 Gram, div Gram) of the stress space: assemble_stress_grams(self)."""
+        return assemble_stress_grams(self)
 
     @cached_property
     def B1(self):
@@ -420,11 +426,8 @@ def split_solution(system, x):
     gs = x[: dof.n_stress]
     gu = x[dof.n_stress : dof.n_stress + dof.n_disp]
     gp = x[dof.n_stress + dof.n_disp :]
-    sig_c, u_c, p_c, degs_s, degs_u = [], [], [], [], []
+    u_c, p_c, degs_u = [], [], []
     for t in range(mesh.n_tets):
-        elem = system.space.elements[t]
-        sig_c.append(system.space.coeffs_from_dofs(t, gs[elem.dof_ids]))
-        degs_s.append(elem.deg)
         rt = int(orders.tet_orders[t])
         modes = ps.volume_modes(rt)[:, 0, :]
         nm = modes.shape[0]
@@ -433,7 +436,7 @@ def split_solution(system, x):
         u_c.append(cu)
         p_c.append(cp)
         degs_u.append(rt)
-    sigma = DiscreteField(mesh, orders, "piola", degs_s, sig_c, space="stress_full")
+    sigma = system.space.field(gs)
     u = DiscreteField(mesh, orders, "compose", degs_u, u_c, space="p3_vec")
     p = DiscreteField(mesh, orders, "compose", degs_u, p_c, space="p3_vec")
     return sigma, u, p
@@ -444,7 +447,12 @@ def split_solution(system, x):
 
 @dataclass
 class ManufacturedCase:
-    """Exact solution data derived symbolically from a displacement."""
+    """Exact solution data differentiated from a displacement's formulas.
+
+    from_displacement takes u as formula strings (expr.parse's grammar) and
+    builds sigma = 2 mu eps(u) + lambda tr(eps(u)) I, p = axial(skew grad u)
+    and f = div sigma as expr trees from the derivative trees of u.
+    """
 
     material: object
     u: FieldSample
@@ -455,34 +463,30 @@ class ManufacturedCase:
 
     @staticmethod
     def from_displacement(u_exprs, material, zero_boundary=False):
-        import sympy as spy
-
-        xyz = spy.symbols("x y z")
-        u = [spy.sympify(e) for e in u_exprs]
-        grad = [[spy.diff(u[i], xyz[j]) for j in range(3)] for i in range(3)]
-        eps = [
-            [spy.Rational(1, 2) * (grad[i][j] + grad[j][i]) for j in range(3)]
-            for i in range(3)
-        ]
+        u = [expr.parse(e) for e in u_exprs]
+        grad = [[expr.diff(ui, v) for v in expr.VARIABLES] for ui in u]
+        eps = [[expr.mul(0.5, expr.add(grad[i][j], grad[j][i])) for j in range(3)]
+               for i in range(3)]
         lam, mu = material.lame_lambda, material.lame_mu
-        tr_eps = sum(eps[i][i] for i in range(3))
+        tr_eps = expr.add(expr.add(eps[0][0], eps[1][1]), eps[2][2])
         sigma = [
-            [2 * mu * eps[i][j] + (lam * tr_eps if i == j else 0) for j in range(3)]
+            [expr.add(expr.mul(2 * mu, eps[i][j]), expr.mul(lam, tr_eps) if i == j else 0)
+             for j in range(3)]
             for i in range(3)
         ]
-        skw = [
-            [spy.Rational(1, 2) * (grad[i][j] - grad[j][i]) for j in range(3)]
-            for i in range(3)
-        ]
+        skw = [[expr.mul(0.5, expr.sub(grad[i][j], grad[j][i])) for j in range(3)]
+               for i in range(3)]
         # axial vector of the skew part
         p = [skw[2][1], skw[0][2], skw[1][0]]
-        f = [sum(spy.diff(sigma[i][j], xyz[j]) for j in range(3)) for i in range(3)]
+        f = [expr.add(expr.add(expr.diff(row[0], "x"), expr.diff(row[1], "y")),
+                      expr.diff(row[2], "z"))
+             for row in sigma]
+
+        def field(trees):
+            return FieldSample.from_trees(np.array(trees, dtype=object))
+
         return ManufacturedCase(
-            material=material,
-            u=FieldSample.from_sympy(u),
-            sigma=FieldSample.from_sympy(sigma),
-            p=FieldSample.from_sympy(p),
-            f=FieldSample.from_sympy(f),
+            material=material, u=field(u), sigma=field(sigma), p=field(p), f=field(f),
             zero_boundary=zero_boundary,
         )
 

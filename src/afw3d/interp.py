@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.linalg
 
-from . import linalg, monomials as mo, polyspace as ps, quadrature, reftet, tensor_ops
+from . import expr, linalg, monomials as mo, polyspace as ps, quadrature, reftet, tensor_ops
 
 
 class SingularMomentSystem(Exception):
@@ -127,27 +127,29 @@ class FieldSample:
 
     @staticmethod
     def from_sympy(entries):
-        """Field from a nested list of sympy expressions in x, y, z."""
-        import sympy as sp
+        """Field from a nested list of formula strings in x, y, z.
 
-        xyz = sp.symbols("x y z")
-        arr = np.array(entries, dtype=object)
-        shape = arr.shape
-        flat = [sp.sympify(e) for e in arr.ravel()]
-        f_all = sp.lambdify(xyz, flat, "numpy")
-        df_all = sp.lambdify(xyz, [sp.diff(e, v) for e in flat for v in xyz], "numpy")
+        The formulas use the subset of sympy syntax that expr.parse accepts:
+        numbers, x y z pi, + - * / ** and unary minus, sin cos exp sqrt log.
+        Anything else raises ValueError before it is evaluated.
+        """
+        return FieldSample.from_trees(
+            np.vectorize(expr.parse, otypes=[object])(np.array(entries, dtype=object))
+        )
 
-        def _eval(fn, pts, out_shape):
-            # constant entries come back as scalars; broadcast them to the points
-            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-            cols = np.broadcast_arrays(x, *fn(x, y, z))[1:]
-            return np.stack(cols, axis=-1).astype(float).reshape((len(pts),) + out_shape)
+    @staticmethod
+    def from_trees(trees):
+        """Field from an object array of expr trees, with their derivative
+        trees as its Jacobian."""
+        shape = trees.shape
+        f_all = expr.compile_trees(list(trees.ravel()))
+        df_all = expr.compile_trees([expr.diff(t, v) for t in trees.ravel() for v in expr.VARIABLES])
 
         def val(pts, tet):
-            return _eval(f_all, pts, shape)
+            return f_all(pts).reshape((len(pts),) + shape)
 
         def jac(pts, tet):
-            return _eval(df_all, pts, shape + (3,))
+            return df_all(pts).reshape((len(pts),) + shape + (3,))
 
         return FieldSample(shape, val, jac)
 
@@ -1175,6 +1177,14 @@ class StressSpace:
         elem = self.elements[t]
         x = linalg.lu_apply(elem.lu, dof_values)
         return np.einsum("b,bcn->cn", x, elem.basis.coeffs)
+
+    def field(self, dofs):
+        """The stress field of a global dof vector, as a piola DiscreteField."""
+        return DiscreteField(
+            self.mesh, self.orders, "piola", [el.deg for el in self.elements],
+            [self.coeffs_from_dofs(t, dofs[el.dof_ids]) for t, el in enumerate(self.elements)],
+            space="stress_full",
+        )
 
     def dofs_of_field(self, t, U):
         """Dof values of a smooth field (the interpolation functionals)."""
