@@ -413,8 +413,8 @@ def cmd_converge(opts):
         raise ConfigError(f"converge --levels is a number of levels >= 1, not {n_levels!r}")
     levels = [2**k for k in range(int(n_levels))]
     case = sl.default_convergence_case(material)
-    report = sl.convergence_study(case, r, levels=levels)
-    rows = [{k: v for k, v in row.items() if k != "runtime"} for row in report.rows]
+    rows = [{k: v for k, v in row.items() if k != "runtime"}
+            for row in sl.convergence_study(case, r, levels=levels)]
     last = rows[-1]
     checks = []
     if len(rows) > 1:

@@ -21,6 +21,12 @@ point, a DiscreteField with one matrix product per degree group followed by
 the pushforward of the whole stack.  l2_norm, h1_seminorm, h1_norm,
 project_l2_p3 and clement work this way; the moment interpolants still
 solve one element system at a time.
+
+Face moments are taken in the coordinates of each face's vertices in
+ascending global order, so both neighbours of a face test against the same
+functions.  Pulled back to the reference tet, a face row or face rule then
+depends only on the order signature, the local face and the order of its
+vertices (_face_perm), and is cached per such key, not per tet.
 """
 
 from dataclasses import dataclass
@@ -664,10 +670,12 @@ FACE_QUAD_EXTRA = 2
 class Workspace:
     """Per-(mesh, orders) quadrature data shared by all operators.
 
-    Face moments are evaluated at one set of physical points per global
-    face, so the two elements sharing a face consume identical samples of
-    the input field and elementwise interpolation assembles into a
-    conforming global field without any further communication.
+    Face moments use one face rule per global face, laid out in the
+    coordinates of its vertices in ascending global order: face_points
+    (F, q, 3) and face_weights (F, q), in the physical surface measure.  The
+    two elements sharing a face consume identical samples of the input
+    field, so elementwise interpolation assembles into a conforming global
+    field without any further communication.  Nothing is kept per tet.
     """
 
     def __init__(self, mesh, orders):
@@ -677,52 +685,42 @@ class Workspace:
         self.vol_deg = 2 * (self.rmax + 2) + VOL_QUAD_MARGIN
         self.vol_rule = quadrature.rule_for(3, self.vol_deg)
         self.face_deg = self.vol_deg + FACE_QUAD_EXTRA
-        tri = quadrature.rule_for(2, self.face_deg)
-        self.tri_rule = tri
+        self.tri_rule = tri = quadrature.rule_for(2, self.face_deg)
         self.amaps = mesh.amaps
-        self.face_points = []
-        self.face_weights = []   # physical surface measure
-        for fid in range(mesh.n_faces):
-            verts = mesh.vertices[mesh.faces[fid]]
-            pts = (
-                verts[0]
-                + np.outer(tri.points[:, 0], verts[1] - verts[0])
-                + np.outer(tri.points[:, 1], verts[2] - verts[0])
-            )
-            area = 0.5 * np.linalg.norm(
-                np.cross(verts[1] - verts[0], verts[2] - verts[0])
-            )
-            self.face_points.append(pts)
-            self.face_weights.append(tri.weights * (area / 0.5))
+        V = mesh.vertices[mesh.faces]                                  # (F, 3, 3), sorted ids
+        E = V[:, 1:] - V[:, None, 0]
+        self.face_points = V[:, None, 0] + tri.points @ E              # (F, q, 3)
+        self.face_weights = np.outer(np.linalg.norm(np.cross(E[:, 0], E[:, 1]), axis=1),
+                                     tri.weights)                      # (F, q)
         self._ref_orders = [orders.ref_orders(mesh, t) for t in range(mesh.n_tets)]
         groups = {}
         for t, ro in enumerate(self._ref_orders):
             groups.setdefault(ro, []).append(t)
         # tet ids of each order signature, in order of first appearance
         self.signature_groups = {ro: np.array(ts) for ro, ts in groups.items()}
-        self._mode_cache = {}
 
     def ref_orders(self, t):
         return self._ref_orders[t]
 
-    def face_modes_at_ref_points(self, t, local_face, rf):
-        """Orthonormal reference-face modes evaluated at the pulled-back
-        global quadrature points of the matching global face."""
-        key = (t, local_face, rf)
-        if key in self._mode_cache:
-            return self._mode_cache[key]
-        fid = self.mesh.tet_faces[t][local_face]
-        amap = self.amaps[t]
-        xhat = amap.pull(self.face_points[fid])
-        frame = ps.REF_FACE_FRAMES[local_face]
-        yhat = frame.to_y(xhat)
-        modes = ps.scalar_face_modes(local_face, rf)
-        vals = mo.evaluate(modes[:, 0, :], 2, rf, yhat) if modes.shape[0] else np.zeros((0, len(yhat)))
-        # the pulled-back points are the rule's points on the reference face
-        w_ref = self.tri_rule.weights * (frame.area / 0.5)
-        out = (vals, w_ref, xhat, fid)
-        self._mode_cache[key] = out
-        return out
+
+def _face_perm(mesh, t, f):
+    """The local vertices of local face f of tet t (reftet.FACE_VERTS[f])
+    as positions in ascending global vertex id."""
+    return tuple(int(i) for i in np.argsort(mesh.tets[t][list(reftet.FACE_VERTS[f])]))
+
+
+@lru_cache(maxsize=None)
+def _ref_face_quadrature(f, perm, rf, face_deg):
+    """(points (q, 3), mode values (ns, q), weights (q,)) of the face rule of
+    degree face_deg on reference face f, laid out in the coordinates of its
+    vertices in the order perm: the points, the modes scalar_face_modes(f, rf)
+    there and the weights in the surface measure of reference face f."""
+    tri = quadrature.rule_for(2, face_deg)
+    V = reftet.VERTICES[[reftet.FACE_VERTS[f][i] for i in perm]]
+    xhat = V[0] + tri.points @ (V[1:] - V[0])
+    frame = ps.REF_FACE_FRAMES[f]
+    vals = mo.evaluate(ps.scalar_face_modes(f, rf)[:, 0, :], 2, rf, frame.to_y(xhat))
+    return xhat, vals, tri.weights * (frame.area / 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +783,8 @@ def _rhs(ws, t, sysm, Uhat):
     rule = ws.vol_rule
     rhs = []
     for f in range(4):
-        modes_vals, w_ref, xhat, fid = ws.face_modes_at_ref_points(t, f, orders.faces[f])
+        xhat, modes_vals, w_ref = _ref_face_quadrature(
+            f, _face_perm(ws.mesh, t, f), orders.faces[f], ws.face_deg)
         if modes_vals.shape[0] == 0:
             continue
         Ut = Uhat.value(xhat, t) @ _face_directions(sysm.kind, f).T    # (q, 3, a)
@@ -1013,6 +1012,19 @@ def _divfree_interior(rt):
 
 
 @lru_cache(maxsize=None)
+def _face_test_table(f, perm, rf, deg):
+    """(n2(deg), ns): the reference face f integrals of the face-frame
+    monomials of degree deg against the unit-triangle modes
+    scalar_face_modes(3, rf), taken in the coordinates s of the face's
+    vertices in the order perm (_face_perm)."""
+    Y = ps.REF_FACE_FRAMES[f].yverts[list(perm)]
+    L_inv = np.linalg.inv((Y[1:] - Y[0]).T)
+    S = mo.substitution_matrix(2, rf, L_inv, -L_inv @ Y[0])         # s(y) = L^{-1} (y - Y_0)
+    modes = mo.embed(ps.scalar_face_modes(3, rf)[:, 0, :] @ S, 2, rf, deg)
+    return ps.ref_face_gram(f, deg) @ modes.T
+
+
+@lru_cache(maxsize=None)
 def _face_trace(ro, f):
     """(nb, 3, n2(r+1)): the normal traces of the stress basis of signature ro
     on reference face f."""
@@ -1024,12 +1036,20 @@ def _face_trace(ro, f):
 class StressSpace:
     """The H(div)-conforming matrix-valued flux space of order r+1.
 
-    Degrees of freedom: per global face, moments of the normal trace
-    against P_{r(F)+1}(F;V) in a globally fixed face frame (so the two
-    adjacent elements share them, with an orientation sign); per element,
-    divergence moments against zero-mean vectors of degree r(T) and L2
-    moments against the divergence-free zero-trace subspace.  The element
-    shape functions are the dual basis of these functionals.
+    Degrees of freedom: per global face, moments of the normal trace (along
+    the face's canonical normal) against P_{r(F)+1}(F;V), tested with the
+    L2-orthonormal modes of the unit triangle in the coordinates s of the
+    face's vertices in ascending global order, so the two adjacent elements
+    share them; per element, divergence moments against zero-mean vectors of
+    degree r(T) and L2 moments against the divergence-free zero-trace
+    subspace.  The element shape functions are the dual basis of these
+    functionals.
+
+    Under the flux map sigma n ds = sigmahat nhat dshat (Nanson's formula),
+    so a face row is the reference integral of the signature's normal trace
+    against the modes in the sorted-vertex coordinates of the local face:
+    it depends only on the signature, the local face, the order of the face's
+    vertices and the face order (_face_test_table), not on the geometry.
     """
 
     def __init__(self, mesh, orders, ws=None):
@@ -1061,24 +1081,11 @@ class StressSpace:
         for f in range(4):
             fid = mesh.tet_faces[t][f]
             rf = int(orders.face_orders[fid]) + 1
-            gframe = self.face_frames[fid]
-            rframe = ps.REF_FACE_FRAMES[f]
-            # global monomial test modes composed with the reference chart
-            L2 = np.column_stack([gframe.t1, gframe.t2]).T @ amap.A @ np.column_stack(
-                [rframe.t1, rframe.t2]
-            )
-            c2 = np.column_stack([gframe.t1, gframe.t2]).T @ (
-                amap.A @ rframe.origin + amap.b - gframe.origin
-            )
-            # global-face monomials composed with the reference chart:
-            # y_glob = c2 + L2 yhat
-            S = mo.substitution_matrix(2, rf, L2, c2)
-            mu_ref = mo.embed(S, 2, rf, deg)          # (ns, n2(deg)) in yhat
             sign = mesh.tet_face_sign[t, f] * _REF_OUTWARD_SIGN[f]
-            # (nb, 3, ns); the trace of the signature is cached, the association kept
-            vals = sign * (_face_trace(ro, f) @ (ps.ref_face_gram(f, deg) @ mu_ref.T))
+            # (nb, 3, ns); the trace of the signature and the test table are cached
+            vals = sign * (_face_trace(ro, f) @ _face_test_table(f, _face_perm(mesh, t, f), rf, deg))
             rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
-            ns = mu_ref.shape[0]
+            ns = vals.shape[2]
             face_slices.append(slice(pos, pos + 3 * ns))
             pos += 3 * ns
             dof_ids.append(self.face_offset[fid] + np.arange(3 * ns))
@@ -1134,17 +1141,14 @@ class StressSpace:
         mesh, ws = self.mesh, self.ws
         elem = self.elements[t]
         amap = ws.amaps[t]
-        rhs = np.zeros(elem.C.shape[0])
+        rhs = np.zeros(elem.basis.dim)
         for f in range(4):
             fid = mesh.tet_faces[t][f]
-            gframe = self.face_frames[fid]
+            rf = int(self.orders.face_orders[fid]) + 1
             pts = ws.face_points[fid]
-            w = ws.face_weights[fid]
-            mv = mo.eval_basis(2, int(self.orders.face_orders[fid]) + 1, gframe.to_y(pts))
-            Uv = U.value(pts, t)
-            Un = np.einsum("qij,j->qi", Uv, gframe.normal)
-            block = np.einsum("q,qs,qi->si", w, mv, Un)
-            rhs[elem.face_slices[f]] = block.reshape(-1)
+            mv = ps.scalar_face_modes(3, rf)[:, 0, :] @ mo.eval_basis(2, rf, ws.tri_rule.points).T
+            Un = U.value(pts, t) @ self.face_frames[fid].normal
+            rhs[elem.face_slices[f]] = np.einsum("q,sq,qi->si", ws.face_weights[fid], mv, Un).ravel()
         ro = ws.ref_orders(t)
         zm = ps.zero_mean_volume_modes(ro.tet)
         if zm.shape[0]:

@@ -9,7 +9,7 @@ errors.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,14 +17,6 @@ import scipy.sparse as sp
 from . import assembly, interp, linalg, monomials as mo, polyspace as ps, tensor_ops
 from .interp import FieldSample, Workspace
 from .mesh import OrderMap, unit_cube_mesh
-
-
-@dataclass
-class ConvergenceReport:
-    rows: list = field(default_factory=list)
-
-    def add(self, **kw):
-        self.rows.append(kw)
 
 
 def _hdiv_gram(system):
@@ -195,8 +187,8 @@ def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
 
 
 def convergence_study(case, r, levels=(1, 2, 4), quad_deg=10):
-    """Errors, rates and quasi-optimality ratios over uniform refinements."""
-    report = ConvergenceReport()
+    """Rows of errors, rates and quasi-optimality ratios over uniform refinements."""
+    rows = []
     prev = None
     for n in levels:
         t0 = time.time()
@@ -223,9 +215,9 @@ def convergence_study(case, r, levels=(1, 2, 4), quad_deg=10):
             rate_u=np.nan if prev is None else float(np.log2(prev["u_l2"] / errs.u_l2)),
             runtime=time.time() - t0,
         )
-        report.add(**row)
+        rows.append(row)
         prev = row
-    return report
+    return rows
 
 
 def default_convergence_case(material=None):

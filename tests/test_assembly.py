@@ -100,7 +100,7 @@ def test_zero_load_zero_solution(cube1, material):
         assert max(np.abs(c).max() for c in f.coeffs) < 1e-12
 
 
-@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_patch_test(cube1, material, r):
     case = ManufacturedCase.constant_stress(material)
     om = OrderMap.uniform(cube1, r)
@@ -121,6 +121,15 @@ def test_patch_test_mixed_orders(cube1, material):
     system, sol = assembly.solve_case(cube1, om, case)
     errs = assembly.error_norms(cube1, om, sol, case)
     assert errs.sigma_l2 < 1e-10 and errs.p_l2 < 1e-10
+
+
+@pytest.mark.parametrize("tet_orders", [[4] * 6, [0, 1, 2, 3, 4, 1]], ids=["r4", "mixed0to4"])
+def test_patch_test_up_to_order_4_solves(cube1, material, tet_orders):
+    # no FactorizationBreakdown; the stress error still misses 1e-10 here
+    case = ManufacturedCase.constant_stress(material)
+    om = OrderMap.from_tet_orders(cube1, tet_orders)
+    _, sol = assembly.solve_case(cube1, om, case)
+    assert assembly.error_norms(cube1, om, sol, case).sigma_l2 < 1e-8
 
 
 def test_weak_equations_hold_after_solve(cube1, material):

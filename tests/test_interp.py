@@ -644,6 +644,42 @@ def test_face_frames_are_built_once_per_mesh(cube1):
     assert np.array_equal(cube1.face_frames[3].normal, fr.normal)
 
 
+def test_face_rows_depend_only_on_signature_and_vertex_order(cube1):
+    # the face dofs live on the sorted vertices of each face, so under the
+    # flux map an affine image of the mesh has the same face rows, bit for bit
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    M = np.array([[2.0, 0.5, 0.0], [0.0, 1.5, -0.4], [0.3, 0.0, 0.8]])
+    assert np.linalg.det(M) > 0
+    image = build_complex(cube1.vertices @ M.T, cube1.tets)
+    a = interp.StressSpace(cube1, om)
+    b = interp.StressSpace(image, OrderMap.from_tet_orders(image, om.tet_orders))
+    for ea, eb in zip(a.elements, b.elements):
+        k = ea.div_slice.start
+        assert k > 0 and np.array_equal(ea.C[:k], eb.C[:k])
+
+
+def test_face_tables_do_not_grow_with_the_mesh(cube1, cube2, monkeypatch):
+    # a face row comes from a table keyed by local face, vertex order and
+    # degrees, so a finer mesh builds no more tables
+    substitute = mo.substitution_matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    interp.StressSpace(cube1, OrderMap.uniform(cube1, 1))      # warm the other caches
+    monkeypatch.setattr(mo, "substitution_matrix", counted)
+    counts = []
+    for mesh in (cube1, cube2):
+        interp._face_test_table.cache_clear()
+        calls.clear()
+        interp.StressSpace(mesh, OrderMap.uniform(mesh, 1))
+        counts.append(len(calls))
+    interp._face_test_table.cache_clear()
+    assert 0 < counts[0] == counts[1] <= 8
+
+
 @pytest.mark.parametrize("ids", [[0, 0, 3, 1, 3, 3, 5], [2, 0, 4, 2, 0, 4]],
                          ids=["uneven", "even-unsorted"])
 def test_discrete_sample_takes_one_tet_per_point(cube2, rng, ids):
