@@ -235,8 +235,7 @@ def _boundary_raw(ws, ro, tets, g):
         fids = mesh.tet_faces[t, lf[sel]]
         pts = np.stack([ws.face_points[fid] for fid in fids])         # (pairs, q, 3)
         w = np.stack([ws.face_weights[fid] for fid in fids])
-        ids = np.repeat(t, q)
-        gv = g.value(pts.reshape(-1, 3), ids).reshape(pts.shape)
+        gv = interp.values_at(g.value, t, pts)
         xhat = aff.pull(t, pts).reshape(-1, 3)
         bref = mo.evaluate(basis.coeffs, 3, ro.tet + 1, xhat).reshape(nb, 3, 3, len(t), q)
         bref = bref.transpose(3, 0, 4, 1, 2)                          # (pairs, b, q, j, k)
@@ -509,10 +508,10 @@ class ManufacturedCase:
         return ManufacturedCase.from_displacement(rows, material, zero_boundary=False)
 
 
-def solve_case(mesh, orders, case, ws=None):
+def solve_case(mesh, orders, case):
     """Assemble and solve the discrete system for a manufactured case."""
     g = None if case.zero_boundary else case.u
-    system = assemble(mesh, orders, case.material, case.f, boundary_g=g, ws=ws)
+    system = assemble(mesh, orders, case.material, case.f, boundary_g=g)
     return system, solve_saddle(system)
 
 
@@ -553,7 +552,10 @@ def error_norms(mesh, orders, solution, case, quad_deg=None):
     )
 
 
-def export_solution(prefix, mesh, orders, solution, n_sample=2):
+EXPORT_SAMPLE_DEG = 2      # degree of the rule whose points export_solution samples per tet
+
+
+def export_solution(prefix, mesh, orders, solution):
     """Text dump of coefficients plus a CSV of sampled field values."""
     sigma_h, u_h, p_h = solution
     with open(f"{prefix}_coeffs.txt", "w") as fh:
@@ -563,7 +565,7 @@ def export_solution(prefix, mesh, orders, solution, n_sample=2):
             for t in range(mesh.n_tets):
                 row = " ".join(repr(float(v)) for v in fld.coeffs[t].ravel())
                 fh.write(f"{t} {row}\n")
-    rule = quadrature.rule_for(3, n_sample)
+    rule = quadrature.rule_for(3, EXPORT_SAMPLE_DEG)
     lines = ["tet,x,y,z," + ",".join(f"sigma_{i}{j}" for i in range(3) for j in range(3))
              + ",u_0,u_1,u_2,p_0,p_1,p_2"]
     for t in range(mesh.n_tets):

@@ -84,16 +84,20 @@ def _merged(args, keys):
 
 
 def _parse_orders(text, n_tets):
-    entries = [e for e in text.split(",") if e != ""]
     orders = []
-    for i, e in enumerate(entries):
+    for i, e in enumerate(e for e in text.split(",") if e != ""):
         try:
-            v = int(e)
+            orders.append(int(e))
         except ValueError:
             raise ConfigError(f"order list entry for tet {i} is not an integer: {e!r}")
+    return _checked_orders(orders, n_tets)
+
+
+def _checked_orders(orders, n_tets):
+    """One order in [0, R_MAX_CAP] per tet, as an array."""
+    for i, v in enumerate(orders):
         if v < 0 or v > R_MAX_CAP:
             raise ConfigError(f"order for tet {i} out of range [0, {R_MAX_CAP}]: {v}")
-        orders.append(v)
     if len(orders) != n_tets:
         raise ConfigError(
             f"order list has {len(orders)} entries for a mesh with {n_tets} tets"
@@ -130,17 +134,16 @@ def _get_orders(mesh, opts, file_orders=None):
     if opts.get("orders"):
         return OrderMap.from_tet_orders(mesh, _parse_orders(opts["orders"], mesh.n_tets))
     if file_orders is not None:
-        return OrderMap.from_tet_orders(mesh, file_orders)
+        return OrderMap.from_tet_orders(mesh, _checked_orders(file_orders, mesh.n_tets))
     return OrderMap.uniform(mesh, _int_opt(opts, "r", 0, 0, R_MAX_CAP))
 
 
 def _material(opts):
-    lam = float(opts.get("lame_lambda") if opts.get("lame_lambda") is not None else 1.0)
-    mu = float(opts.get("mu") if opts.get("mu") is not None else 1.0)
     try:
-        return tensor_ops.Material(lam, mu)
+        return tensor_ops.Material(*(float(1.0 if opts.get(k) is None else opts[k])
+                                     for k in ("lame_lambda", "mu")))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"invalid Lame parameters: {exc}") from exc
 
 
 def _outdir(opts):

@@ -18,9 +18,10 @@ block (tet_blocks, at most BLOCK_POINTS points) is mapped through the
 stacked affine data of the mesh (SimplicialMesh.affine) and evaluated once
 (block_values): an analytic FieldSample in one call with one tet id per
 point, a DiscreteField with one matrix product per degree group followed by
-the pushforward of the whole stack.  l2_norm, h1_seminorm, h1_norm,
-project_l2_p3 and clement work this way; the moment interpolants still
-solve one element system at a time.
+the pushforward of the whole stack.  The moment interpolants take the tets
+of one order signature as a block (Workspace.blocks), with one field
+evaluation per point set and one multi-column solve per block; their
+element calls take one tet or such a block, and one tet is a block of one.
 
 Face moments are taken in the coordinates of each face's vertices in
 ascending global order, so both neighbours of a face test against the same
@@ -171,19 +172,19 @@ class FieldSample:
         return FieldSample(self.shape, val, jac if self.jac_fn is not None and other.jac_fn is not None else None)
 
     def apply_s1(self):
-        """Pointwise transpose-minus-trace of a matrix-valued field."""
+        """Pointwise transpose-minus-trace of a matrix field, over any leading axes."""
         assert self.shape == (3, 3)
         eye = np.eye(3)
 
         def val(pts, tet):
-            W = self.value(pts, tet)
-            return np.swapaxes(W, -1, -2) - np.einsum("mii->m", W)[:, None, None] * eye
+            W = self.value(pts, tet)      # (..., 3, 3)
+            return np.swapaxes(W, -1, -2) - np.einsum("...ii", W)[..., None, None] * eye
 
         def jac(pts, tet):
-            J = self.jacobian(pts, tet)   # (m,3,3,3)
+            J = self.jacobian(pts, tet)   # (..., 3, 3, 3)
             return (
-                np.swapaxes(J, 1, 2)
-                - np.einsum("miik->mk", J)[:, None, None, :] * eye[None, :, :, None]
+                np.swapaxes(J, -3, -2)
+                - np.einsum("...iik->...k", J)[..., None, None, :] * eye[:, :, None]
             )
 
         return FieldSample((3, 3), val, jac if self.jac_fn is not None else None)
@@ -208,16 +209,17 @@ class FieldSample:
 #   op1     : W(x) = A What(xhat) A^{-1}
 
 
-def _push_matrices(kind, aff, tets):
-    """(L, R) stacks (len(tets), 3, 3) with value = L @ what @ R for matrix
-    fields (None for compose)."""
+def _push_matrices(kind, A, A_inv, det):
+    """(L, R) with value = L @ what @ R for matrix fields pushed forward by
+    maps with matrices A (..., 3, 3), inverses A_inv and determinants det
+    (None for compose).  With A and A_inv swapped and det inverted they are
+    the factors of the pullback (_pullback)."""
     if kind == "compose":
         return None
-    A, A_inv = aff.A[tets], aff.A_inv[tets]
     if kind == "piola":
-        return np.eye(3) / aff.det[tets][:, None, None], np.swapaxes(A, 1, 2)
+        return np.eye(3) / np.asarray(det)[..., None, None], np.swapaxes(A, -1, -2)
     if kind == "op2":
-        return np.swapaxes(A_inv, 1, 2), np.swapaxes(A, 1, 2)
+        return np.swapaxes(A_inv, -1, -2), np.swapaxes(A, -1, -2)
     if kind == "op1":
         return A, A_inv
     raise ValueError(kind)
@@ -285,7 +287,7 @@ class DiscreteField:
         if ncomp == 3:
             return ref
         out_shape = (N, m, 3, 3) + ref.shape[3:]
-        LR = _push_matrices(self.kind, aff, tets)
+        LR = _push_matrices(self.kind, aff.A[tets], aff.A_inv[tets], aff.det[tets])
         if LR is None:
             return ref.reshape(out_shape)
         L, R = LR
@@ -333,9 +335,7 @@ class DiscreteField:
         per point.  The points are grouped by tet: when every tet has the
         same number of points, the group is evaluated as a block of tets at
         their own points; otherwise each point is a block row of its own."""
-        if np.ndim(tet) == 0:
-            return self._block([tet], self.mesh.amaps[tet].pull(pts), deriv)[0]
-        tet = np.asarray(tet, dtype=np.int64)
+        tet = np.broadcast_to(np.asarray(tet, dtype=np.int64), len(pts))
         order = np.argsort(tet, kind="stable")
         tets, counts = np.unique(tet, return_counts=True)
         if np.all(counts == counts[0]):
@@ -378,12 +378,8 @@ def field_divergence(df):
     physical one, so the result is exact elementwise.
     """
     assert df.kind == "piola"
-    out, degs = [], []
-    for t in range(df.mesh.n_tets):
-        d = ps.differentiate(df.coeffs[t], df.degs[t], "div") / df.mesh.amaps[t].det
-        out.append(d)
-        degs.append(max(df.degs[t] - 1, 0))
-    return df.copy_with(out, kind="compose", degs=degs, space="p3_vec")
+    out = [ps.differentiate(c, d, "div") / det for c, d, det in zip(df.coeffs, df.degs, df.mesh.affine.det)]
+    return df.copy_with(out, kind="compose", degs=[max(d - 1, 0) for d in df.degs], space="p3_vec")
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +402,21 @@ def tet_blocks(tets, per_tet, cap=BLOCK_POINTS):
     return np.array_split(tets, -(-len(tets) // max(cap // per_tet, 1)))
 
 
+def values_at(fn, tets, x):
+    """fn (a FieldSample's value or jacobian) at the physical points x
+    (len(tets), m, 3) in one call, with the tet of each point as its hint:
+    (len(tets), m, ...)."""
+    v = fn(x.reshape(-1, 3), np.repeat(tets, x.shape[1]))
+    return v.reshape(x.shape[:2] + v.shape[1:])
+
+
 def block_values(mesh, field, tets, ref_pts):
     """Values (len(tets), m, *shape) of field at the reference points ref_pts
     (m, 3) mapped into each of tets.  A DiscreteField is evaluated by
-    evaluate_block; a FieldSample once at all the mapped points, with the
-    tet of each point as its hint."""
+    evaluate_block; a FieldSample once at all the mapped points (values_at)."""
     if isinstance(field, DiscreteField):
         return field.evaluate_block(tets, ref_pts)
-    x = mesh.affine.apply(tets, ref_pts)
-    v = field.value(x.reshape(-1, 3), np.repeat(tets, len(ref_pts)))
-    return v.reshape((len(tets), len(ref_pts)) + v.shape[1:])
+    return values_at(field.value, tets, mesh.affine.apply(tets, ref_pts))
 
 
 # Agreement on the squared norm that ends l2_norm's refinement of its rule
@@ -702,6 +703,12 @@ class Workspace:
     def ref_orders(self, t):
         return self._ref_orders[t]
 
+    def blocks(self):
+        """The tets of each signature in tet_blocks, sized for 4 face rules and the volume rule."""
+        per_tet = 4 * len(self.tri_rule.weights) + len(self.vol_rule.weights)
+        for tets in self.signature_groups.values():
+            yield from tet_blocks(tets, per_tet)
+
 
 def _face_perm(mesh, t, f):
     """The local vertices of local face f of tet t (reftet.FACE_VERTS[f])
@@ -746,99 +753,92 @@ def project_l2_p3(mesh, orders, f, ws=None):
 # ---------------------------------------------------------------------------
 # trimmed-family element interpolants (reference route)
 
-def _pullback_op2(U, amap):
-    """Uhat(xhat) = A^T U(x) A^{-T} with matching derivatives."""
-    A, Ainv = amap.A, amap.A_inv
+def _pullback(kind, U, aff):
+    """Uhat(xhat) = L U(A xhat + b) R, the inverse of the kind's pushforward
+    ("op2": A^T U A^{-T}, "op1": A^{-1} U A), with matching derivatives.
+    aff is one tet's AffineMap or the maps of a block (AffineStack.take); the
+    points are (len(tets), m, 3) for the tets given as the hint."""
+    L, R = _push_matrices(kind, aff.A_inv, aff.A, 1.0 / aff.det)
+    # the maps of the flattened value and derivative (d/dxhat = d/dx A) per tet
+    K = np.einsum("...pa,...bq->...abpq", L, R).reshape(L.shape[:-2] + (9, 9))
+    KJ = np.einsum("...pa,...bq,...lk->...ablpqk", L, R, aff.A).reshape(L.shape[:-2] + (27, 27))
 
-    def val(pts_hat, tet=None):
-        W = U
-        return np.einsum("pa,mab,qb->mpq", A.T, W.value(amap.apply(pts_hat), tet), Ainv)
+    def pulled(fn, M):
+        def evaluate(pts_hat, tets):
+            w = values_at(fn, tets, pts_hat @ np.swapaxes(aff.A, -1, -2) + aff.b[..., None, :])
+            return (w.reshape(w.shape[:2] + (-1,)) @ M).reshape(w.shape)
+        return evaluate
 
-    def jac(pts_hat, tet=None):
-        J = U.jacobian(amap.apply(pts_hat), tet)   # (m,3,3,3) d/dx_l
-        Jh = np.einsum("mabl,lk->mabk", J, A)      # d/dxhat_k
-        return np.einsum("pa,mabk,qb->mpqk", A.T, Jh, Ainv)
-
-    return FieldSample((3, 3), val, jac)
+    return FieldSample((3, 3), pulled(U.value, K), pulled(U.jacobian, KJ))
 
 
-def _pullback_op1(W, amap):
-    """What(xhat) = A^{-1} W(x) A with matching derivatives."""
-    A, Ainv = amap.A, amap.A_inv
-
-    def val(pts_hat, tet=None):
-        return np.einsum("pa,mab,bq->mpq", Ainv, W.value(amap.apply(pts_hat), tet), A)
-
-    def jac(pts_hat, tet=None):
-        J = W.jacobian(amap.apply(pts_hat), tet)
-        Jh = np.einsum("mabl,lk->mabk", J, A)
-        return np.einsum("pa,mabk,bq->mpqk", Ainv, Jh, A)
-
-    return FieldSample((3, 3), val, jac)
+_pullback_op2 = partial(_pullback, "op2")
 
 
 def _rhs(ws, t, sysm, Uhat):
-    """Right-hand side of sysm's conditions for the pulled-back field."""
-    orders = sysm.orders
-    rule = ws.vol_rule
+    """Right-hand side of sysm's conditions for the pulled-back field on tet
+    t, or (len(t), dim) on the tets t of one signature."""
+    tets, orders, rule = np.atleast_1d(t), sysm.orders, ws.vol_rule
     rhs = []
     for f in range(4):
-        xhat, modes_vals, w_ref = _ref_face_quadrature(
-            f, _face_perm(ws.mesh, t, f), orders.faces[f], ws.face_deg)
-        if modes_vals.shape[0] == 0:
-            continue
-        Ut = Uhat.value(xhat, t) @ _face_directions(sysm.kind, f).T    # (q, 3, a)
-        rhs.append(np.einsum("q,sq,qia->sai", w_ref, modes_vals, Ut).ravel())
+        quads = [_ref_face_quadrature(f, _face_perm(ws.mesh, s, f), orders.faces[f], ws.face_deg)
+                 for s in tets]
+        xhat, modes_vals, w = (np.stack(a) for a in zip(*quads))
+        Ut = Uhat.value(xhat, tets) @ _face_directions(sysm.kind, f).T          # (B, q, 3, a)
+        rhs.append(np.einsum("tq,tsq,tqia->tsai", w, modes_vals, Ut).reshape(len(tets), -1))
     field = Uhat if sysm.kind == "2minus" else Uhat.apply_s1()
+    pts = np.broadcast_to(rule.points, (len(tets),) + rule.points.shape)
     zm = ps.zero_mean_volume_modes(orders.tet)
     if zm.shape[0]:
         zv = mo.evaluate(zm[:, 0, :], 3, orders.tet, rule.points)
-        divU = np.einsum("mikk->mi", field.jacobian(rule.points, t))
-        rhs.append(np.einsum("q,sq,qi->si", rule.weights, zv, divU).ravel())
+        divU = np.einsum("tmikk->tmi", field.jacobian(pts, tets))
+        rhs.append(np.einsum("q,sq,tqi->tsi", rule.weights, zv, divU).reshape(len(tets), -1))
     fam_f, fam_g = _aux_families(orders.tet)
     if fam_f.shape[0]:
         fam = (1.0 - sysm.t) * fam_f + sysm.t * fam_g
         hv = mo.evaluate(fam, 3, max(orders.tet, 0), rule.points)      # (k,9,q)
-        Uv = field.value(rule.points, t).reshape(-1, 9)                 # (q,9)
-        rhs.append(np.einsum("q,kcq,qc->k", rule.weights, hv, Uv))
-    rhs = np.concatenate(rhs)
-    assert len(rhs) == sysm.dim
-    return rhs
+        Uv = field.value(pts, tets).reshape(len(tets), -1, 9)          # (B,q,9)
+        rhs.append(np.einsum("q,kcq,tqc->tk", rule.weights, hv, Uv))
+    rhs = np.concatenate(rhs, axis=1)
+    assert rhs.shape[1] == sysm.dim
+    return rhs if np.ndim(t) else rhs[0]
 
 
 _rhs_2minus = _rhs
 
-
-def _solve_moments(ws, t, sysm, Uhat):
-    """Element coefficients (9, nmono) of the interpolant of sysm's kind."""
-    x = linalg.lu_apply(sysm.lu, _rhs(ws, t, sysm, Uhat))
-    return np.einsum("b,bcn->cn", x, sysm.basis.coeffs)
+# trimmed kind -> (index in reference_systems, pushforward, degree - r(T), space)
+_TRIMMED = {"2minus": (0, "op2", 1, "p2_minus"), "1minus": (1, "op1", 2, "p1_minus")}
 
 
-def interp_p2minus(ws, t, U):
-    """Element coefficients (9, nmono) of the trimmed-flux interpolant."""
-    sys2, _ = reference_systems(ws.ref_orders(t))
-    return _solve_moments(ws, t, sys2, _pullback_op2(U, ws.amaps[t]))
+def _interp_trimmed(kind, ws, t, U):
+    """Element coefficients (9, nmono) of the kind's trimmed interpolant on
+    tet t, or (len(t), 9, nmono) on the tets t of one signature."""
+    which, push, _, _ = _TRIMMED[kind]
+    sysm = reference_systems(ws.ref_orders(np.atleast_1d(t)[0]))[which]
+    rhs = _rhs(ws, t, sysm, _pullback(push, U, ws.mesh.affine.take(t)))
+    return np.einsum("b...,bcn->...cn", linalg.lu_apply(sysm.lu, rhs.T), sysm.basis.coeffs)
 
 
-def interp_p1minus(ws, t, W):
-    """Element coefficients (9, nmono) of the trimmed-edge interpolant."""
-    _, sys1 = reference_systems(ws.ref_orders(t))
-    return _solve_moments(ws, t, sys1, _pullback_op1(W, ws.amaps[t]))
+def _glue_blocks(ws, kind, shift, space, element_coeffs):
+    """elementwise_to_global of the coefficients element_coeffs(block) on each
+    block of ws.blocks(), of degree r(T) + shift."""
+    coeffs = [None] * ws.mesh.n_tets
+    for block in ws.blocks():
+        for t, c in zip(block, element_coeffs(block)):
+            coeffs[t] = c
+    degs = [int(r) + shift for r in ws.orders.tet_orders]
+    return elementwise_to_global(ws.mesh, ws.orders, kind, degs, coeffs, space=space)
 
 
-def interp_p2minus_global(mesh, orders, U, ws=None):
+def _interp_trimmed_global(kind, mesh, orders, U, ws=None):
     ws = Workspace(mesh, orders) if ws is None else ws
-    per_elem = [interp_p2minus(ws, t, U) for t in range(mesh.n_tets)]
-    degs = [int(orders.tet_orders[t]) + 1 for t in range(mesh.n_tets)]
-    return elementwise_to_global(mesh, orders, "op2", degs, per_elem, space="p2_minus")
+    return _glue_blocks(ws, *_TRIMMED[kind][1:], partial(_interp_trimmed, kind, ws, U=U))
 
 
-def interp_p1minus_global(mesh, orders, W, ws=None):
-    ws = Workspace(mesh, orders) if ws is None else ws
-    per_elem = [interp_p1minus(ws, t, W) for t in range(mesh.n_tets)]
-    degs = [int(orders.tet_orders[t]) + 2 for t in range(mesh.n_tets)]
-    return elementwise_to_global(mesh, orders, "op1", degs, per_elem, space="p1_minus")
+interp_p2minus = partial(_interp_trimmed, "2minus")
+interp_p1minus = partial(_interp_trimmed, "1minus")
+interp_p2minus_global = partial(_interp_trimmed_global, "2minus")
+interp_p1minus_global = partial(_interp_trimmed_global, "1minus")
 
 
 def _outward_normal(mesh, t, local_face):
@@ -895,8 +895,7 @@ def conformity_error(df):
     vals, scale = [], 0.0
     for side in range(2):
         tets = np.array([mesh.face_tets[f][side] for f in fids])
-        V = sample.value(pts.reshape(-1, 3), np.repeat(tets, len(rule.weights)))
-        V = V.reshape(pts.shape[:2] + V.shape[1:])
+        V = values_at(sample.value, tets, pts)
         vals.append(V if dirs is None else V @ dirs[:, None])
         scale = max(scale, np.abs(V).max())
     return np.abs(vals[0] - vals[1]).max(), scale
@@ -932,21 +931,20 @@ def clement(mesh, W, orders=None):
     return DiscreteField(mesh, orders, "compose", [1] * mesh.n_tets, list(c), space="linear_mat")
 
 
-def lift_linear_into_op1(ws, t, lin_field):
-    """Coefficients of a continuous linear matrix field in the op1 space."""
-    orders = ws.ref_orders(t)
-    basis = ps.to_matrix_rows(ps.basis_variable("lambda1_minus", orders.shifted(2)))
-    amap = ws.amaps[t]
-    # pull back: What(xhat) = A^{-1} W(A xhat + b) A, a linear matrix poly
-    c = lin_field.coeffs[t].reshape(3, 3, -1)
-    # lin_field is compose-kind: W(x) = What_lin(xhat); same reference coeffs
-    What = np.einsum("pa,abn,bq->pqn", amap.A_inv, c, amap.A).reshape(9, -1)
-    target = mo.embed(What, 3, 1, orders.tet + 2)
-    x = linalg.least_squares(basis.flat().T, target.reshape(-1))
-    resid = basis.flat().T @ x - target.reshape(-1)
-    if np.abs(resid).max() > 1e-9 * max(1.0, np.abs(target).max()):
+def lift_linear_into_op1(ws, tets, lin_field):
+    """Coefficients (len(tets), 9, nmono) of a continuous linear matrix field
+    in the op1 space on the tets of one signature, by one least-squares solve."""
+    basis = ps.to_matrix_rows(ps.basis_variable("lambda1_minus", ws.ref_orders(tets[0]).shifted(2)))
+    aff = ws.mesh.affine
+    # lin_field is compose-kind (reference coefficients); pull back What = A^{-1} W A
+    c = np.stack([lin_field.coeffs[s] for s in tets]).reshape(len(tets), 3, 3, -1)
+    What = np.einsum("tpa,tabn,tbq->tpqn", aff.A_inv[tets], c, aff.A[tets]).reshape(len(tets), 9, -1)
+    target = mo.embed(What, 3, 1, basis.deg).reshape(len(tets), -1).T    # (9 n, B)
+    x = linalg.least_squares(basis.flat().T, target)
+    resid = np.abs(basis.flat().T @ x - target).max(axis=0)
+    if np.any(resid > 1e-9 * np.maximum(1.0, np.abs(target).max(axis=0))):
         raise SingularMomentSystem("linear field is not representable in the edge space")
-    return np.einsum("b,bcn->cn", x, basis.coeffs)
+    return np.einsum("bt,bcn->tcn", x, basis.coeffs)
 
 
 def interp_p1minus_stabilized(mesh, orders, W, ws=None):
@@ -957,16 +955,9 @@ def interp_p1minus_stabilized(mesh, orders, W, ws=None):
     """
     ws = Workspace(mesh, orders) if ws is None else ws
     R = clement(mesh, W, orders)
-    Rs = R.as_sample()
-    diff = W - Rs if isinstance(W, FieldSample) else W.as_sample() - Rs
-    per_elem, degs = [], []
-    for t in range(mesh.n_tets):
-        c1 = interp_p1minus(ws, t, diff)
-        c2 = lift_linear_into_op1(ws, t, R)
-        deg = int(orders.tet_orders[t]) + 2
-        per_elem.append(c1 + c2)
-        degs.append(deg)
-    return elementwise_to_global(mesh, orders, "op1", degs, per_elem, space="p1_minus")
+    diff = (W if isinstance(W, FieldSample) else W.as_sample()) - R.as_sample()
+    return _glue_blocks(ws, "op1", 2, "p1_minus", lambda tets: (
+        interp_p1minus(ws, tets, diff) + lift_linear_into_op1(ws, tets, R)))
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1047,6 @@ class StressSpace:
         self.mesh = mesh
         self.orders = orders
         self.ws = Workspace(mesh, orders) if ws is None else ws
-        self.face_frames = mesh.face_frames
         face_ndof = [3 * mo.count(2, int(r) + 1) for r in orders.face_orders]
         self.face_offset = np.concatenate([[0], np.cumsum(face_ndof)])
         self.elements = []
@@ -1065,6 +1055,11 @@ class StressSpace:
             elem, offset = self._build_element(t, offset)
             self.elements.append(elem)
         self.n_dofs = offset
+
+    @property
+    def face_frames(self):
+        """mesh.face_frames, built on first use (the solve does not read them)."""
+        return self.mesh.face_frames
 
     def _build_element(self, t, offset):
         mesh, orders, ws = self.mesh, self.orders, self.ws
@@ -1138,44 +1133,39 @@ class StressSpace:
     # -- functionals of a field sample (the interpolation right-hand side)
 
     def element_rhs(self, t, U):
-        mesh, ws = self.mesh, self.ws
-        elem = self.elements[t]
-        amap = ws.amaps[t]
-        rhs = np.zeros(elem.basis.dim)
+        """The interpolation functionals of U on tet t, or (len(t), nb) on the
+        tets t of one signature."""
+        mesh, ws, rule = self.mesh, self.ws, self.ws.vol_rule
+        tets = np.atleast_1d(t)
+        ro, elem = ws.ref_orders(tets[0]), self.elements[tets[0]]
+        det, A = mesh.affine.det[tets], mesh.affine.A[tets]
+        rhs = np.zeros((len(tets), elem.basis.dim))
         for f in range(4):
-            fid = mesh.tet_faces[t][f]
-            rf = int(self.orders.face_orders[fid]) + 1
-            pts = ws.face_points[fid]
+            fids, rf = mesh.tet_faces[tets, f], ro.faces[f] + 1
             mv = ps.scalar_face_modes(3, rf)[:, 0, :] @ mo.eval_basis(2, rf, ws.tri_rule.points).T
-            Un = U.value(pts, t) @ self.face_frames[fid].normal
-            rhs[elem.face_slices[f]] = np.einsum("q,sq,qi->si", ws.face_weights[fid], mv, Un).ravel()
-        ro = ws.ref_orders(t)
+            normals = np.array([self.face_frames[fid].normal for fid in fids])
+            Un = np.einsum("tqij,tj->tqi", values_at(U.value, tets, ws.face_points[fids]), normals)
+            rhs[:, elem.face_slices[f]] = np.einsum(
+                "tq,sq,tqi->tsi", ws.face_weights[fids], mv, Un).reshape(len(tets), -1)
+        x = mesh.affine.apply(tets, rule.points)
         zm = ps.zero_mean_volume_modes(ro.tet)
         if zm.shape[0]:
-            zv = mo.evaluate(zm[:, 0, :], 3, ro.tet, ws.vol_rule.points)
-            Uj = U.jacobian(amap.apply(ws.vol_rule.points), t)
-            divU = np.einsum("qijj->qi", Uj)
-            block = amap.det * np.einsum("q,sq,qi->si", ws.vol_rule.weights, zv, divU)
-            rhs[elem.div_slice] = block.reshape(-1)
+            zv = mo.evaluate(zm[:, 0, :], 3, ro.tet, rule.points)
+            divU = np.einsum("tqijj->tqi", values_at(U.jacobian, tets, x))
+            rhs[:, elem.div_slice] = (det[:, None, None] * np.einsum(
+                "q,sq,tqi->tsi", rule.weights, zv, divU)).reshape(len(tets), -1)
         Nb, _ = _divfree_interior(ro.tet)
         if Nb.dim:
-            M = amap.A.T @ amap.A
-            Nv = mo.evaluate(Nb.coeffs, 3, ro.tet + 1, ws.vol_rule.points)
-            Nv = np.moveaxis(Nv.reshape(Nb.dim, 3, 3, -1), -1, 1)     # (j,q,3,3)
-            nuM = np.einsum("jqpk,kl->jqpl", Nv, M)
-            Uv = U.value(amap.apply(ws.vol_rule.points), t)
-            Upull = amap.det * np.einsum("qab,cb->qac", Uv, amap.A_inv)
-            block = np.einsum("q,jqpl,qpl->j", ws.vol_rule.weights, nuM, Upull)
-            rhs[elem.int_slice] = block
-        return rhs
+            # int nu_j : (det U A^{-T}) A^T A: the flux pullback of U against nu_j A^T A
+            Nv = mo.evaluate(Nb.coeffs, 3, ro.tet + 1, rule.points)          # (j, 9, q)
+            UA = values_at(U.value, tets, x) @ A[:, None]                       # (B, q, 3, 3)
+            wUA = (rule.weights[:, None, None] * UA).reshape(len(tets), -1)
+            rhs[:, elem.int_slice] = det[:, None] * (wUA @ np.swapaxes(Nv, 1, 2).reshape(Nb.dim, -1).T)
+        return rhs if np.ndim(t) else rhs[0]
 
     def dual_bases(self, tets):
         """(len(tets), nb, nb): the dual bases of tets, which share one signature."""
         return np.stack([self.elements[t].dual_basis() for t in tets])
-
-    def interpolate_element(self, t, U):
-        """Monomial coefficients (9, n) of the element interpolant."""
-        return self.coeffs_from_dofs(t, self.element_rhs(t, U))
 
     def coeffs_from_dofs(self, t, dof_values):
         elem = self.elements[t]
@@ -1190,9 +1180,7 @@ class StressSpace:
             space="stress_full",
         )
 
-    def dofs_of_field(self, t, U):
-        """Dof values of a smooth field (the interpolation functionals)."""
-        return self.element_rhs(t, U)
+    dofs_of_field = element_rhs
 
 
 def interp_p2(mesh, orders, U, space=None, ws=None):
@@ -1200,6 +1188,5 @@ def interp_p2(mesh, orders, U, space=None, ws=None):
     property: elementwise, div of the result is the L2 projection of div U.
     """
     space = StressSpace(mesh, orders, ws) if space is None else space
-    per_elem = [space.interpolate_element(t, U) for t in range(mesh.n_tets)]
-    degs = [int(orders.tet_orders[t]) + 1 for t in range(mesh.n_tets)]
-    return elementwise_to_global(mesh, orders, "piola", degs, per_elem, space="stress_full")
+    return _glue_blocks(space.ws, "piola", 1, "stress_full", lambda tets: [
+        space.coeffs_from_dofs(t, d) for t, d in zip(tets, space.element_rhs(tets, U))])

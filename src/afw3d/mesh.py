@@ -62,6 +62,10 @@ class AffineStack:
         """(len(tets), m, 3): the physical points x[i] (m, 3) pulled back by the map of tets[i]."""
         return (x - self.b[tets][:, None, :]) @ np.swapaxes(self.A_inv[tets], 1, 2)
 
+    def take(self, tets):
+        """The maps of tets as a stack; for one tet id, its arrays as AffineMap has them."""
+        return AffineStack(self.A[tets], self.A_inv[tets], self.b[tets], self.det[tets])
+
 
 @dataclass(frozen=True)
 class SimplicialMesh:

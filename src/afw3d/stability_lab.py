@@ -104,10 +104,10 @@ def _sample_fields(rmax, n_samples, seed):
     return fields
 
 
-def commuting_diagram_suite(mesh, orders, n_samples=5, seed=0, ws=None, space=None):
+def commuting_diagram_suite(mesh, orders, n_samples=5, seed=0):
     """Max relative residual of the three commuting diagrams."""
-    ws = Workspace(mesh, orders) if ws is None else ws
-    space = interp.StressSpace(mesh, orders, ws) if space is None else space
+    ws = Workspace(mesh, orders)
+    space = interp.StressSpace(mesh, orders, ws)
     rmax = int(orders.tet_orders.max())
     fields = _sample_fields(rmax, n_samples, seed)
     res = {"d1": 0.0, "d2": 0.0, "d3": 0.0}
@@ -121,10 +121,7 @@ def commuting_diagram_suite(mesh, orders, n_samples=5, seed=0, ws=None, space=No
         r1 = interp.l2_norm(mesh, interp.field_divergence(sig) - P3div, qd) / scale
         # diagram 2: projected div of the trimmed interpolant
         df2 = interp.interp_p2minus_global(mesh, orders, U, ws)
-        div2 = FieldSample(
-            (3,), lambda pts, t: np.einsum("qijj->qi", df2.as_sample().jacobian(pts, t)), None
-        )
-        P3div2 = interp.project_l2_p3(mesh, orders, div2, ws)
+        P3div2 = interp.project_l2_p3(mesh, orders, df2.as_sample().divergence(), ws)
         r2 = interp.l2_norm(mesh, P3div2 - P3div, qd) / scale
         # diagram 3: trimmed-flux interpolant of S1 of the stabilized
         # edge interpolant
@@ -142,7 +139,10 @@ def commuting_diagram_suite(mesh, orders, n_samples=5, seed=0, ws=None, space=No
 # ---------------------------------------------------------------------------
 # best approximation and convergence studies
 
-def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
+QUAD_DEG = 10      # lowest degree of the convergence study's error norms (l2_norm raises it)
+
+
+def best_approximation_errors(mesh, orders, case, system=None):
     """Best-approximation errors (stress in H(div), u, p in L2) of the exact fields.
 
     The stress error is that of the H(div) projection Pi_h sigma onto the
@@ -176,17 +176,17 @@ def best_approximation_errors(mesh, orders, case, system=None, quad_deg=10):
         np.add.at(rhs, sds, (np.swapaxes(space.dual_bases(tets), 1, 2) @ raw[..., None])[..., 0])
     proj = space.field(linalg.solve_sparse(Mh, rhs))
     best_sigma = np.hypot(
-        interp.l2_norm(mesh, case.sigma, quad_deg, minus=proj),
-        interp.l2_norm(mesh, case.f, quad_deg, minus=interp.field_divergence(proj)),
+        interp.l2_norm(mesh, case.sigma, QUAD_DEG, minus=proj),
+        interp.l2_norm(mesh, case.f, QUAD_DEG, minus=interp.field_divergence(proj)),
     )
     pu = interp.project_l2_p3(mesh, orders, case.u, ws)
     pp = interp.project_l2_p3(mesh, orders, case.p, ws)
-    best_u = interp.l2_norm(mesh, case.u, quad_deg, minus=pu)
-    best_p = interp.l2_norm(mesh, case.p, quad_deg, minus=pp)
+    best_u = interp.l2_norm(mesh, case.u, QUAD_DEG, minus=pu)
+    best_p = interp.l2_norm(mesh, case.p, QUAD_DEG, minus=pp)
     return float(best_sigma), best_u, best_p
 
 
-def convergence_study(case, r, levels=(1, 2, 4), quad_deg=10):
+def convergence_study(case, r, levels=(1, 2, 4)):
     """Rows of errors, rates and quasi-optimality ratios over uniform refinements."""
     rows = []
     prev = None
@@ -195,8 +195,8 @@ def convergence_study(case, r, levels=(1, 2, 4), quad_deg=10):
         mesh = unit_cube_mesh(n)
         orders = OrderMap.uniform(mesh, r)
         system, sol = assembly.solve_case(mesh, orders, case)
-        errs = assembly.error_norms(mesh, orders, sol, case, quad_deg=quad_deg)
-        bs, bu, bp = best_approximation_errors(mesh, orders, case, system, quad_deg)
+        errs = assembly.error_norms(mesh, orders, sol, case, quad_deg=QUAD_DEG)
+        bs, bu, bp = best_approximation_errors(mesh, orders, case, system)
         best_total = bs + bu + bp
         total = errs.total
         ratio = total / best_total if best_total > 0 else np.nan

@@ -23,6 +23,8 @@ class Material:
     lame_mu: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.lame_lambda) and np.isfinite(self.lame_mu)):
+            raise ValueError("Lame parameters must be finite")
         if not self.lame_mu > 0:
             raise ValueError("mu must be positive")
         if not 3 * self.lame_lambda + 2 * self.lame_mu > 0:

@@ -131,3 +131,43 @@ def test_verify_commute_honours_zero_samples(tmp_path, monkeypatch):
     monkeypatch.setattr(stability_lab, "commuting_diagram_suite", recording)
     assert cli.main(["verify", "commute", "--samples", "0", "--out", str(tmp_path)]) == cli.EXIT_OK
     assert seen == [0]
+
+
+def _assert_config_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG_ERROR
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+def test_lame_value_that_is_not_a_number_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "material.cfg"
+    config.write_text("lame_lambda=abc\n")
+    code = cli.main(["solve", "--config", str(config), "--out", str(tmp_path)])
+    _assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize("argv", [["--lambda", "inf"], ["--mu", "inf"], ["--mu", "nan"]])
+def test_lame_value_that_is_not_finite_is_a_config_error(tmp_path, capsys, argv):
+    code = cli.main(["solve", "--case", "patch", "--out", str(tmp_path)] + argv)
+    _assert_config_error(code, capsys)
+
+
+def test_infinite_mu_in_a_config_file_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "material.cfg"
+    config.write_text("mu=inf\n")
+    code = cli.main(["infsup", "--levels", "1", "--config", str(config), "--out", str(tmp_path)])
+    _assert_config_error(code, capsys)
+
+
+@pytest.mark.parametrize("orders", ["0 1 0 1 0", "0 1 -1 1 0 1", "0 1 9 1 0 1"],
+                         ids=["count", "negative", "above-cap"])
+def test_mesh_file_orders_are_checked_like_the_orders_flag(tmp_path, capsys, orders):
+    assert cli.main(["mesh", "gen", "--n", "1", "--orders", "0,1,0,1,0,1",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    lines = (tmp_path / "mesh.txt").read_text().splitlines()
+    assert lines[-2] == "orders"
+    path = tmp_path / "bad_mesh.txt"
+    path.write_text("\n".join(lines[:-1] + [orders]) + "\n")
+    capsys.readouterr()
+    code = cli.main(["solve", "--mesh", str(path), "--out", str(tmp_path)])
+    _assert_config_error(code, capsys)

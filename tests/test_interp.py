@@ -693,3 +693,59 @@ def test_discrete_sample_takes_one_tet_per_point(cube2, rng, ids):
     jacobians = np.array([sig.jacobian_ref(t, p[None])[0] for t, p in zip(ids, xhat)])
     for got, want in ((sample.value(x, ids), values), (sample.jacobian(x, ids), jacobians)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stress_space_reads_face_frames_on_first_use(rng):
+    from afw3d.mesh import unit_cube_mesh
+
+    mesh = unit_cube_mesh(1)
+    space = interp.StressSpace(mesh, OrderMap.uniform(mesh, 1))
+    assert "face_frames" not in vars(mesh)
+    space.element_rhs(0, random_matrix_poly(rng, 1))
+    assert space.face_frames is vars(mesh)["face_frames"]
+
+
+def test_one_tet_is_a_block_of_one(cube1, rng):
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    ws = Workspace(cube1, om)
+    space = interp.StressSpace(cube1, om, ws)
+    U = random_matrix_poly(rng, 3)
+    block = max(ws.signature_groups.values(), key=len)
+    assert len(block) > 1
+    for call in (lambda t, U: interp.interp_p2minus(ws, t, U),
+                 lambda t, U: interp.interp_p1minus(ws, t, U), space.element_rhs):
+        stacked = call(block, U)
+        for t, got in zip(block, stacked):
+            want = call(t, U)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_moment_interpolants_evaluate_the_field_per_block_not_per_tet(cube2, rng, r):
+    # each block of one signature evaluates the field once per face rule and
+    # at most twice on the volume rule (values and derivatives); the
+    # stabilized interpolant adds one evaluation for its Clement smoother
+    om = OrderMap.uniform(cube2, r)
+    ws = Workspace(cube2, om)
+    space = interp.StressSpace(cube2, om, ws)
+    n_blocks = len(list(ws.blocks()))
+    assert 6 * n_blocks < cube2.n_tets
+    U = random_matrix_poly(rng, 2)
+    calls = []
+
+    def counted(fn):
+        def evaluate(pts, tet):
+            calls.append(len(pts))
+            return fn(pts, tet)
+        return evaluate
+
+    W = FieldSample((3, 3), counted(U.value), counted(U.jacobian))
+    runs = (
+        (lambda: interp.interp_p2minus_global(cube2, om, W, ws), 0),
+        (lambda: interp.interp_p1minus_stabilized(cube2, om, W, ws), 1),
+        (lambda: interp.interp_p2(cube2, om, W, space), 0),
+    )
+    for run, extra in runs:
+        calls.clear()
+        run()
+        assert 0 < len(calls) <= 6 * n_blocks + extra

@@ -123,6 +123,12 @@ def test_material_validation():
         to.Material(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("lam, mu", [(np.inf, 1.0), (1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_material_rejects_values_that_are_not_finite(lam, mu):
+    with pytest.raises(ValueError, match="finite"):
+        to.Material(lam, mu)
+
+
 def test_trace_lemma_quadrature(rng):
     # polynomial W with zero tangential traces on a face: s1(W).n vanishes
     from afw3d import linalg, quadrature
