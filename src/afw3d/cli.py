@@ -366,12 +366,13 @@ def cmd_infsup(opts):
             dict(n=n, ndof=system.dofmap.n_total, beta=beta,
                  kernel_ratio=kc.ratio, kernel_dim=kc.kernel_dim)
         )
-    checks = [_check("beta_positive", -min(betas), -1e-6)]
+    # np.min and np.max, unlike min and max, pass a NaN on to its check
+    checks = [_check("beta_positive", -np.min(betas), -1e-6)]
     if len(betas) > 1:
-        drift = (max(betas) - min(betas)) / max(betas)
+        drift = (np.max(betas) - np.min(betas)) / np.max(betas)
         checks.append(_check("beta_drift", drift, 0.20 * ts))
     bound = material.compliance_lower_bound
-    worst = min(r["kernel_ratio"] for r in rows if np.isfinite(r["kernel_ratio"]))
+    worst = np.min([r["kernel_ratio"] for r in rows if r["kernel_dim"]], initial=np.inf)
     checks.append(_check("kernel_coercivity_gap", bound - worst, 1e-9 * ts))
     return _finish("infsup", opts, checks, rows,
                    ["n", "ndof", "beta", "kernel_ratio", "kernel_dim"])
@@ -428,7 +429,7 @@ def cmd_converge(opts):
                 _check("last_u_rate_deficit", max(1.9 - last["rate_u"], 0.0), 0.0)
             )
         ratios = [row["quasi_ratio"] for row in rows]
-        drift = (max(ratios) - min(ratios)) / max(ratios)
+        drift = (np.max(ratios) - np.min(ratios)) / np.max(ratios)
         checks.append(_check("quasi_ratio_drift", drift, 0.30 * ts))
     cols = ["n", "h", "ndof", "sigma_l2", "sigma_hdiv", "u_l2", "p_l2", "total",
             "best_total", "quasi_ratio", "rate", "rate_u"]

@@ -27,10 +27,14 @@ Face moments are taken in the coordinates of each face's vertices in
 ascending global order, so both neighbours of a face test against the same
 functions.  Pulled back to the reference tet, a face row or face rule then
 depends only on the order signature, the local face and the order of its
-vertices (_face_perm), and is cached per such key, not per tet.
+vertices (_face_perm), and is cached per such key, not per tet.  The
+interior moments of the stress space pair the flux pullback with its test
+functions on the reference tet as well, so a tet's whole stress moment
+matrix is its face orientation signs times one matrix per (signature, face
+vertex orders) key, which StressSpace factors and inverts once per key.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -965,25 +969,29 @@ def interp_p1minus_stabilized(mesh, orders, W, ws=None):
 
 @dataclass
 class StressElement:
-    """Moment system of one element of the conforming stress space.
+    """One element of the conforming stress space.
 
-    It keeps the basis of its signature (ps.stress_basis, one object per
-    signature), the moment matrix C, its LU factors and the dof layout;
-    the dual basis C^{-1} is derived from the LU on demand (dual_basis).
+    Its moment matrix is signs[:, None] * C: C, its LU factors and
+    X = C^{-1} belong to the element's key (order signature, vertex order of
+    each face) and are shared by every tet with that key; signs (+-1 per
+    row) orients the face rows and dof_ids places the rows in the global
+    numbering, and these two are all the element keeps of its own.
     """
 
     basis: object            # matrix-valued reference basis (PolyBasis)
     deg: int
-    C: np.ndarray            # rows: faces (local 0..3), div, interior
+    C: np.ndarray            # rows: faces (local 0..3), div, interior; unsigned
     lu: object
-    dof_ids: np.ndarray      # global ids in row order
+    X: np.ndarray
     face_slices: list        # per local face
     div_slice: slice
     int_slice: slice
+    signs: np.ndarray = None
+    dof_ids: np.ndarray = None   # global ids in row order
 
     def dual_basis(self):
-        """X = C^{-1}: the element shape functions in the basis."""
-        return linalg.lu_apply(self.lu, np.eye(self.basis.dim))
+        """(signs[:, None] C)^{-1} = X * signs: the element shape functions in the basis."""
+        return self.X * self.signs
 
 
 @lru_cache(maxsize=None)
@@ -1032,15 +1040,20 @@ class StressSpace:
     L2-orthonormal modes of the unit triangle in the coordinates s of the
     face's vertices in ascending global order, so the two adjacent elements
     share them; per element, divergence moments against zero-mean vectors of
-    degree r(T) and L2 moments against the divergence-free zero-trace
+    degree r(T) and the reference L2 moments int_That sigmahat : nuhat of
+    the flux pullback sigmahat against the divergence-free zero-trace
     subspace.  The element shape functions are the dual basis of these
     functionals.
 
     Under the flux map sigma n ds = sigmahat nhat dshat (Nanson's formula),
     so a face row is the reference integral of the signature's normal trace
     against the modes in the sorted-vertex coordinates of the local face:
-    it depends only on the signature, the local face, the order of the face's
-    vertices and the face order (_face_test_table), not on the geometry.
+    up to its sign it depends only on the signature, the local face, the
+    order of the face's vertices and the face order (_face_test_table), not
+    on the geometry.  The divergence and interior rows depend on the
+    signature alone.  So the moment matrix of a tet is signs[:, None] * C
+    with one C per (signature, face vertex orders) key, and the space builds
+    C, its LU and X = C^{-1} once per key (_build_system).
     """
 
     def __init__(self, mesh, orders, ws=None):
@@ -1049,11 +1062,21 @@ class StressSpace:
         self.ws = Workspace(mesh, orders) if ws is None else ws
         face_ndof = [3 * mo.count(2, int(r) + 1) for r in orders.face_orders]
         self.face_offset = np.concatenate([[0], np.cumsum(face_ndof)])
+        self.systems = {}        # (signature, face vertex orders) -> unsigned StressElement
         self.elements = []
         offset = int(self.face_offset[-1])
         for t in range(mesh.n_tets):
-            elem, offset = self._build_element(t, offset)
-            self.elements.append(elem)
+            key = (self.ws.ref_orders(t), tuple(_face_perm(mesh, t, f) for f in range(4)))
+            if key not in self.systems:
+                self.systems[key] = self._build_system(*key)
+            elem = self.systems[key]
+            sizes = [s.stop - s.start for s in elem.face_slices]
+            n_own = elem.basis.dim - sum(sizes)          # divergence and interior rows
+            dof_ids = [self.face_offset[fid] + np.arange(n) for fid, n in zip(mesh.tet_faces[t], sizes)]
+            dof_ids.append(np.arange(offset, offset + n_own))
+            signs = np.repeat(np.append(mesh.tet_face_sign[t], 1.0), sizes + [n_own])
+            self.elements.append(replace(elem, signs=signs, dof_ids=np.concatenate(dof_ids)))
+            offset += n_own
         self.n_dofs = offset
 
     @property
@@ -1061,74 +1084,41 @@ class StressSpace:
         """mesh.face_frames, built on first use (the solve does not read them)."""
         return self.mesh.face_frames
 
-    def _build_element(self, t, offset):
-        mesh, orders, ws = self.mesh, self.orders, self.ws
-        ro = ws.ref_orders(t)
-        rt = ro.tet
-        basis = ps.stress_basis(ro)
-        deg = rt + 1
-        nb = basis.dim
-        amap = ws.amaps[t]
-        rows = []
-        dof_ids = []
-        face_slices = []
-        pos = 0
+    @staticmethod
+    def _build_system(ro, perms):
+        """The StressElement of signature ro whose local faces have the vertex
+        orders perms, without signs or dof ids: its moment matrix C (face rows
+        oriented by the outward reference normal), the LU of C and X = C^{-1}."""
+        rt, basis = ro.tet, ps.stress_basis(ro)
+        deg, nb = rt + 1, basis.dim
+        rows, face_slices, pos = [], [], 0
         for f in range(4):
-            fid = mesh.tet_faces[t][f]
-            rf = int(orders.face_orders[fid]) + 1
-            sign = mesh.tet_face_sign[t, f] * _REF_OUTWARD_SIGN[f]
             # (nb, 3, ns); the trace of the signature and the test table are cached
-            vals = sign * (_face_trace(ro, f) @ _face_test_table(f, _face_perm(mesh, t, f), rf, deg))
+            vals = _REF_OUTWARD_SIGN[f] * (
+                _face_trace(ro, f) @ _face_test_table(f, perms[f], ro.faces[f] + 1, deg))
             rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
-            ns = vals.shape[2]
-            face_slices.append(slice(pos, pos + 3 * ns))
-            pos += 3 * ns
-            dof_ids.append(self.face_offset[fid] + np.arange(3 * ns))
+            face_slices.append(slice(pos, pos + len(rows[-1])))
+            pos += len(rows[-1])
         # divergence rows
-        divs = ps.differentiate(basis.coeffs, deg, "div")
         zm = ps.zero_mean_volume_modes(rt)
-        if zm.shape[0]:
-            G3r = mo.gram_simplex(3, rt)
-            vals = np.einsum("bln,nm,sm->slb", divs, G3r, zm[:, 0, :])
-            rows.append(vals.reshape(-1, nb))
-        div_slice = slice(pos, pos + 3 * zm.shape[0])
-        pos = div_slice.stop
-        dof_ids.append(np.arange(offset, offset + 3 * zm.shape[0]))
-        offset += 3 * zm.shape[0]
-        # interior rows against the divergence-free zero-trace subspace,
-        # mapped through M = A^T A (the physical L2 pairing of two flux maps)
+        rows.append(np.einsum("bln,nm,sm->slb", ps.differentiate(basis.coeffs, deg, "div"),
+                              mo.gram_simplex(3, rt), zm[:, 0, :]).reshape(-1, nb))
+        div_slice = slice(pos, pos + len(rows[-1]))
+        # interior rows: the reference L2 pairing with the divergence-free zero-trace subspace
         Nb, G3 = _divfree_interior(rt)
-        if Nb.dim:
-            M = amap.A.T @ amap.A
-            Ncoef = Nb.coeffs.reshape(Nb.dim, 3, 3, -1)
-            nuM = np.einsum("jpkn,kq->jpqn", Ncoef, M)
-            rows.append(nuM.reshape(Nb.dim, -1) @ (basis.coeffs @ G3.T).reshape(nb, -1).T)
-        int_slice = slice(pos, pos + Nb.dim)
-        pos = int_slice.stop
-        dof_ids.append(np.arange(offset, offset + Nb.dim))
-        offset += Nb.dim
-        C = np.vstack(rows) if rows else np.zeros((0, nb))
+        rows.append(np.tensordot(Nb.coeffs, basis.coeffs @ G3.T, axes=([1, 2], [1, 2])))
+        int_slice = slice(div_slice.stop, div_slice.stop + Nb.dim)
+        C = np.vstack(rows)
         if C.shape[0] != C.shape[1]:
-            raise DimensionMismatch(
-                f"stress element system is {C.shape[0]}x{C.shape[1]} on tet {t}"
-            )
+            raise DimensionMismatch(f"stress element system is {C.shape[0]}x{C.shape[1]} for {ro}")
         try:
             lu = linalg.lu_factor(C)
         except linalg.SingularMatrix as exc:
             raise SingularMomentSystem(
-                f"stress element system singular on tet {t}: {exc}"
+                f"stress element system singular for {ro}, face vertex orders {perms}: {exc}"
             ) from exc
-        elem = StressElement(
-            basis=basis,
-            deg=deg,
-            C=C,
-            lu=lu,
-            dof_ids=np.concatenate(dof_ids).astype(np.int64),
-            face_slices=face_slices,
-            div_slice=div_slice,
-            int_slice=int_slice,
-        )
-        return elem, offset
+        return StressElement(basis, deg, C, lu, linalg.lu_apply(lu, np.eye(nb)),
+                             face_slices, div_slice, int_slice)
 
     # -- functionals of a field sample (the interpolation right-hand side)
 
@@ -1138,7 +1128,7 @@ class StressSpace:
         mesh, ws, rule = self.mesh, self.ws, self.ws.vol_rule
         tets = np.atleast_1d(t)
         ro, elem = ws.ref_orders(tets[0]), self.elements[tets[0]]
-        det, A = mesh.affine.det[tets], mesh.affine.A[tets]
+        det = mesh.affine.det[tets]
         rhs = np.zeros((len(tets), elem.basis.dim))
         for f in range(4):
             fids, rf = mesh.tet_faces[tets, f], ro.faces[f] + 1
@@ -1156,11 +1146,11 @@ class StressSpace:
                 "q,sq,tqi->tsi", rule.weights, zv, divU)).reshape(len(tets), -1)
         Nb, _ = _divfree_interior(ro.tet)
         if Nb.dim:
-            # int nu_j : (det U A^{-T}) A^T A: the flux pullback of U against nu_j A^T A
+            # int_That nu_j : det U A^{-T}: nu_j against the flux pullback of U
             Nv = mo.evaluate(Nb.coeffs, 3, ro.tet + 1, rule.points)          # (j, 9, q)
-            UA = values_at(U.value, tets, x) @ A[:, None]                       # (B, q, 3, 3)
-            wUA = (rule.weights[:, None, None] * UA).reshape(len(tets), -1)
-            rhs[:, elem.int_slice] = det[:, None] * (wUA @ np.swapaxes(Nv, 1, 2).reshape(Nb.dim, -1).T)
+            UAit = values_at(U.value, tets, x) @ np.swapaxes(mesh.affine.A_inv[tets], 1, 2)[:, None]
+            wU = (rule.weights[:, None, None] * UAit).reshape(len(tets), -1)
+            rhs[:, elem.int_slice] = det[:, None] * (wU @ np.swapaxes(Nv, 1, 2).reshape(Nb.dim, -1).T)
         return rhs if np.ndim(t) else rhs[0]
 
     def dual_bases(self, tets):
@@ -1169,7 +1159,7 @@ class StressSpace:
 
     def coeffs_from_dofs(self, t, dof_values):
         elem = self.elements[t]
-        x = linalg.lu_apply(elem.lu, dof_values)
+        x = linalg.lu_apply(elem.lu, elem.signs * dof_values)
         return np.einsum("b,bcn->cn", x, elem.basis.coeffs)
 
     def field(self, dofs):

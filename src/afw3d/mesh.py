@@ -406,6 +406,8 @@ def _read_block(lines, pos, kind, width, parse):
     if pos >= len(lines):
         raise ValueError(f"file ends before the {kind} count")
     n = int(lines[pos])
+    if n < 0:
+        raise ValueError(f"{kind} count {n} is negative")
     body = lines[pos + 1 : pos + 1 + n]
     if len(body) < n:
         raise ValueError(f"expected {n} {kind} lines, found {len(body)}")
@@ -423,7 +425,12 @@ def read_mesh(path):
     if lines[0].strip() != "afw3d-mesh v1":
         raise ValueError("not an afw3d-mesh v1 file")
     verts, pos = _read_block(lines, 1, "vertex", 3, float)
+    bad = [i + 1 for i, row in enumerate(verts) if not np.all(np.isfinite(row))]
+    if bad:
+        raise ValueError(f"vertex line {bad[0]} has a coordinate that is not finite")
     tets, pos = _read_block(lines, pos, "tet", 4, int)
+    if not tets:
+        raise ValueError("the mesh has no tets")
     orders = None
     if pos < len(lines) and lines[pos].strip() == "orders":
         if pos + 1 >= len(lines):

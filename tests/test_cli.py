@@ -171,3 +171,35 @@ def test_mesh_file_orders_are_checked_like_the_orders_flag(tmp_path, capsys, ord
     capsys.readouterr()
     code = cli.main(["solve", "--mesh", str(path), "--out", str(tmp_path)])
     _assert_config_error(code, capsys)
+
+
+def test_verify_commute_fails_on_a_nan_residual(tmp_path, monkeypatch):
+    from afw3d import interp
+
+    monkeypatch.setattr(interp, "l2_norm", lambda *args, **kwargs: float("nan"))
+    code = cli.main(["verify", "commute", "--samples", "0", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CHECK_FAILED
+
+
+def test_infsup_fails_on_a_nan_beta(tmp_path, monkeypatch):
+    from afw3d import stability_lab
+
+    betas = iter([0.5, float("nan")])
+    monkeypatch.setattr(stability_lab, "infsup_constant", lambda *args: next(betas))
+    code = cli.main(["infsup", "--levels", "1,1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_CHECK_FAILED
+
+
+ONE_TET = ["0 0 0", "1 0 0", "0 1 0", "0 0 1"]
+
+
+@pytest.mark.parametrize("lines", [
+    ["4"] + ONE_TET[:3] + ["nan 0 1", "1", "0 1 2 3"],
+    ["-1", "1", "0 1 2 3"],
+    ["4"] + ONE_TET + ["0"],
+], ids=["non-finite-coordinate", "negative-count", "no-tets"])
+def test_malformed_mesh_file_is_a_config_error(tmp_path, capsys, lines):
+    path = tmp_path / "bad_mesh.txt"
+    path.write_text("\n".join(["afw3d-mesh v1"] + lines) + "\n")
+    code = cli.main(["solve", "--mesh", str(path), "--out", str(tmp_path)])
+    _assert_config_error(code, capsys)

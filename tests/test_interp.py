@@ -3,7 +3,7 @@ import pytest
 
 from afw3d import interp, linalg, monomials as mo, polyspace as ps, quadrature
 from afw3d.interp import DiscreteField, FieldSample, Workspace
-from afw3d.mesh import OrderMap, affine_of, build_complex
+from afw3d.mesh import OrderMap, affine_of, build_complex, unit_cube_mesh
 from conftest import random_matrix_poly
 
 
@@ -678,6 +678,44 @@ def test_face_tables_do_not_grow_with_the_mesh(cube1, cube2, monkeypatch):
         counts.append(len(calls))
     interp._face_test_table.cache_clear()
     assert 0 < counts[0] == counts[1] <= 8
+
+
+def test_stress_space_factors_one_moment_matrix_per_key(monkeypatch):
+    # the 162 tets of cube n=3 at r=1 have one order signature and two
+    # patterns of face vertex orders
+    mesh = unit_cube_mesh(3)
+    factor, shapes = linalg.lu_factor, []
+
+    def counted(A):
+        shapes.append(np.shape(A))
+        return factor(A)
+
+    monkeypatch.setattr(linalg, "lu_factor", counted)
+    space = interp.StressSpace(mesh, OrderMap.uniform(mesh, 1))
+    assert len(space.elements) == 162 and shapes == [(90, 90)] * 2
+
+
+def test_dual_basis_inverts_the_signed_moment_matrix(cube1):
+    space = interp.StressSpace(cube1, OrderMap.random(cube1, 0, 2, seed=1))
+    assert any(np.any(elem.signs < 0) for elem in space.elements)
+    for elem in space.elements:
+        C = elem.signs[:, None] * elem.C
+        assert np.abs(elem.dual_basis() @ C - np.eye(len(C))).max() <= 1e-10
+
+
+def test_moment_matrices_do_not_depend_on_the_geometry(cube1):
+    # the interior rows pair the flux pullbacks on the reference tet, so the
+    # whole moment matrix, not only its face rows, is the same bit for bit on
+    # an affine image of the mesh
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    M = np.array([[2.0, 0.5, 0.0], [0.0, 1.5, -0.4], [0.3, 0.0, 0.8]])
+    image = build_complex(cube1.vertices @ M.T, cube1.tets)
+    a = interp.StressSpace(cube1, om)
+    b = interp.StressSpace(image, OrderMap.from_tet_orders(image, om.tet_orders))
+    assert any(ea.int_slice.stop > ea.int_slice.start for ea in a.elements)
+    for ea, eb in zip(a.elements, b.elements):
+        assert np.array_equal(ea.C, eb.C)
+        assert np.array_equal(ea.dual_basis(), eb.dual_basis())
 
 
 @pytest.mark.parametrize("ids", [[0, 0, 3, 1, 3, 3, 5], [2, 0, 4, 2, 0, 4]],
