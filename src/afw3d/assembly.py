@@ -103,7 +103,8 @@ class BlockSaddleSystem:
 
     @cached_property
     def stress_grams(self):
-        """(L2 Gram, div Gram) of the stress space: assemble_stress_grams(self)."""
+        """(L2 Gram, div Gram, per-tet H(div) Gram blocks) of the stress space:
+        assemble_stress_grams(self)."""
         return assemble_stress_grams(self)
 
     @cached_property
@@ -127,7 +128,7 @@ class BlockSaddleSystem:
         y = np.zeros_like(x)
         for t in range(self.mesh.n_tets):
             glob = self.dofmap.element_dofs(t)
-            y[glob] += np.asfortranarray(element_block(self, t)) @ x[glob]
+            y[glob] += np.asfortranarray(element_block(self, t, self.A_loc[t])) @ x[glob]
         return y
 
     def full_matrix(self):
@@ -304,7 +305,12 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
 
 def assemble_stress_grams(system):
-    """(L2 Gram, div Gram) of the stress space in its global dof basis."""
+    """(L2 Gram, div Gram, H(div) blocks) of the stress space.
+
+    The two Grams are in the global dof basis; the H(div) blocks are the
+    per-tet sums of the two, in element dof order, which
+    stability_lab.infsup_constant passes to hybrid_operator.
+    """
     space = system.space
     L2s, divs = [None] * space.mesh.n_tets, [None] * space.mesh.n_tets
     for ro, tets in signature_blocks(space):
@@ -316,7 +322,8 @@ def assemble_stress_grams(system):
             L2s[t], divs[t] = l2, dv
     sds = system.dofmap.stress_elem_dofs
     shape = (system.dofmap.n_stress,) * 2
-    return _scatter(L2s, sds, sds, shape), _scatter(divs, sds, sds, shape)
+    hdiv = [l2 + dv for l2, dv in zip(L2s, divs)]
+    return _scatter(L2s, sds, sds, shape), _scatter(divs, sds, sds, shape), hdiv
 
 
 def vq_mass_diag(system):
@@ -327,18 +334,22 @@ def vq_mass_diag(system):
     return np.concatenate([d, d])      # rotation dofs are numbered as displacement ones
 
 
-def element_block(system, t):
-    """K_e = [[A_e, B1_e^T, -B2_e^T], [B1_e, 0, 0], [-B2_e, 0, 0]] of tet t.
+def element_block(system, t, a11):
+    """K_e = [[a11, B1_e^T, -B2_e^T], [B1_e, 0, 0], [-B2_e, 0, 0]] of tet t.
 
-    The one-element problem with displacement data, in element dof order
-    [stress | displacement | rotation].
+    With a11 = A_e, the one-element problem with displacement data, in
+    element dof order [stress | displacement | rotation].
     """
     B = np.vstack([system.B1_loc[t], -system.B2_loc[t]])
-    return np.block([[system.A_loc[t], B.T], [B, np.zeros((len(B), len(B)))]])
+    return np.block([[a11, B.T], [B, np.zeros((len(B), len(B)))]])
 
 
-def hybrid_operator(system):
+def hybrid_operator(system, a11_blocks):
     """x = H(b): the hybridized solve of K x = b for any right-hand side b.
+
+    K is the saddle matrix whose element blocks are element_block(system, t,
+    a11_blocks[t]): solve_saddle passes system.A_loc, and the inf-sup
+    constant the H(div) Gram blocks of assemble_stress_grams.
 
     E_e maps the stress copies of tet e onto their multipliers, with sign
     +1 at the owner (the first tet that holds the dof) and -1 at the other
@@ -358,7 +369,7 @@ def hybrid_operator(system):
     elems, S_blocks, S_dofs = [], [], []
     for t, sd in enumerate(sds):
         try:
-            lu = linalg.lu_factor(element_block(system, t))
+            lu = linalg.lu_factor(element_block(system, t, a11_blocks[t]))
         except linalg.SingularMatrix as exc:
             raise FactorizationBreakdown(
                 f"element block of tet {t} is singular: {exc}"
@@ -409,7 +420,7 @@ def solve_saddle(system):
     ||K x - rhs|| / (1 + ||rhs||) <= 1e-9 fails.
     """
     rhs = system.full_rhs()
-    H = hybrid_operator(system)
+    H = hybrid_operator(system, system.A_loc)
     x = H(rhs)
     x += H(rhs - system.matvec(x))
     resid = np.linalg.norm(system.matvec(x) - rhs) / (1.0 + np.linalg.norm(rhs))

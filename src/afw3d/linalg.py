@@ -53,7 +53,12 @@ def lu_factor(A):
 
 
 def lu_apply(factor, b):
-    return scipy.linalg.lu_solve(factor, np.asarray(b, dtype=float), check_finite=False)
+    """Solve with a lu_factor handle: LAPACK getrs called directly, which gives
+    the bits of scipy.linalg.lu_solve without its per-call checks."""
+    x, info = scipy.linalg.lapack.dgetrs(*factor, np.asarray(b, dtype=float))
+    if info != 0:
+        raise ValueError(f"getrs: illegal value in argument {-info}")
+    return x
 
 
 def det_sign_and_logmag(A):
@@ -144,7 +149,21 @@ def spd_factor(S):
         raise SingularMatrix(f"sparse factorization failed: {exc}") from exc
 
 
-def sym_generalized_eig_min(A, B):
-    """Smallest eigenpair of A x = lam B x, A symmetric, B SPD; x^T B x = 1."""
-    w, v = scipy.linalg.eigh(A, B, subset_by_index=[0, 0])
+def sym_eig_min(solve, M):
+    """Smallest eigenpair of A x = lam M x, A symmetric, M SPD, from solve(g)
+    = A^{-1} g alone; x^T M x = 1.
+
+    Lanczos in ARPACK's shift-invert mode at sigma = 0 finds the largest
+    eigenvalue nu = 1/lam of solve(M .).  When solve maps onto a subspace V
+    (a constrained inverse), the directions M-orthogonal to V have nu = 0,
+    so lam is the smallest eigenvalue of the pencil restricted to V.  The
+    start vector and any restart are drawn from a generator seeded afresh
+    with 0 on every call, so equal input gives bit-identical output.
+    """
+    n = M.shape[0]
+    op = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    rng = np.random.default_rng(0)
+    # in shift-invert mode eigsh reads only the shape and type of its A
+    w, v = spla.eigsh(op, k=1, M=M, sigma=0.0, OPinv=op,
+                      v0=rng.uniform(-1.0, 1.0, n), rng=rng)
     return float(w[0]), v[:, 0]

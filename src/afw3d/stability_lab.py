@@ -1,8 +1,9 @@
 """Numerical verification of discrete stability and quasi-optimality.
 
 Measures the inf-sup constant of the mixed form through a Schur
-complement eigenproblem, the coercivity of the compliance form on the
-discrete constraint kernel, the residuals of the three commuting
+complement eigenproblem and the coercivity of the compliance form on the
+discrete constraint kernel, both by shift-invert Lanczos through the
+hybridized saddle operator, the residuals of the three commuting
 diagrams, and h-convergence against elementwise best-approximation
 errors.
 """
@@ -20,26 +21,36 @@ from .mesh import OrderMap, unit_cube_mesh
 
 
 def _hdiv_gram(system):
-    Ml2, Mdiv = system.stress_grams
-    return (Ml2 + Mdiv).tocsc(), Ml2, Mdiv
+    Ml2, Mdiv, _ = system.stress_grams
+    return (Ml2 + Mdiv).tocsc()
 
 
 def infsup_constant(mesh, orders, material=None, system=None):
     """Discrete inf-sup constant of the divergence/asymmetry form.
 
-    beta_h^2 is the smallest eigenvalue of the Schur complement
-    B M_sigma^{-1} B^T against the L2 mass of the multiplier pair.
+    beta_h^2 is the smallest eigenvalue of the pencil S y = lam D y, where
+    S = B M_h^{-1} B^T is the Schur complement of B = [B1; -B2] against the
+    H(div) Gram M_h of the stress space and D is the L2 mass of the
+    displacement/rotation pair (vq_mass_diag): the numerical inf-sup test
+    of Chapelle & Bathe (1993).  S is never formed.  hybrid_operator built
+    on the per-tet H(div) Gram blocks of assemble_stress_grams in place of
+    A_e solves [[M_h, B^T], [B, 0]] [x; y] = [0; g], whose displacement
+    and rotation rows are y = -S^{-1} g, and linalg.sym_eig_min runs
+    shift-invert Lanczos on g -> S^{-1} g.  When every element block and
+    the multiplier system factor, that saddle matrix is nonsingular, so B
+    has full row rank and S is SPD.
     """
     material = tensor_ops.Material(1.0, 1.0) if material is None else material
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
-    Mh, _, _ = _hdiv_gram(system)
-    B = sp.vstack([system.B1, -system.B2]).tocsr()
-    X = linalg.solve_sparse(Mh, B.T.toarray())
-    S = B @ X
-    S = 0.5 * (S + S.T)
-    d = assembly.vq_mass_diag(system)
-    lam, _ = linalg.sym_generalized_eig_min(S, np.diag(d))
+    _, _, hdiv_blocks = system.stress_grams
+    H = assembly.hybrid_operator(system, hdiv_blocks)
+    pad = np.zeros(system.dofmap.n_stress)
+
+    def schur_inv(g):
+        return -H(np.concatenate([pad, g]))[len(pad):]
+
+    lam, _ = linalg.sym_eig_min(schur_inv, sp.diags(assembly.vq_mass_diag(system)))
     return float(np.sqrt(max(lam, 0.0)))
 
 
@@ -48,34 +59,40 @@ class KernelCoercivity:
     ratio: float
     kernel_dim: int
     max_kernel_div: float
-    empty: bool
 
 
 def kernel_coercivity(mesh, orders, material, system=None):
     """min over the discrete constraint kernel of <A tau, tau>/||tau||^2.
 
-    On the kernel the divergence vanishes identically (it is tested
-    against a space containing it), so the H(div) norm reduces to L2.
+    ratio is the smallest eigenvalue of the pencil A x = lam M_h x on
+    ker C, C = [B1; B2], with M_h the H(div) Gram of the stress space.  No
+    kernel basis is formed: the stress rows of H([g; 0; 0]), H =
+    hybrid_operator(system, system.A_loc), are the x in ker C that
+    minimizes <A x, x>/2 - <g, x> there, so g -> x is the inverse of A on
+    the kernel, and linalg.sym_eig_min runs shift-invert Lanczos on it.
+    When every element block and the multiplier system factor, K is
+    nonsingular, so C has full row rank and the kernel has dimension
+    n_stress - n_disp - n_rot.  On the kernel the divergence vanishes
+    identically (it is tested against a space containing it), so the
+    H(div) norm reduces to L2; max_kernel_div is ||div x|| of the computed
+    minimizer x, normalized to x^T M_h x = 1, and measures that roundoff.
     """
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
-    Mh, Ml2, Mdiv = _hdiv_gram(system)
-    C = sp.vstack([system.B1, system.B2]).toarray()
-    Z = linalg.nullspace(C)
-    if Z.shape[0] == 0:
-        return KernelCoercivity(np.nan, 0, 0.0, True)
-    A = system.A.toarray()
-    ZA = Z @ A @ Z.T
-    ZM = Z @ Mh.toarray() @ Z.T
-    import scipy.linalg
+    dof = system.dofmap
+    H = assembly.hybrid_operator(system, system.A_loc)
+    pad = np.zeros(dof.n_disp + dof.n_rot)
 
-    w = scipy.linalg.eigh(0.5 * (ZA + ZA.T), 0.5 * (ZM + ZM.T), eigvals_only=True)
-    div_norms = np.sum(Z * (Mdiv @ Z.T).T, axis=1)
+    def kernel_inv(g):
+        return H(np.concatenate([g, pad]))[:dof.n_stress]
+
+    ratio, x = linalg.sym_eig_min(kernel_inv, _hdiv_gram(system))
+    _, Mdiv, _ = system.stress_grams
+    div_sq = x @ (Mdiv @ x)
     return KernelCoercivity(
-        ratio=float(w[0]),
-        kernel_dim=Z.shape[0],
-        max_kernel_div=float(np.sqrt(max(div_norms.max(), 0.0))),
-        empty=False,
+        ratio=ratio,
+        kernel_dim=dof.n_stress - dof.n_disp - dof.n_rot,
+        max_kernel_div=float(np.sqrt(max(div_sq, 0.0))),
     )
 
 
@@ -153,7 +170,7 @@ def best_approximation_errors(mesh, orders, case, system=None):
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
     ws = system.space.ws
-    Mh, _, _ = _hdiv_gram(system)
+    Mh = _hdiv_gram(system)
     space = system.space
     rhs = np.zeros(system.dofmap.n_stress)
     w = ws.vol_rule.weights

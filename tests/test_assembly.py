@@ -329,7 +329,7 @@ def test_singular_element_block_names_its_tet(cube1, material, monkeypatch):
     system = assembly.assemble(cube1, OrderMap.uniform(cube1, 0), material, None)
     block = assembly.element_block
     monkeypatch.setattr(assembly, "element_block",
-                        lambda s, t: 0.0 * block(s, t) if t == 2 else block(s, t))
+                        lambda s, t, a: 0.0 * block(s, t, a) if t == 2 else block(s, t, a))
     with pytest.raises(assembly.FactorizationBreakdown, match="tet 2"):
         assembly.solve_saddle(system)
 

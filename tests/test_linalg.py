@@ -32,6 +32,16 @@ def test_lu_residual_contract(rng):
         assert np.abs(A @ x - b).max() <= 1e-10 * (1 + np.abs(b).max())
 
 
+def test_lu_apply_is_bit_identical_to_scipy_lu_solve():
+    rng = np.random.default_rng(0)      # own stream: the session rng feeds later tests
+    for n in (60, 120):
+        factor = linalg.lu_factor(rng.standard_normal((n, n)))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 7)),
+                  np.asfortranarray(rng.standard_normal((n, 7)))):
+            want = scipy.linalg.lu_solve(factor, b, check_finite=False)
+            assert np.array_equal(linalg.lu_apply(factor, b), want)
+
+
 def test_lu_singular_raises():
     with pytest.raises(linalg.SingularMatrix):
         linalg.lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
@@ -86,10 +96,14 @@ def test_least_squares_rank_deficient():
         linalg.least_squares(A, np.ones(5))
 
 
+def _eig_min(A, B):
+    return linalg.sym_eig_min(lambda g: linalg.lu_solve(A, g), B)
+
+
 def test_eig_min_trivial():
-    lam, _ = linalg.sym_generalized_eig_min(np.diag([1.0, 2, 3]), np.eye(3))
+    lam, _ = _eig_min(np.diag([1.0, 2, 3]), np.eye(3))
     assert abs(lam - 1.0) < 1e-10
-    lam, _ = linalg.sym_generalized_eig_min(np.diag([4.0, 6.0]), np.diag([2.0, 2.0]))
+    lam, _ = _eig_min(np.diag([4.0, 6.0]), np.diag([2.0, 2.0]))
     assert abs(lam - 2.0) < 1e-10
 
 
@@ -99,7 +113,7 @@ def test_eig_min_dense_oracle(rng):
     A = Q @ Q.T + 0.1 * np.eye(30)
     R = rng.standard_normal((30, 30))
     B = R @ R.T + 0.5 * np.eye(30)
-    lam, x = linalg.sym_generalized_eig_min(A, B)
+    lam, x = _eig_min(A, B)
     w = scipy.linalg.eigh(A, B, eigvals_only=True)
     assert abs(lam - w[0]) < 1e-7
     # residual contract
@@ -110,7 +124,7 @@ def test_eig_min_below_rayleigh(rng):
     Q = rng.standard_normal((25, 25))
     A = Q @ Q.T + 0.2 * np.eye(25)
     B = np.eye(25)
-    lam, _ = linalg.sym_generalized_eig_min(A, B)
+    lam, _ = _eig_min(A, B)
     for _ in range(100):
         v = rng.standard_normal(25)
         assert lam <= (v @ A @ v) / (v @ v) + 1e-8
