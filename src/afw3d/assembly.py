@@ -8,27 +8,22 @@ bilinear blocks are integrated exactly through reference Gram matrices;
 only load and boundary data use quadrature, and so do the error norms
 against exact fields, whose rule checks itself (interp.l2_norm).
 
-The element blocks are built for blocks of tets that share an order
-signature (signature_blocks): the geometry enters through products with
-the stacked affine maps (one GEMM of the signature's G4 against all A^T A
-for the L2 Grams), and the load and boundary data are evaluated once per
-block through interp.block_values.
+The element blocks are built, kept and applied as stacks over blocks of
+tets that share an order signature (signature_blocks): the geometry enters
+through products with the stacked affine maps (one GEMM of the signature's
+G4 against all A^T A for the L2 Grams), and the load and boundary data are
+evaluated once per block through interp.block_values.
 
-`assemble` keeps K only as its dense element blocks A_e, B1_e, B2_e; the
-global A, B1, B2 and full_matrix() are built from them on first use, and
-the solve never builds them.  `solve_saddle` solves the symmetric
-indefinite system K x = b by hybridization at the level of dofs (Arnold &
-Brezzi 1985; for weak symmetry Cockburn, Gopalakrishnan & Guzman 2010):
-every stress face dof shared by two tets is split into one copy per tet,
-and a Lagrange multiplier forces the copies to be equal, which is the
-continuity of the normal trace tested against P_{r_F+1}(F).  The stress
-rows of b go to the first tet that holds each dof.  Each element block
-K_e = [[A_e, B1_e^T, -B2_e^T], [B1_e, 0, 0], [-B2_e, 0, 0]], the
-one-element problem with displacement data, is factored densely; the
-multipliers solve the symmetric positive definite S = sum_e E_e K_e^{-1}
-E_e^T, factored once, and the element fields are recovered locally.  One
-refinement step follows, and the relative residual of K must stay below
-1e-9; both apply K element by element (BlockSaddleSystem.matvec).
+`solve_saddle` solves the symmetric indefinite K x = b by hybridization at
+the level of dofs (Arnold & Brezzi 1985; for weak symmetry Cockburn,
+Gopalakrishnan & Guzman 2010): every stress face dof shared by two tets is
+split into one copy per tet, and a Lagrange multiplier forces the copies
+to be equal, which is the continuity of the normal trace tested against
+P_{r_F+1}(F).  Each element block K_e, the one-element problem with
+displacement data, is inverted densely; the multipliers solve the
+symmetric positive definite S = sum_e E_e K_e^{-1} E_e^T, factored once,
+and the element fields are recovered by stacked products per block.  One
+refinement step follows, and the relative residual must stay below 1e-9.
 """
 
 from dataclasses import dataclass
@@ -60,17 +55,12 @@ class DofMap:
     def n_total(self):
         return self.n_stress + self.n_disp + self.n_rot
 
-    def element_dofs(self, t):
-        """Global ids of tet t in element order [stress | displacement | rotation]."""
-        return np.concatenate([self.stress_elem_dofs[t], self.n_stress + self.disp_elem_dofs[t],
-                               self.n_stress + self.n_disp + self.rot_elem_dofs[t]])
 
-
-def _scatter(blocks, row_dofs, col_dofs, shape):
-    """CSR sum of dense blocks; block e lands on rows row_dofs[e], columns col_dofs[e]."""
-    rows = [np.repeat(rd, len(cd)) for rd, cd in zip(row_dofs, col_dofs)]
-    cols = [np.tile(cd, len(rd)) for rd, cd in zip(row_dofs, col_dofs)]
-    vals = [block.ravel() for block in blocks]
+def _scatter(stacks, row_dofs, col_dofs, shape):
+    """CSR sum of dense block stacks: entry (k, i, j) goes to (row_dofs[k, i], col_dofs[k, j])."""
+    rows = [np.broadcast_to(rd[:, :, None], s.shape).ravel() for s, rd in zip(stacks, row_dofs)]
+    cols = [np.broadcast_to(cd[:, None, :], s.shape).ravel() for s, cd in zip(stacks, col_dofs)]
+    vals = [s.ravel() for s in stacks]
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
     ).tocsr()
@@ -78,58 +68,88 @@ def _scatter(blocks, row_dofs, col_dofs, shape):
 
 @dataclass
 class BlockSaddleSystem:
-    """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element blocks.
-
-    A, B1, B2, full_matrix() and the stress Grams are assembled from the
-    blocks on first use.
+    """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element
+    blocks stacked per block of blocks; A_loc[t] is a view of the A_e of tet
+    t.  A, B1, B2, full_matrix() and the stress Grams are assembled from the
+    stacks on first use.
     """
 
     F: np.ndarray              # <f, v>
     G: np.ndarray              # boundary displacement term on stress dofs
-    A_loc: list                # per tet: dense A, B1, B2 blocks in element dof order
-    B1_loc: list
-    B2_loc: list
+    blocks: list               # (signature, tets, stress ids, displacement ids) per block
+    A_blocks: list             # per block: (tets, n, n) stacks of A_e, B1_e, B2_e
+    B1_blocks: list            # in element dof order
+    B2_blocks: list
     dofmap: DofMap
     space: StressSpace
     material: object
     mesh: object
     orders: object
 
+    def _per_tet(self, stacks):
+        views = [m for stack in stacks for m in stack]
+        return [views[k] for k in np.argsort(np.concatenate([b[1] for b in self.blocks]))]
+
+    A_loc = cached_property(lambda self: self._per_tet(self.A_blocks))
+    B1_loc = cached_property(lambda self: self._per_tet(self.B1_blocks))
+    B2_loc = cached_property(lambda self: self._per_tet(self.B2_blocks))
+
     @cached_property
     def A(self):
         """<compliance sigma, tau>"""
-        sds = self.dofmap.stress_elem_dofs
-        return _scatter(self.A_loc, sds, sds, (self.dofmap.n_stress,) * 2)
+        sds = [sd for _, _, sd, _ in self.blocks]
+        return _scatter(self.A_blocks, sds, sds, (self.dofmap.n_stress,) * 2)
 
     @cached_property
     def stress_grams(self):
-        """(L2 Gram, div Gram, per-tet H(div) Gram blocks) of the stress space:
-        assemble_stress_grams(self)."""
+        """assemble_stress_grams(self)"""
         return assemble_stress_grams(self)
 
     @cached_property
     def B1(self):
         """<div tau, u>"""
-        d = self.dofmap
-        return _scatter(self.B1_loc, d.disp_elem_dofs, d.stress_elem_dofs, (d.n_disp, d.n_stress))
+        _, _, sds, uds = zip(*self.blocks)
+        return _scatter(self.B1_blocks, uds, sds, (self.dofmap.n_disp, self.dofmap.n_stress))
 
     @cached_property
     def B2(self):
         """<s2 tau, q>"""
-        d = self.dofmap
-        return _scatter(self.B2_loc, d.rot_elem_dofs, d.stress_elem_dofs, (d.n_rot, d.n_stress))
+        _, _, sds, uds = zip(*self.blocks)
+        return _scatter(self.B2_blocks, uds, sds, (self.dofmap.n_rot, self.dofmap.n_stress))
+
+    @cached_property
+    def layout(self):
+        """(n_mult, per block (glob, mult, sign)): (tets, n_e) stacks of the global
+        ids of the element dofs and of where the hybridized solve splits a stress
+        dof held by two tets: each copy has the dof's multiplier id and sign +1
+        at its owner, the first tet that holds it, and -1 at the other tet.
+        Every other dof has the id n_mult and sign 0."""
+        d, sds = self.dofmap, self.dofmap.stress_elem_dofs
+        tet_of = np.repeat(np.arange(len(sds)), [len(sd) for sd in sds])
+        _, first, counts = np.unique(np.concatenate(sds), return_index=True, return_counts=True)
+        n_mult = int((counts > 1).sum())
+        mult_of = np.full(d.n_total, n_mult)
+        mult_of[np.flatnonzero(counts > 1)] = np.arange(n_mult)
+        owner = np.pad(tet_of[first], (0, d.n_total - d.n_stress))
+        parts = []
+        for _, tets, sd, ud in self.blocks:
+            glob = np.hstack([sd, d.n_stress + ud, d.n_stress + d.n_disp + ud])
+            parts.append((glob, mult_of[glob], np.where(mult_of[glob] < n_mult, np.where(
+                owner[glob] == tets[:, None], 1.0, -1.0), 0.0)))
+        return n_mult, parts
 
     def matvec(self, x):
-        """K x = sum_e P_e^T K_e P_e x, applied element by element.
-
-        Column-major K_e makes BLAS sum each entry over the columns in order, as
-        a CSR product does; row-major K_e left 3-5x larger residuals at r >= 3.
-        """
-        y = np.zeros_like(x)
-        for t in range(self.mesh.n_tets):
-            glob = self.dofmap.element_dofs(t)
-            y[glob] += np.asfortranarray(element_block(self, t, self.A_loc[t])) @ x[glob]
-        return y
+        """K x = sum_e P_e^T K_e P_e x: stacked products per block, one np.bincount.
+        A_e has column-major slices, so BLAS sums each entry of A_e x_e over the
+        columns in order, as a CSR product does; row-major slices left 3-4x
+        larger residuals after the refinement step of solve_saddle at r >= 3."""
+        globs, ys = [glob for glob, _, _ in self.layout[1]], []
+        for glob, A, B1, B2 in zip(globs, self.A_blocks, self.B1_blocks, self.B2_blocks):
+            xs, xu, xp = np.split(x[glob, None], [A.shape[1], A.shape[1] + B1.shape[1]], axis=1)
+            ys.append(np.hstack([A @ xs + np.swapaxes(B1, 1, 2) @ xu - np.swapaxes(B2, 1, 2) @ xp,
+                                 B1 @ xs, -(B2 @ xs)]))
+        return np.bincount(np.concatenate([glob.ravel() for glob in globs]),
+                           np.concatenate([y.ravel() for y in ys]), len(x))
 
     def full_matrix(self):
         return sp.bmat(
@@ -260,9 +280,11 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     aff = mesh.affine
     S2M = tensor_ops.S2_MATRIX.reshape(3, 3, 3)
 
-    A_locs, B1_locs, B2_locs = ([None] * mesh.n_tets for _ in range(3))
+    blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
     G = np.zeros(dofmap.n_stress)
     for ro, tets in signature_blocks(space):
+        sd = np.stack([space.elements[t].dof_ids for t in tets])
+        blocks.append((ro, tets, sd, np.stack([dofmap.disp_elem_dofs[t] for t in tets])))
         basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
         nb = basis.dim
         A = aff.A[tets]
@@ -273,18 +295,16 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
         J = aff.det[tets, None, None]
         T_raw = trv @ mo.gram_simplex(3, ro.tet + 1) @ np.swapaxes(trv, 1, 2) / J
         A_raw = M_raw / (2 * mu) - c_tr * T_raw
-        A_loc = np.swapaxes(X, 1, 2) @ A_raw @ X
-        B1_loc = B1W.reshape(nb, -1).T @ X                 # rows (c, j) c-major
+        A_e = np.swapaxes(X, 1, 2) @ A_raw @ X
+        A_blocks.append(np.swapaxes(np.swapaxes(A_e, 1, 2).copy(), 1, 2))   # see matvec
+        B1_blocks.append(B1W.reshape(nb, -1).T @ X)         # rows (c, j) c-major
         # B2_raw[c, j, b] = sum_{p,q,k} S2M[c,p,q] A[q,k] W3[b,p,k,j]: one GEMM of
         # the stacked A against the signature's product of S2M and W3
         S2W = np.einsum("cpq,bpkj->qkcjb", S2M, W3.reshape(nb, 3, 3, -1)).reshape(9, -1)
-        B2_loc = (A.reshape(-1, 9) @ S2W).reshape(len(tets), -1, nb) @ X
-        for i, t in enumerate(tets):
-            A_locs[t], B1_locs[t], B2_locs[t] = A_loc[i], B1_loc[i], B2_loc[i]
+        B2_blocks.append((A.reshape(-1, 9) @ S2W).reshape(len(tets), -1, nb) @ X)
         if boundary_g is not None:
-            sds = np.stack([space.elements[t].dof_ids for t in tets])
             G_raw = _boundary_raw(ws, ro, tets, boundary_g)
-            np.add.at(G, sds, (np.swapaxes(X, 1, 2) @ G_raw[..., None])[..., 0])
+            np.add.at(G, sd, (np.swapaxes(X, 1, 2) @ G_raw[..., None])[..., 0])
 
     F = np.zeros(dofmap.n_disp)
     if f is not None:
@@ -299,28 +319,25 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
                 F[np.stack([dofmap.disp_elem_dofs[t] for t in tets])] = Fb.reshape(len(tets), -1)
 
     return BlockSaddleSystem(
-        F=F, G=G, A_loc=A_locs, B1_loc=B1_locs, B2_loc=B2_locs, dofmap=dofmap,
-        space=space, material=material, mesh=mesh, orders=orders,
+        F=F, G=G, blocks=blocks, A_blocks=A_blocks, B1_blocks=B1_blocks, B2_blocks=B2_blocks,
+        dofmap=dofmap, space=space, material=material, mesh=mesh, orders=orders,
     )
 
 
 def assemble_stress_grams(system):
-    """(L2 Gram, div Gram, H(div) blocks) of the stress space.
-
-    The two Grams are in the global dof basis; the H(div) blocks are the
-    per-tet sums of the two, in element dof order, which
-    stability_lab.infsup_constant passes to hybrid_operator.
-    """
+    """(L2 Gram, div Gram, H(div) stacks) of the stress space.  The Grams are
+    global; the H(div) stacks are their element sums, one per block of
+    system.blocks, which stability_lab.infsup_constant passes to
+    hybrid_operator."""
     space = system.space
-    L2s, divs = [None] * space.mesh.n_tets, [None] * space.mesh.n_tets
-    for ro, tets in signature_blocks(space):
+    L2s, divs = [], []
+    for ro, tets, _, _ in system.blocks:
         divG = _raw_gram_data(ro)[2]
         X, M_raw = _l2_grams(space, ro, tets)
         XT = np.swapaxes(X, 1, 2)
-        div_raw = divG / space.mesh.affine.det[tets, None, None]
-        for t, l2, dv in zip(tets, XT @ M_raw @ X, XT @ div_raw @ X):
-            L2s[t], divs[t] = l2, dv
-    sds = system.dofmap.stress_elem_dofs
+        L2s.append(XT @ M_raw @ X)
+        divs.append(XT @ (divG / space.mesh.affine.det[tets, None, None]) @ X)
+    sds = [sd for _, _, sd, _ in system.blocks]
     shape = (system.dofmap.n_stress,) * 2
     hdiv = [l2 + dv for l2, dv in zip(L2s, divs)]
     return _scatter(L2s, sds, sds, shape), _scatter(divs, sds, sds, shape), hdiv
@@ -328,9 +345,9 @@ def assemble_stress_grams(system):
 
 def vq_mass_diag(system):
     """Diagonal of the (block-diagonal) L2 mass on displacement+rotation."""
-    d = np.zeros(system.dofmap.n_disp)
-    for t, ud in enumerate(system.dofmap.disp_elem_dofs):
-        d[ud] = system.mesh.amaps[t].det
+    uds = system.dofmap.disp_elem_dofs
+    d = np.empty(system.dofmap.n_disp)
+    d[np.concatenate(uds)] = np.repeat(system.mesh.affine.det, [len(ud) for ud in uds])
     return np.concatenate([d, d])      # rotation dofs are numbered as displacement ones
 
 
@@ -344,62 +361,58 @@ def element_block(system, t, a11):
     return np.block([[a11, B.T], [B, np.zeros((len(B), len(B)))]])
 
 
+def _multiplier_system(n_mult, parts, inverses):
+    """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses, at shared pairs only."""
+    vals, rows, cols = [], [], []
+    for inv, (_, mult, sign) in zip(inverses, parts):
+        pair = (sign != 0)[:, :, None] & (sign != 0)[:, None, :]
+        vals.append((sign[:, :, None] * inv * sign[:, None, :])[pair])
+        rows.append(np.broadcast_to(mult[:, :, None], pair.shape)[pair])
+        cols.append(np.broadcast_to(mult[:, None, :], pair.shape)[pair])
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_mult, n_mult))
+
+
 def hybrid_operator(system, a11_blocks):
     """x = H(b): the hybridized solve of K x = b for any right-hand side b.
 
-    K is the saddle matrix whose element blocks are element_block(system, t,
-    a11_blocks[t]): solve_saddle passes system.A_loc, and the inf-sup
-    constant the H(div) Gram blocks of assemble_stress_grams.
-
-    E_e maps the stress copies of tet e onto their multipliers, with sign
-    +1 at the owner (the first tet that holds the dof) and -1 at the other
-    tet.  Only the owner's copy receives the stress rows of b, and the
-    owner's copy is the stress value of x.
+    K has the element blocks element_block(system, t, a11), a11 the tet's
+    matrix in a11_blocks, one stack per block of system.blocks: solve_saddle
+    passes system.A_blocks, the inf-sup constant the H(div) Gram stacks of
+    assemble_stress_grams.  E_e maps the stress copies of tet e onto their
+    multipliers with the signs of system.layout; the owner's copy alone takes
+    the stress rows of b and gives the stress value of x.  Each K_e is
+    factored (linalg.lu_factor, whose pivot gate names the tet) and inverted.
+    H(b) is y_e = K_e^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e =
+    y_e - K_e^{-1} E_e^T lambda: two stacked products per block.
     """
-    dof = system.dofmap
-    sds = dof.stress_elem_dofs
-    all_sd = np.concatenate(sds)
-    tet_of = np.repeat(np.arange(len(sds)), [len(sd) for sd in sds])
-    _, first, counts = np.unique(all_sd, return_index=True, return_counts=True)
-    owner = tet_of[first]
-    shared = counts > 1
-    n_mult = int(shared.sum())
-    mult = np.full(dof.n_stress, -1, dtype=np.int64)
-    mult[shared] = np.arange(n_mult)
-    elems, S_blocks, S_dofs = [], [], []
-    for t, sd in enumerate(sds):
-        try:
-            lu = linalg.lu_factor(element_block(system, t, a11_blocks[t]))
-        except linalg.SingularMatrix as exc:
-            raise FactorizationBreakdown(
-                f"element block of tet {t} is singular: {exc}"
-            ) from exc
-        glob = dof.element_dofs(t)
-        owned = np.concatenate([owner[sd] == t, np.ones(len(glob) - len(sd), dtype=bool)])
-        pos = np.flatnonzero(shared[sd])
-        m = mult[sd[pos]]
-        sign = np.where(owned[pos], 1.0, -1.0)
-        ET = np.zeros((len(glob), len(pos)))
-        ET[pos, np.arange(len(pos))] = sign
-        Z = linalg.lu_apply(lu, ET)                 # K_e^{-1} E_e^T
-        S_blocks.append(sign[:, None] * Z[pos]); S_dofs.append(m)
-        elems.append((lu, glob, owned, pos, m, sign, Z))
-    S = _scatter(S_blocks, S_dofs, S_dofs, (n_mult, n_mult))
+    n_mult, parts = system.layout
+    inverses = []
+    for (_, tets, _, _), a11, (glob, _, _) in zip(system.blocks, a11_blocks, parts):
+        inv = np.empty((len(tets), glob.shape[1], glob.shape[1]))
+        for k, t in enumerate(tets):
+            try:
+                inv[k] = linalg.lu_inverse(linalg.lu_factor(element_block(system, t, a11[k])))
+            except linalg.SingularMatrix as exc:
+                raise FactorizationBreakdown(
+                    f"element block of tet {t} is singular: {exc}"
+                ) from exc
+        inverses.append(inv)
     try:
-        S_lu = linalg.spd_factor(S)
+        S_lu = linalg.spd_factor(_multiplier_system(n_mult, parts, inverses))
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
+    g_ids = np.concatenate([mult.ravel() for _, mult, _ in parts])
 
     def apply(b):
-        ys, g = [], np.zeros(n_mult)
-        for lu, glob, owned, pos, m, sign, Z in elems:
-            y = linalg.lu_apply(lu, np.where(owned, b[glob], 0.0))
-            g[m] += sign * y[pos]
-            ys.append(y)
-        lam = S_lu.solve(g)
-        x = np.empty(dof.n_total)
-        for y, (lu, glob, owned, pos, m, sign, Z) in zip(ys, elems):
-            x[glob[owned]] = (y - Z @ lam[m])[owned]
+        ys = [(inv @ np.where(sign >= 0, b[glob], 0.0)[..., None])[..., 0]
+              for inv, (glob, _, sign) in zip(inverses, parts)]
+        g = np.bincount(g_ids, np.concatenate(
+            [(sign * y).ravel() for y, (_, _, sign) in zip(ys, parts)]), n_mult + 1)
+        lam = np.append(S_lu.solve(g[:n_mult]), 0.0)        # 0 at the unshared id n_mult
+        x = np.empty(len(b))
+        for y, inv, (glob, mult, sign) in zip(ys, inverses, parts):       # a tet owns sign >= 0
+            x[glob[sign >= 0]] = (y - (inv @ (sign * lam[mult])[..., None])[..., 0])[sign >= 0]
         return x
 
     return apply
@@ -408,19 +421,17 @@ def hybrid_operator(system, a11_blocks):
 def solve_saddle(system):
     """Hybridized solve of the symmetric indefinite block system.
 
-    x = H(rhs) by hybrid_operator, whose stress rows of rhs go to the
-    first tet that holds each dof; then one fixed refinement step
-    x += H(rhs - K x).  The step and the residual gate apply K element by
-    element (system.matvec), so the solve builds neither A, B1, B2 nor
-    full_matrix().  The step is part of the solve, not an option: on cube
-    n=1, r=3 with the default convergence case one pass leaves a relative
-    residual of 1.5e-9 and the step brings it to 8e-11.  Raises
-    FactorizationBreakdown if an element block (named by its tet) or the
-    multiplier system does not factor, or if the residual gate
-    ||K x - rhs|| / (1 + ||rhs||) <= 1e-9 fails.
+    x = H(rhs) by hybrid_operator, then one fixed refinement step x += H(rhs
+    - K x).  The step and the residual gate apply K by system.matvec, so the
+    solve builds neither A, B1, B2 nor full_matrix().  The step is part of
+    the solve, not an option: on cube n=1, r=3 with the default convergence
+    case one pass leaves a relative residual of 6.6e-9 and the step brings
+    it to 2.7e-11.  Raises FactorizationBreakdown if an element block (named by
+    its tet) or the multiplier system does not factor, or if the residual
+    gate ||K x - rhs|| / (1 + ||rhs||) <= 1e-9 fails.
     """
     rhs = system.full_rhs()
-    H = hybrid_operator(system, system.A_loc)
+    H = hybrid_operator(system, system.A_blocks)
     x = H(rhs)
     x += H(rhs - system.matvec(x))
     resid = np.linalg.norm(system.matvec(x) - rhs) / (1.0 + np.linalg.norm(rhs))
@@ -431,25 +442,14 @@ def solve_saddle(system):
 
 def split_solution(system, x):
     """(sigma_h, u_h, p_h) DiscreteFields from a solution vector."""
-    mesh, orders = system.mesh, system.orders
-    dof = system.dofmap
-    gs = x[: dof.n_stress]
-    gu = x[dof.n_stress : dof.n_stress + dof.n_disp]
-    gp = x[dof.n_stress + dof.n_disp :]
-    u_c, p_c, degs_u = [], [], []
-    for t in range(mesh.n_tets):
-        rt = int(orders.tet_orders[t])
-        modes = ps.volume_modes(rt)[:, 0, :]
-        nm = modes.shape[0]
-        cu = gu[dof.disp_elem_dofs[t]].reshape(3, nm) @ modes
-        cp = gp[dof.rot_elem_dofs[t]].reshape(3, nm) @ modes
-        u_c.append(cu)
-        p_c.append(cp)
-        degs_u.append(rt)
-    sigma = system.space.field(gs)
-    u = DiscreteField(mesh, orders, "compose", degs_u, u_c, space="p3_vec")
-    p = DiscreteField(mesh, orders, "compose", degs_u, p_c, space="p3_vec")
-    return sigma, u, p
+    d, degs = system.dofmap, [int(r) for r in system.orders.tet_orders]
+    fields = [system.space.field(x[:d.n_stress])]
+    for offset in (d.n_stress, d.n_stress + d.n_disp):    # rotation ids equal displacement ones
+        coeffs = system._per_tet([x[offset + ud].reshape(len(tets), 3, -1)
+                                  @ ps.volume_modes(ro.tet)[:, 0, :]
+                                  for ro, tets, _, ud in system.blocks])
+        fields.append(DiscreteField(system.mesh, system.orders, "compose", degs, coeffs, "p3_vec"))
+    return tuple(fields)
 
 
 # ---------------------------------------------------------------------------

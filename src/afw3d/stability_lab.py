@@ -43,8 +43,8 @@ def infsup_constant(mesh, orders, material=None, system=None):
     material = tensor_ops.Material(1.0, 1.0) if material is None else material
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
-    _, _, hdiv_blocks = system.stress_grams
-    H = assembly.hybrid_operator(system, hdiv_blocks)
+    _, _, hdiv_stacks = system.stress_grams
+    H = assembly.hybrid_operator(system, hdiv_stacks)
     pad = np.zeros(system.dofmap.n_stress)
 
     def schur_inv(g):
@@ -67,7 +67,7 @@ def kernel_coercivity(mesh, orders, material, system=None):
     ratio is the smallest eigenvalue of the pencil A x = lam M_h x on
     ker C, C = [B1; B2], with M_h the H(div) Gram of the stress space.  No
     kernel basis is formed: the stress rows of H([g; 0; 0]), H =
-    hybrid_operator(system, system.A_loc), are the x in ker C that
+    hybrid_operator(system, system.A_blocks), are the x in ker C that
     minimizes <A x, x>/2 - <g, x> there, so g -> x is the inverse of A on
     the kernel, and linalg.sym_eig_min runs shift-invert Lanczos on it.
     When every element block and the multiplier system factor, K is
@@ -80,7 +80,7 @@ def kernel_coercivity(mesh, orders, material, system=None):
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
     dof = system.dofmap
-    H = assembly.hybrid_operator(system, system.A_loc)
+    H = assembly.hybrid_operator(system, system.A_blocks)
     pad = np.zeros(dof.n_disp + dof.n_rot)
 
     def kernel_inv(g):

@@ -334,6 +334,45 @@ def test_singular_element_block_names_its_tet(cube1, material, monkeypatch):
         assembly.solve_saddle(system)
 
 
+def test_singular_element_block_in_a_multi_tet_block_names_its_tet(cube1, material,
+                                                                   monkeypatch):
+    system = assembly.assemble(cube1, OrderMap.random(cube1, 0, 2, seed=1), material, None)
+    tets = next(tets for _, tets, _, _ in system.blocks if len(tets) > 1)
+    bad = int(tets[-1])
+    block = assembly.element_block
+    monkeypatch.setattr(assembly, "element_block",
+                        lambda s, t, a: 0.0 * block(s, t, a) if t == bad else block(s, t, a))
+    with pytest.raises(assembly.FactorizationBreakdown, match=rf"tet {bad} is singular"):
+        assembly.solve_saddle(system)
+
+
+@pytest.mark.parametrize("a11", ["compliance", "hdiv"])
+@pytest.mark.parametrize(
+    "mesh_name, orders_of",
+    [("cube1", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)),
+     ("two_tets", lambda mesh: OrderMap.uniform(mesh, 1))],
+    ids=["cube1-random", "two_tets-r1"],
+)
+def test_hybrid_operator_matches_dense_saddle_solve(request, material, mesh_name, orders_of, a11):
+    # the operator alone, on random right-hand sides, against a dense solve of the
+    # saddle matrix with the same (1,1) block
+    mesh = request.getfixturevalue(mesh_name)
+    system = assembly.assemble(mesh, orders_of(mesh), material, None)
+    if a11 == "compliance":
+        H = assembly.hybrid_operator(system, system.A_blocks)
+        K = system.full_matrix()
+    else:
+        Ml2, Mdiv, hdiv = system.stress_grams
+        H = assembly.hybrid_operator(system, hdiv)
+        K = sp.bmat([[Ml2 + Mdiv, system.B1.T, -system.B2.T],
+                     [system.B1, None, None], [-system.B2, None, None]])
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        b = rng.standard_normal(system.dofmap.n_total)
+        want = np.linalg.solve(K.toarray(), b)
+        assert np.linalg.norm(H(b) - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_multiplier_system_that_does_not_factor_is_a_breakdown(cube1, material,
                                                                monkeypatch):
     from afw3d import linalg

@@ -42,6 +42,23 @@ def test_lu_apply_is_bit_identical_to_scipy_lu_solve():
             assert np.array_equal(linalg.lu_apply(factor, b), want)
 
 
+def test_lu_inverse_matches_numpy_inv():
+    rng = np.random.default_rng(1)      # own stream: the session rng feeds later tests
+    for n in (60, 120):
+        A = rng.standard_normal((n, n))
+        want = np.linalg.inv(A)
+        got = linalg.lu_inverse(linalg.lu_factor(A))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_lu_inverse_raises_on_a_zero_pivot():
+    # a handle that lu_factor's pivot gate would refuse: getri reports info = 2
+    lu = np.triu(np.ones((3, 3)))
+    lu[1, 1] = 0.0
+    with pytest.raises(linalg.SingularMatrix, match="getri"):
+        linalg.lu_inverse((lu, np.arange(3, dtype=np.int32)))
+
+
 def test_lu_singular_raises():
     with pytest.raises(linalg.SingularMatrix):
         linalg.lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
