@@ -27,7 +27,7 @@ refinement step follows, and the relative residual must stay below 1e-9.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -185,9 +185,12 @@ def build_dof_map(mesh, orders, space=None):
     )
 
 
-@lru_cache(maxsize=None)
 def _raw_gram_data(ro):
-    """Signature-cached exact reference Grams of the stress basis.
+    """(basis, G4, divG, B1W, W3): exact reference Grams of the stress basis
+    of signature ro, built afresh on each call.  assemble and
+    assemble_stress_grams make them once per signature for all its blocks
+    and keep them no longer, so a variable-order mesh holds one signature's
+    Grams at a time (G4 alone is 17 MB at r = 4).
 
     Contraction order: the monomial Gram multiplies one factor first, then
     G4 and divG are each one GEMM of the two factors over their remaining
@@ -227,11 +230,11 @@ def signature_blocks(space):
             yield ro, block
 
 
-def _l2_grams(space, ro, tets):
-    """(X, M_raw) stacks over the tets of signature ro: the dual bases
-    X = C^{-1} and the raw L2 Grams <sigma_b, sigma_c> = (1/J) int psihat_b :
-    (psihat_c A^T A), the latter one GEMM of G4 against the stacked A^T A."""
-    _, G4, *_ = _raw_gram_data(ro)
+def _l2_grams(space, G4, tets):
+    """(X, M_raw) stacks over tets of one signature, whose G4 the caller
+    passes: the dual bases X = C^{-1} and the raw L2 Grams <sigma_b, sigma_c>
+    = (1/J) int psihat_b : (psihat_c A^T A), the latter one GEMM of G4
+    against the stacked A^T A."""
     nb = G4.shape[0]
     aff = space.mesh.affine
     A = aff.A[tets]
@@ -281,14 +284,15 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     S2M = tensor_ops.S2_MATRIX.reshape(3, 3, 3)
 
     blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
-    G = np.zeros(dofmap.n_stress)
+    G, raw_ro = np.zeros(dofmap.n_stress), None
     for ro, tets in signature_blocks(space):
         sd = np.stack([space.elements[t].dof_ids for t in tets])
         blocks.append((ro, tets, sd, np.stack([dofmap.disp_elem_dofs[t] for t in tets])))
-        basis, G4, divG, B1W, W3 = _raw_gram_data(ro)
+        if ro != raw_ro:            # the blocks of a signature come in a row
+            raw_ro, (basis, G4, divG, B1W, W3) = ro, _raw_gram_data(ro)
         nb = basis.dim
         A = aff.A[tets]
-        X, M_raw = _l2_grams(space, ro, tets)
+        X, M_raw = _l2_grams(space, G4, tets)
         # tr(psihat_b A^T) as polynomials, (tets, nb, n3)
         trv = A.reshape(-1, 9) @ basis.coeffs.reshape(nb, 9, -1).transpose(1, 0, 2).reshape(9, -1)
         trv = trv.reshape(len(tets), nb, -1)
@@ -329,11 +333,12 @@ def assemble_stress_grams(system):
     global; the H(div) stacks are their element sums, one per block of
     system.blocks, which stability_lab.infsup_constant passes to
     hybrid_operator."""
-    space = system.space
+    space, raw_ro = system.space, None
     L2s, divs = [], []
     for ro, tets, _, _ in system.blocks:
-        divG = _raw_gram_data(ro)[2]
-        X, M_raw = _l2_grams(space, ro, tets)
+        if ro != raw_ro:            # system.blocks keeps the order of signature_blocks
+            raw_ro, (_, G4, divG, _, _) = ro, _raw_gram_data(ro)
+        X, M_raw = _l2_grams(space, G4, tets)
         XT = np.swapaxes(X, 1, 2)
         L2s.append(XT @ M_raw @ X)
         divs.append(XT @ (divG / space.mesh.affine.det[tets, None, None]) @ X)
@@ -362,15 +367,19 @@ def element_block(system, t, a11):
 
 
 def _multiplier_system(n_mult, parts, inverses):
-    """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses, at shared pairs only."""
-    vals, rows, cols = [], [], []
+    """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses at pairs of shared
+    copies only: no float or int64 temporary spans a stack.  The int8 sign
+    products are exact and an entry sums at most two terms, so where the signs
+    are applied does not change S."""
+    entries = []
     for inv, (_, mult, sign) in zip(inverses, parts):
         pair = (sign != 0)[:, :, None] & (sign != 0)[:, None, :]
-        vals.append((sign[:, :, None] * inv * sign[:, None, :])[pair])
-        rows.append(np.broadcast_to(mult[:, :, None], pair.shape)[pair])
-        cols.append(np.broadcast_to(mult[:, None, :], pair.shape)[pair])
-    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n_mult, n_mult))
+        s, m = sign.astype(np.int8), mult.astype(np.int32)
+        s_i, s_j, m_i, m_j = (np.broadcast_to(a, pair.shape)[pair] for a in (
+            s[:, :, None], s[:, None, :], m[:, :, None], m[:, None, :]))
+        entries.append((inv[pair] * (s_i * s_j), m_i, m_j))
+    vals, rows, cols = (np.concatenate(c) for c in zip(*entries))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n_mult, n_mult))
 
 
 def hybrid_operator(system, a11_blocks):

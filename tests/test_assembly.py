@@ -484,3 +484,60 @@ def test_blocked_assembly_matches_per_tet_loop(cube1, material):
         assert close(system.B1_loc[t], B1[t])
         assert close(system.B2_loc[t], B2[t])
     assert close(system.F, F) and close(system.G, G)
+
+
+def test_raw_grams_are_made_once_per_signature_and_kept_by_nobody(cube1, material,
+                                                                  monkeypatch):
+    import gc
+    import weakref
+    from collections import Counter
+
+    om = OrderMap.random(cube1, 0, 2, seed=1)
+    monkeypatch.setattr(assembly, "BLOCK_ENTRIES", 1)       # one tet per block
+    raw_gram_data, calls, refs = assembly._raw_gram_data, Counter(), []
+
+    def counted(ro):
+        basis, *grams = raw_gram_data(ro)
+        calls[ro] += 1
+        refs.extend(weakref.ref(a) for a in grams)          # G4, divG, B1W, W3
+        return (basis, *grams)
+
+    monkeypatch.setattr(assembly, "_raw_gram_data", counted)
+    system = assembly.assemble(cube1, om, material, None)
+    blocks_of = Counter(ro for ro, _, _, _ in system.blocks)
+    assert max(blocks_of.values()) > 1
+    assert calls == Counter(set(blocks_of))
+    calls.clear()
+    assembly.assemble_stress_grams(system)
+    assert calls == Counter(set(blocks_of))
+    gc.collect()
+    assert len(refs) == 8 * len(blocks_of)
+    assert all(ref() is None for ref in refs)
+    assert len(system.A_blocks) == len(system.blocks)       # the system is still alive
+
+
+@pytest.mark.parametrize(
+    "mesh_name, orders_of",
+    [("cube1", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)),
+     ("two_tets", lambda mesh: OrderMap.uniform(mesh, 1))],
+    ids=["cube1-random", "two_tets-r1"],
+)
+def test_multiplier_system_equals_dense_sum(request, material, mesh_name, orders_of):
+    # S = sum_e E_e K_e^{-1} E_e^T formed densely, with E_e from the signs and
+    # multiplier ids of system.layout, against the sparse build from the same inverses
+    mesh = request.getfixturevalue(mesh_name)
+    system = assembly.assemble(mesh, orders_of(mesh), material, None)
+    n_mult, parts = system.layout
+    inverses, S = [], np.zeros((n_mult, n_mult))
+    for (_, tets, _, _), (_, mult, sign) in zip(system.blocks, parts):
+        inv = np.stack([np.linalg.inv(assembly.element_block(system, t, system.A_loc[t]))
+                        for t in tets])
+        inverses.append(inv)
+        for k in range(len(tets)):
+            shared = np.flatnonzero(sign[k])
+            E = np.zeros((n_mult, len(sign[k])))
+            E[mult[k, shared], shared] = sign[k, shared]
+            S += E @ inv[k] @ E.T
+    got = assembly._multiplier_system(n_mult, parts, inverses).toarray()
+    assert np.abs(S).max() > 0
+    assert np.abs(got - S).max() == 0
