@@ -21,9 +21,16 @@ split into one copy per tet, and a Lagrange multiplier forces the copies
 to be equal, which is the continuity of the normal trace tested against
 P_{r_F+1}(F).  Each element block K_e, the one-element problem with
 displacement data, is inverted densely; the multipliers solve the
-symmetric positive definite S = sum_e E_e K_e^{-1} E_e^T, factored once,
-and the element fields are recovered by stacked products per block.  One
-refinement step follows, and the relative residual must stay below 1e-9.
+symmetric positive definite S = sum_e E_e K_e^{-1} E_e^T, and the element
+fields are recovered by stacked products per block.  One refinement step
+follows, and the relative residual must stay below 1e-9.  Below
+PCG_MIN_MULTIPLIERS multipliers S is factored once by a sparse direct
+solver; from there on its fill costs more than conjugate gradients, and S
+is solved by PCG with a two-level preconditioner: the inverses of its
+diagonal face blocks plus a Galerkin coarse solve on the first test mode
+of each face (Gopalakrishnan & Tan 2009; Cockburn, Dubois, Gopalakrishnan
+& Tan 2014).  The stability lab's eigensolvers apply the operator 50-70
+times and keep the factor.
 """
 
 from dataclasses import dataclass
@@ -367,22 +374,106 @@ def element_block(system, t, a11):
 
 
 def _multiplier_system(n_mult, parts, inverses):
-    """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses at pairs of shared
-    copies only: no float or int64 temporary spans a stack.  The int8 sign
-    products are exact and an entry sums at most two terms, so where the signs
-    are applied does not change S."""
-    entries = []
-    for inv, (_, mult, sign) in zip(inverses, parts):
-        pair = (sign != 0)[:, :, None] & (sign != 0)[:, None, :]
+    """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses, written straight
+    into the arrays of a CSR matrix: row mu holds the entries from the tet
+    that owns multiplier mu, then those from the other tet, and
+    sum_duplicates adds the two terms of an entry in place.  Besides S itself
+    only temporaries of one block are made, with int8 signs and int32 ids.
+    The sign products are exact and an entry sums at most two terms, so S is
+    bit-identical to the canonical matrix of the same entries built through
+    COO triplets."""
+    shared = [sign != 0 for _, _, sign in parts]
+    n_sh = [sh.sum(1) for sh in shared]                 # shared copies per tet
+    length = np.zeros((2, n_mult), np.int64)            # entries of a row from owner, other
+    for (_, mult, sign), n in zip(parts, n_sh):
+        per_copy = np.broadcast_to(n[:, None], sign.shape)
+        length[0, mult[sign > 0]] = per_copy[sign > 0]
+        length[1, mult[sign < 0]] = per_copy[sign < 0]
+    indptr = np.concatenate([[0], np.cumsum(length.sum(0))])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    for inv, (_, mult, sign), sh, n in zip(inverses, parts, shared, n_sh):
+        k, i = np.nonzero(sh)           # the shared copy (k, i) fills a run of n[k] entries
+        row, runs = mult[k, i], n[k]
+        start = indptr[row] + np.where(sign[k, i] > 0, 0, length[0, row])
+        dest = np.repeat(start - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+        pair = sh[:, :, None] & sh[:, None, :]
         s, m = sign.astype(np.int8), mult.astype(np.int32)
-        s_i, s_j, m_i, m_j = (np.broadcast_to(a, pair.shape)[pair] for a in (
-            s[:, :, None], s[:, None, :], m[:, :, None], m[:, None, :]))
-        entries.append((inv[pair] * (s_i * s_j), m_i, m_j))
-    vals, rows, cols = (np.concatenate(c) for c in zip(*entries))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n_mult, n_mult))
+        s_i, s_j, m_j = (np.broadcast_to(a, pair.shape)[pair] for a in (
+            s[:, :, None], s[:, None, :], m[:, None, :]))
+        data[dest] = inv[pair] * (s_i * s_j)
+        indices[dest] = m_j
+    S = sp.csr_matrix((data, indices, indptr), shape=(n_mult, n_mult))
+    S.sum_duplicates()
+    return S
 
 
-def hybrid_operator(system, a11_blocks):
+def _face_blocks(system, inverses):
+    """[(ids, D)] per face-block size m: the (faces, m) multiplier ids of the
+    interior faces with m dofs and the (faces, m, m) diagonal blocks of S at
+    them, summed from the two tets' inverses with no loop over faces.  The
+    multipliers are the interior face dofs in face order, each face's as
+    (mode, component); the copies of a face have one sign, so a block is the
+    plain sum and equals S's block bit for bit."""
+    mesh, space = system.mesh, system.space
+    interior = np.flatnonzero(~mesh.boundary_face)
+    size = np.diff(space.face_offset)[interior]
+    start = np.cumsum(size) - size
+    slot = np.zeros(mesh.n_faces, np.int64)
+    D = {}
+    for m in np.unique(size):
+        slot[interior[size == m]] = np.arange(np.count_nonzero(size == m))
+        D[m] = np.zeros((np.count_nonzero(size == m), m, m))
+    for (_, tets, _, _), inv in zip(system.blocks, inverses):
+        for lf, P in enumerate(space.elements[tets[0]].face_slices):
+            fids = mesh.tet_faces[tets, lf]
+            k = np.flatnonzero(~mesh.boundary_face[fids])
+            np.add.at(D[P.stop - P.start], slot[fids[k]], inv[k, P, P])
+    return [(start[size == m, None] + np.arange(m), Dm) for m, Dm in D.items()]
+
+
+def _pcg_solver(system, S, inverses):
+    """g -> S^{-1} g by linalg.pcg to PCG_RTOL, preconditioned by B = sum_F
+    R_F^T S_FF^{-1} R_F + R_0^T (R_0 S R_0^T)^{-1} R_0: the inverse of each
+    face's diagonal block of S (_face_blocks) plus a Galerkin coarse solve on
+    the first 3 multipliers of each face, its first test mode times the 3
+    components.  That mode spans nearly the constants: the constant's cosine
+    with it is 0.998, 0.996 and 0.995 at face degrees 1, 2 and 3.  The coarse
+    matrix, a submatrix of S, is factored by linalg.spd_factor.  PCG that
+    does not converge in PCG_MAX_ITER iterations is a FactorizationBreakdown."""
+    groups = [(ids, np.linalg.inv(D)) for ids, D in _face_blocks(system, inverses)]
+    coarse_ids = np.sort(np.concatenate([ids[:, :3].ravel() for ids, _ in groups]))
+    coarse = linalg.spd_factor(S[coarse_ids][:, coarse_ids])
+
+    def precond(r):
+        z = np.empty_like(r)
+        for ids, D_inv in groups:
+            z[ids] = (D_inv @ r[ids][..., None])[..., 0]
+        z[coarse_ids] += coarse.solve(r[coarse_ids])
+        return z
+
+    def solve(g):
+        try:
+            return linalg.pcg(S, g, precond, PCG_RTOL, PCG_MAX_ITER)
+        except linalg.NoConvergence as exc:
+            raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
+
+    return solve
+
+
+# solve_saddle solves S by PCG (_pcg_solver) from this many multipliers on,
+# and by linalg.spd_factor below it.  Measured on one BLAS thread over cube
+# n = 2..4, r = 0..2 and the nested variable-order levels 1, 2: PCG made
+# solve_saddle slower at 648 to 2,430 multipliers (on par at 2,160, r = 2)
+# and no slower from 4,860 on (on par at 6,048, r = 0).
+PCG_MIN_MULTIPLIERS = 4000
+# The relative residual of each PCG solve of S.  Over that ladder it leaves
+# the residual gate of solve_saddle at <= 4.3e-12, 230x below its 1e-9;
+# 1e-7 left 5.4e-10.
+PCG_RTOL = 1e-8
+PCG_MAX_ITER = 1000
+
+
+def hybrid_operator(system, a11_blocks, pcg=False):
     """x = H(b): the hybridized solve of K x = b for any right-hand side b.
 
     K has the element blocks element_block(system, t, a11), a11 the tet's
@@ -393,7 +484,9 @@ def hybrid_operator(system, a11_blocks):
     the stress rows of b and gives the stress value of x.  Each K_e is
     factored (linalg.lu_factor, whose pivot gate names the tet) and inverted.
     H(b) is y_e = K_e^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e =
-    y_e - K_e^{-1} E_e^T lambda: two stacked products per block.
+    y_e - K_e^{-1} E_e^T lambda: two stacked products per block.  S is
+    factored once by linalg.spd_factor, or with pcg=True solved on each call
+    by _pcg_solver.
     """
     n_mult, parts = system.layout
     inverses = []
@@ -407,10 +500,12 @@ def hybrid_operator(system, a11_blocks):
                     f"element block of tet {t} is singular: {exc}"
                 ) from exc
         inverses.append(inv)
+    S = _multiplier_system(n_mult, parts, inverses)
     try:
-        S_lu = linalg.spd_factor(_multiplier_system(n_mult, parts, inverses))
+        S_solve = _pcg_solver(system, S, inverses) if pcg else linalg.spd_factor(S).solve
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
+    del S                       # the factor path keeps only the factor
     g_ids = np.concatenate([mult.ravel() for _, mult, _ in parts])
 
     def apply(b):
@@ -418,7 +513,7 @@ def hybrid_operator(system, a11_blocks):
               for inv, (glob, _, sign) in zip(inverses, parts)]
         g = np.bincount(g_ids, np.concatenate(
             [(sign * y).ravel() for y, (_, _, sign) in zip(ys, parts)]), n_mult + 1)
-        lam = np.append(S_lu.solve(g[:n_mult]), 0.0)        # 0 at the unshared id n_mult
+        lam = np.append(S_solve(g[:n_mult]), 0.0)           # 0 at the unshared id n_mult
         x = np.empty(len(b))
         for y, inv, (glob, mult, sign) in zip(ys, inverses, parts):       # a tet owns sign >= 0
             x[glob[sign >= 0]] = (y - (inv @ (sign * lam[mult])[..., None])[..., 0])[sign >= 0]
@@ -435,12 +530,15 @@ def solve_saddle(system):
     solve builds neither A, B1, B2 nor full_matrix().  The step is part of
     the solve, not an option: on cube n=1, r=3 with the default convergence
     case one pass leaves a relative residual of 6.6e-9 and the step brings
-    it to 2.7e-11.  Raises FactorizationBreakdown if an element block (named by
-    its tet) or the multiplier system does not factor, or if the residual
-    gate ||K x - rhs|| / (1 + ||rhs||) <= 1e-9 fails.
+    it to 2.7e-11.  From PCG_MIN_MULTIPLIERS multipliers on, H solves the
+    multiplier system by PCG instead of a factor.  Raises
+    FactorizationBreakdown if an element block (named by its tet) or the
+    multiplier system does not factor, if PCG does not converge within
+    PCG_MAX_ITER iterations, or if the residual gate ||K x - rhs|| / (1 +
+    ||rhs||) <= 1e-9 fails.
     """
     rhs = system.full_rhs()
-    H = hybrid_operator(system, system.A_blocks)
+    H = hybrid_operator(system, system.A_blocks, pcg=system.layout[0] >= PCG_MIN_MULTIPLIERS)
     x = H(rhs)
     x += H(rhs - system.matvec(x))
     resid = np.linalg.norm(system.matvec(x) - rhs) / (1.0 + np.linalg.norm(rhs))

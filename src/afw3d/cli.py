@@ -10,8 +10,10 @@ Exit codes:
   0  every check passed its tolerance;
   1  a check failed its tolerance;
   2  the configuration or the --mesh file is invalid (one line on stderr);
-  3  a numerical failure stopped the run: FactorizationBreakdown,
-     SingularMomentSystem, NoAdmissibleT, ConformityViolation or
+  3  a numerical failure stopped the run: FactorizationBreakdown (an
+     element block or the multiplier system does not factor, PCG on the
+     multiplier system does not converge, or the solve misses its residual
+     gate), SingularMomentSystem, NoAdmissibleT, ConformityViolation or
      DegreeTooHigh (one line on stderr).
 """
 

@@ -21,6 +21,10 @@ class RankDeficient(Exception):
     pass
 
 
+class NoConvergence(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class Tolerances:
     pivot: float = 1e-13          # LU pivot magnitude floor
@@ -161,6 +165,19 @@ def spd_factor(S):
                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularMatrix(f"sparse factorization failed: {exc}") from exc
+
+
+def pcg(A, b, precond, rtol, maxiter):
+    """x with ||b - A x|| < rtol ||b|| by conjugate gradients from x = 0, for A
+    symmetric positive definite and precond(r) ~ A^{-1} r symmetric positive
+    definite too (scipy's cg, whose test uses its updated residual).  Raises
+    NoConvergence after maxiter iterations."""
+    n = len(b)
+    M = spla.LinearOperator((n, n), matvec=precond, dtype=float)
+    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
+    if info:
+        raise NoConvergence(f"PCG did not reach {rtol:.0e} relative in {maxiter} iterations")
+    return x
 
 
 def sym_eig_min(solve, M):
