@@ -55,8 +55,7 @@ class DofMap:
     n_disp: int
     n_rot: int
     stress_elem_dofs: list     # per tet: global stress dof ids (row order)
-    disp_elem_dofs: list       # per tet: global displacement ids
-    rot_elem_dofs: list
+    disp_elem_dofs: list       # per tet: global displacement ids, also the rotation ones
 
     @property
     def n_total(self):
@@ -181,14 +180,12 @@ def build_dof_map(mesh, orders, space=None):
     space = StressSpace(mesh, orders) if space is None else space
     counts = [3 * mo.count(3, int(orders.tet_orders[t])) for t in range(mesh.n_tets)]
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    local = [np.arange(offsets[t], offsets[t + 1]) for t in range(mesh.n_tets)]
     return DofMap(
         n_stress=space.n_dofs,
         n_disp=int(offsets[-1]),
         n_rot=int(offsets[-1]),
         stress_elem_dofs=[e.dof_ids for e in space.elements],
-        disp_elem_dofs=local,
-        rot_elem_dofs=local,
+        disp_elem_dofs=[np.arange(offsets[t], offsets[t + 1]) for t in range(mesh.n_tets)],
     )
 
 
@@ -290,11 +287,16 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     aff = mesh.affine
     S2M = tensor_ops.S2_MATRIX.reshape(3, 3, 3)
 
+    rule = ws.vol_rule
+    # displacement modes at the volume rule, per tet order
+    modes = {rt: mo.evaluate(ps.volume_modes(rt)[:, 0, :], 3, rt, rule.points)
+             for rt in np.unique(orders.tet_orders).tolist()}
     blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
-    G, raw_ro = np.zeros(dofmap.n_stress), None
+    F, G, raw_ro = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress), None
     for ro, tets in signature_blocks(space):
         sd = np.stack([space.elements[t].dof_ids for t in tets])
-        blocks.append((ro, tets, sd, np.stack([dofmap.disp_elem_dofs[t] for t in tets])))
+        ud = np.stack([dofmap.disp_elem_dofs[t] for t in tets])
+        blocks.append((ro, tets, sd, ud))
         if ro != raw_ro:            # the blocks of a signature come in a row
             raw_ro, (basis, G4, divG, B1W, W3) = ro, _raw_gram_data(ro)
         nb = basis.dim
@@ -316,18 +318,10 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
         if boundary_g is not None:
             G_raw = _boundary_raw(ws, ro, tets, boundary_g)
             np.add.at(G, sd, (np.swapaxes(X, 1, 2) @ G_raw[..., None])[..., 0])
-
-    F = np.zeros(dofmap.n_disp)
-    if f is not None:
-        rule = ws.vol_rule
-        for rt in np.unique(orders.tet_orders):
-            modes = ps.volume_modes(rt)[:, 0, :]
-            mv = mo.evaluate(modes, 3, rt, rule.points)                       # (nm, q)
-            of_order = np.flatnonzero(orders.tet_orders == rt)
-            for tets in interp.tet_blocks(of_order, len(rule.weights)):
-                fq = interp.block_values(mesh, f, tets, rule.points)       # (tets, q, 3)
-                Fb = aff.det[tets, None, None] * np.einsum("q,jq,tqc->tcj", rule.weights, mv, fq)
-                F[np.stack([dofmap.disp_elem_dofs[t] for t in tets])] = Fb.reshape(len(tets), -1)
+        if f is not None:
+            fq = interp.block_values(mesh, f, tets, rule.points)           # (tets, q, 3)
+            Fb = J * np.einsum("q,jq,tqc->tcj", rule.weights, modes[ro.tet], fq)
+            F[ud] = Fb.reshape(len(tets), -1)
 
     return BlockSaddleSystem(
         F=F, G=G, blocks=blocks, A_blocks=A_blocks, B1_blocks=B1_blocks, B2_blocks=B2_blocks,
@@ -357,9 +351,9 @@ def assemble_stress_grams(system):
 
 def vq_mass_diag(system):
     """Diagonal of the (block-diagonal) L2 mass on displacement+rotation."""
-    uds = system.dofmap.disp_elem_dofs
     d = np.empty(system.dofmap.n_disp)
-    d[np.concatenate(uds)] = np.repeat(system.mesh.affine.det, [len(ud) for ud in uds])
+    for _, tets, _, ud in system.blocks:
+        d[ud] = system.mesh.affine.det[tets, None]
     return np.concatenate([d, d])      # rotation dofs are numbered as displacement ones
 
 

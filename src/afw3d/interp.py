@@ -680,7 +680,9 @@ class Workspace:
     (F, q, 3) and face_weights (F, q), in the physical surface measure.  The
     two elements sharing a face consume identical samples of the input
     field, so elementwise interpolation assembles into a conforming global
-    field without any further communication.  Nothing is kept per tet.
+    field without any further communication.  Per tet only the index of
+    its order signature is kept: one polyspace.RefOrders per signature
+    comes from one np.unique over the rows of tet, face and edge orders.
     """
 
     def __init__(self, mesh, orders):
@@ -691,21 +693,30 @@ class Workspace:
         self.vol_rule = quadrature.rule_for(3, self.vol_deg)
         self.face_deg = self.vol_deg + FACE_QUAD_EXTRA
         self.tri_rule = tri = quadrature.rule_for(2, self.face_deg)
-        self.amaps = mesh.amaps
         V = mesh.vertices[mesh.faces]                                  # (F, 3, 3), sorted ids
         E = V[:, 1:] - V[:, None, 0]
         self.face_points = V[:, None, 0] + tri.points @ E              # (F, q, 3)
         self.face_weights = np.outer(np.linalg.norm(np.cross(E[:, 0], E[:, 1]), axis=1),
                                      tri.weights)                      # (F, q)
-        self._ref_orders = [orders.ref_orders(mesh, t) for t in range(mesh.n_tets)]
-        groups = {}
-        for t, ro in enumerate(self._ref_orders):
-            groups.setdefault(ro, []).append(t)
-        # tet ids of each order signature, in order of first appearance
-        self.signature_groups = {ro: np.array(ts) for ro, ts in groups.items()}
+        # one row of orders per tet: tet, its 4 faces and its 6 edges
+        rows = np.column_stack([orders.tet_orders, orders.face_orders[mesh.tet_faces],
+                                orders.edge_orders[mesh.tet_edges]])
+        sigs, first, sig = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)           # the signatures in order of first appearance
+        self._sig_of = np.argsort(order)[sig.ravel()]
+        self._signatures = [ps.RefOrders(int(r[0]), tuple(r[1:5].tolist()), tuple(r[5:].tolist()))
+                            for r in sigs[order]]
+        # tet ids of each order signature
+        self.signature_groups = {ro: np.flatnonzero(self._sig_of == k)
+                                 for k, ro in enumerate(self._signatures)}
+
+    @property
+    def amaps(self):
+        """mesh.amaps, built on first use (the operators read mesh.affine)."""
+        return self.mesh.amaps
 
     def ref_orders(self, t):
-        return self._ref_orders[t]
+        return self._signatures[self._sig_of[t]]
 
     def blocks(self):
         """The tets of each signature in tet_blocks, sized for 4 face rules and the volume rule."""
@@ -846,12 +857,11 @@ interp_p1minus_global = partial(_interp_trimmed_global, "1minus")
 
 
 def _outward_normal(mesh, t, local_face):
-    """Unit outward normal of local face local_face of tet t; arrays t and
-    local_face give one normal per pair."""
-    verts = mesh.vertices[mesh.faces[mesh.tet_faces[t, local_face]]]   # (..., 3, 3)
-    n = np.cross(verts[..., 1, :] - verts[..., 0, :], verts[..., 2, :] - verts[..., 0, :])
-    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-    return n * mesh.tet_face_sign[t, local_face][..., None]
+    """Unit outward normal of local face local_face of tet t: the face's
+    mesh.face_normal times its sign in the tet.  Arrays t and local_face
+    give one normal per pair."""
+    return (mesh.face_normal[mesh.tet_faces[t, local_face]]
+            * mesh.tet_face_sign[t, local_face][..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,18 @@ ascending global order, except that the last two are swapped when needed
 to keep the affine map orientation positive.  Face and edge ids are
 assigned lexicographically over sorted vertex tuples, so they are
 deterministic across runs.
+
+Every table is built by array operations over all tets at once.  The faces
+and edges are the distinct rows of the sorted vertex tuples of all tets
+(np.unique orders them lexicographically); tet_faces and tet_edges are the
+inverses.  The geometry is one AffineStack over all tets
+(SimplicialMesh.affine), and the per-tet AffineMaps of amaps are views of
+it.  Red refinement numbers the midpoint of edge e as vertex n_vertices + e.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -53,6 +61,8 @@ class AffineStack:
     A_inv: np.ndarray    # (T, 3, 3)
     b: np.ndarray        # (T, 3)
     det: np.ndarray      # (T,)
+    h: np.ndarray        # (T,) longest edge
+    rho: np.ndarray      # (T,) inradius
 
     def apply(self, tets, xhat):
         """(len(tets), m, 3): the reference points xhat (m, 3) mapped into each tet."""
@@ -64,7 +74,7 @@ class AffineStack:
 
     def take(self, tets):
         """The maps of tets as a stack; for one tet id, its arrays as AffineMap has them."""
-        return AffineStack(self.A[tets], self.A_inv[tets], self.b[tets], self.det[tets])
+        return AffineStack(*(getattr(self, f.name)[tets] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -76,8 +86,9 @@ class SimplicialMesh:
     tet_faces: np.ndarray         # (T, 4) global face id of local face i
     tet_edges: np.ndarray         # (T, 6) global edge id of local edge j
     face_edges: np.ndarray        # (F, 3) edge ids of each face
-    face_tets: tuple              # per face: tuple of incident tet ids
-    tet_face_sign: np.ndarray     # (T, 4): +1 outward normal = canonical
+    face_tets: tuple              # per face: tuple of incident tet ids, ascending
+    face_normal: np.ndarray       # (F, 3) unit normal of the frame on ascending vertex ids
+    tet_face_sign: np.ndarray     # (T, 4): +1 outward normal = face_normal
     boundary_face: np.ndarray     # (F,) bool
 
     @property
@@ -101,17 +112,30 @@ class SimplicialMesh:
 
     @cached_property
     def amaps(self):
-        """Affine map of the reference tet onto each tet, built once."""
-        return tuple(_affine_map(self.tet_vertices(t)) for t in range(self.n_tets))
+        """Per-tet AffineMap views of the arrays of affine, built on first use."""
+        a = self.affine
+        return tuple(AffineMap(A, b, float(det), A_inv, float(h), float(rho))
+                     for A, b, det, A_inv, h, rho in zip(a.A, a.b, a.det, a.A_inv, a.h, a.rho))
 
     @cached_property
     def affine(self):
-        """The maps of amaps as stacked arrays (AffineStack), built once."""
+        """Affine maps of the reference tet onto all tets as one AffineStack,
+        built once from vertices[tets]: A has the columns p1 - p0, p2 - p0,
+        p3 - p0 and b = p0; rho = 3 |T| / (surface area)."""
+        p = self.vertices[self.tets]                            # (T, 4, 3)
+        A = np.ascontiguousarray(np.swapaxes(p[:, 1:] - p[:, :1], 1, 2))
+        det = np.linalg.det(A)
+        edge = p[:, _EDGE_VERTS[:, 0]] - p[:, _EDGE_VERTS[:, 1]]
+        q = p[:, _FACE_VERTS]                                   # (T, face, vertex, xyz)
+        normals = np.cross(q[:, :, 1] - q[:, :, 0], q[:, :, 2] - q[:, :, 0])
+        areas = np.sum(0.5 * np.linalg.norm(normals, axis=-1), axis=-1)
         return AffineStack(
-            A=np.array([m.A for m in self.amaps]).reshape(-1, 3, 3),
-            A_inv=np.array([m.A_inv for m in self.amaps]).reshape(-1, 3, 3),
-            b=np.array([m.b for m in self.amaps]).reshape(-1, 3),
-            det=np.array([m.det for m in self.amaps]),
+            A=A,
+            A_inv=np.linalg.inv(A),
+            b=p[:, 0].copy(),
+            det=det,
+            h=np.linalg.norm(edge, axis=-1).max(axis=1),
+            rho=3.0 * (np.abs(det) / 6.0) / areas,
         )
 
     @cached_property
@@ -122,78 +146,56 @@ class SimplicialMesh:
         return tuple(make_face_frame(self.vertices[f]) for f in self.faces)
 
     def h_max(self):
-        return max(amap.h for amap in self.amaps)
+        return float(self.affine.h.max())
 
 
-def _tet_volume6(p):
-    return float(np.linalg.det(np.array([p[1] - p[0], p[2] - p[0], p[3] - p[0]])))
+_FACE_VERTS = np.array(reftet.FACE_VERTS)
+_EDGE_VERTS = np.array(reftet.EDGE_VERTS)
 
 
-def _canonical_face_normal(verts):
-    """Unit normal of the frame built on ascending vertex ids."""
-    v0, v1, v2 = verts
-    n = np.cross(v1 - v0, v2 - v0)
-    return n / np.linalg.norm(n)
+def _subsimplices(tets, local):
+    """(table, ids): the distinct sorted vertex tuples of the local
+    subsimplices local (k, m) of all tets, in lexicographic order, and the
+    (T, k) row of each in the table."""
+    table, ids = np.unique(np.sort(tets[:, local], axis=2).reshape(-1, local.shape[1]),
+                           axis=0, return_inverse=True)
+    return table, ids.reshape(len(tets), -1)
 
 
 def build_complex(vertices, tets):
     """Assemble the full incidence structure from vertices and tets."""
     vertices = np.asarray(vertices, dtype=float)
-    tets_in = np.asarray(tets, dtype=np.int64)
-    if tets_in.size and (tets_in.min() < 0 or tets_in.max() >= len(vertices)):
+    tets = np.asarray(tets, dtype=np.int64)
+    if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
         raise ValueError("tet refers to a vertex that does not exist")
 
-    tets = np.sort(tets_in, axis=1)
+    tets = np.sort(tets, axis=1)
     h_ref = max(vertices.max() - vertices.min(), 1.0) if len(vertices) else 1.0
-    for t in range(len(tets)):
-        p = vertices[tets[t]]
-        vol6 = _tet_volume6(p)
-        if abs(vol6) / 6.0 <= 1e-14 * h_ref**3:
-            raise DegenerateTet(f"tet {t} has volume {abs(vol6)/6.0:.3e}")
-        if vol6 < 0:
-            tets[t, 2], tets[t, 3] = tets[t, 3], tets[t, 2]
+    p = vertices[tets]
+    vol6 = np.linalg.det(p[:, 1:] - p[:, :1])
+    bad = np.flatnonzero(np.abs(vol6) / 6.0 <= 1e-14 * h_ref**3)
+    if len(bad):
+        raise DegenerateTet(f"tet {bad[0]} has volume {abs(vol6[bad[0]]) / 6.0:.3e}")
+    tets[vol6 < 0] = tets[vol6 < 0][:, [0, 1, 3, 2]]
 
-    face_set = set()
-    edge_set = set()
-    for tet in tets:
-        for fv in reftet.FACE_VERTS:
-            face_set.add(tuple(sorted(tet[list(fv)])))
-        for ev in reftet.EDGE_VERTS:
-            edge_set.add(tuple(sorted(tet[list(ev)])))
-    faces = np.array(sorted(face_set), dtype=np.int64).reshape(-1, 3)
-    edges = np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
-    face_id = {tuple(f): i for i, f in enumerate(faces)}
-    edge_id = {tuple(e): i for i, e in enumerate(edges)}
+    faces, tet_faces = _subsimplices(tets, _FACE_VERTS)
+    edges, tet_edges = _subsimplices(tets, _EDGE_VERTS)
+    counts = np.bincount(tet_faces.ravel(), minlength=len(faces))
+    if np.any(counts > 2):
+        fid = int(np.argmax(counts > 2))
+        raise NonManifoldFace(f"face {fid} belongs to {counts[fid]} tets")
+    # a stable sort by face keeps the tets of each face ascending
+    incident = (np.argsort(tet_faces, axis=None, kind="stable") // 4).tolist()
+    ends = np.cumsum(counts).tolist()
 
-    T = len(tets)
-    tet_faces = np.empty((T, 4), dtype=np.int64)
-    tet_edges = np.empty((T, 6), dtype=np.int64)
-    tet_face_sign = np.empty((T, 4), dtype=np.int64)
-    face_tets = [[] for _ in range(len(faces))]
-    for t, tet in enumerate(tets):
-        p = vertices[tet]
-        centroid = p.mean(axis=0)
-        for i, fv in enumerate(reftet.FACE_VERTS):
-            tri = tuple(sorted(tet[list(fv)]))
-            fid = face_id[tri]
-            tet_faces[t, i] = fid
-            face_tets[fid].append(t)
-            n_canon = _canonical_face_normal(vertices[list(tri)])
-            outward = vertices[tri[0]] - centroid
-            tet_face_sign[t, i] = 1 if np.dot(n_canon, outward) > 0 else -1
-        for j, ev in enumerate(reftet.EDGE_VERTS):
-            tet_edges[t, j] = edge_id[tuple(sorted(tet[list(ev)]))]
+    # edges are lexicographic, so their keys a * V + b ascend
+    key = edges[:, 0] * len(vertices) + edges[:, 1]
+    face_edges = np.searchsorted(key, faces[:, [0, 0, 1]] * len(vertices) + faces[:, [1, 2, 2]])
 
-    for fid, ts in enumerate(face_tets):
-        if len(ts) > 2:
-            raise NonManifoldFace(f"face {fid} belongs to {len(ts)} tets")
-
-    face_edges = np.empty((len(faces), 3), dtype=np.int64)
-    for fid, tri in enumerate(faces):
-        pairs = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
-        face_edges[fid] = [edge_id[p] for p in pairs]
-
-    boundary = np.array([len(ts) == 1 for ts in face_tets])
+    V = vertices[faces]
+    n = np.cross(V[:, 1] - V[:, 0], V[:, 2] - V[:, 0])
+    face_normal = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    outward = vertices[faces[tet_faces, 0]] - vertices[tets].mean(axis=1)[:, None]
     return SimplicialMesh(
         vertices=vertices,
         tets=tets,
@@ -202,14 +204,12 @@ def build_complex(vertices, tets):
         tet_faces=tet_faces,
         tet_edges=tet_edges,
         face_edges=face_edges,
-        face_tets=tuple(tuple(ts) for ts in face_tets),
-        tet_face_sign=tet_face_sign,
-        boundary_face=boundary,
+        face_tets=tuple(tuple(incident[e - c:e]) for e, c in zip(ends, counts.tolist())),
+        face_normal=face_normal,
+        tet_face_sign=np.where(np.einsum("tfk,tfk->tf", face_normal[tet_faces], outward) > 0,
+                               1, -1),
+        boundary_face=counts == 1,
     )
-
-
-_FACE_VERTS = np.array(reftet.FACE_VERTS)
-_EDGE_VERTS = np.array(reftet.EDGE_VERTS)
 
 
 def affine_of(mesh, tet_id):
@@ -217,105 +217,47 @@ def affine_of(mesh, tet_id):
     return mesh.amaps[tet_id]
 
 
-def _affine_map(p):
-    """Affine map of the reference tet onto the tet with vertices p."""
-    A = np.column_stack([p[1] - p[0], p[2] - p[0], p[3] - p[0]])
-    det = float(np.linalg.det(A))
-    lengths = np.linalg.norm(p[_EDGE_VERTS[:, 0]] - p[_EDGE_VERTS[:, 1]], axis=1)
-    vol = abs(det) / 6.0
-    q = p[_FACE_VERTS]                                  # (face, vertex, xyz)
-    normals = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
-    areas = np.sum(0.5 * np.linalg.norm(normals, axis=1))
-    return AffineMap(
-        A=A,
-        b=p[0].copy(),
-        det=det,
-        A_inv=np.linalg.inv(A),
-        h=float(max(lengths)),
-        rho=float(3.0 * vol / areas),
-    )
-
-
 def unit_cube_mesh(n):
     """[0,1]^3 as n^3 cubes, each split into 6 tets around the diagonal."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
-    verts = np.array(
-        [
-            [i / n, j / n, k / n]
-            for i in range(n + 1)
-            for j in range(n + 1)
-            for k in range(n + 1)
-        ]
-    )
+    g = np.arange(n + 1) / n
+    verts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     # vertex-path splitting: walk from the low corner to the high corner
     # one axis at a time; the 6 axis orders give the 6 tets
-    from itertools import permutations
+    stride = np.array([(n + 1) ** 2, n + 1, 1])
+    paths = np.cumsum(np.pad(stride[list(permutations(range(3)))], ((0, 0), (1, 0))), axis=1)
+    i = np.arange(n)
+    corners = ((i[:, None, None] * (n + 1) + i[:, None]) * (n + 1) + i).ravel()
+    return build_complex(verts, (corners[:, None, None] + paths).reshape(-1, 4))
 
-    tets = []
-    steps = np.eye(3, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k], dtype=np.int64)
-                for perm in sorted(permutations(range(3))):
-                    path = [base]
-                    for ax in perm:
-                        path.append(path[-1] + steps[ax])
-                    tets.append([idx(*q) for q in path])
-    return build_complex(verts, np.array(tets, dtype=np.int64))
+
+# Red refinement of one tet, in its vertices 0-3 and the midpoints 4-9 of
+# its local edges (reftet.EDGE_VERTS): the four corner children, then the
+# four children around one diagonal of the inner octahedron.  Per diagonal
+# (m01 m23, m02 m13, m03 m12): its ends, then the other four midpoints in
+# ring order, so that consecutive ones share a face with the diagonal.
+_CORNERS = ((0, 4, 5, 6), (1, 4, 7, 8), (2, 5, 7, 9), (3, 6, 8, 9))
+_DIAGONALS = ((4, 9, 5, 6, 8, 7), (5, 8, 4, 6, 9, 7), (6, 7, 4, 5, 9, 8))
+_RED = np.array([_CORNERS + tuple((d0, d1, ring[i], ring[(i + 1) % 4]) for i in range(4))
+                 for d0, d1, *ring in _DIAGONALS])              # (diagonal, child, vertex)
 
 
 def refine_uniform(mesh):
     """Red refinement: each tet into 8 children via edge midpoints.
 
-    The inner octahedron is split along its shortest diagonal, which keeps
-    the shape-regularity ratio bounded under repeated refinement.
+    Children 8t..8t+7 are those of tet t, and child 8t+i holds vertex i of
+    tet t for i < 4.  The inner octahedron is split along its shortest
+    diagonal, which keeps the shape-regularity ratio bounded under repeated
+    refinement.
     """
-    verts = mesh.vertices
-    mid_id = {}
-    new_verts = [verts]
-    next_id = mesh.n_vertices
-    for e in mesh.edges:
-        mid_id[(int(e[0]), int(e[1]))] = next_id
-        next_id += 1
-    new_verts.append(0.5 * (verts[mesh.edges[:, 0]] + verts[mesh.edges[:, 1]]))
-    all_verts = np.vstack(new_verts)
-
-    def mid(a, b):
-        return mid_id[(min(a, b), max(a, b))]
-
-    children = []
-    for tet in mesh.tets:
-        v = [int(x) for x in tet]
-        m01, m02, m03 = mid(v[0], v[1]), mid(v[0], v[2]), mid(v[0], v[3])
-        m12, m13, m23 = mid(v[1], v[2]), mid(v[1], v[3]), mid(v[2], v[3])
-        children += [
-            [v[0], m01, m02, m03],
-            [v[1], m01, m12, m13],
-            [v[2], m02, m12, m23],
-            [v[3], m03, m13, m23],
-        ]
-        diagonals = [
-            ((m01, m23), (m02, m03, m12, m13)),
-            ((m02, m13), (m01, m03, m12, m23)),
-            ((m03, m12), (m01, m02, m13, m23)),
-        ]
-        dlen = [np.linalg.norm(all_verts[d[0]] - all_verts[d[1]]) for d, _ in diagonals]
-        (d0, d1), others = diagonals[int(np.argmin(dlen))]
-        o = list(others)
-        # four tets around the chosen diagonal; consecutive "others" share
-        # a face with the diagonal
-        quads = [
-            (o[0], o[1]),
-            (o[1], o[3]),
-            (o[3], o[2]),
-            (o[2], o[0]),
-        ]
-        for a, b in quads:
-            children.append([d0, d1, a, b])
-    return build_complex(all_verts, np.array(children, dtype=np.int64))
+    verts, edges = mesh.vertices, mesh.edges
+    all_verts = np.vstack([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
+    w = np.hstack([mesh.tets, mesh.n_vertices + mesh.tet_edges])   # (T, 10)
+    x = all_verts[w]
+    shortest = np.argmin(np.linalg.norm(x[:, [4, 5, 6]] - x[:, [9, 8, 7]], axis=-1), axis=1)
+    children = w[np.arange(mesh.n_tets)[:, None, None], _RED[shortest]]
+    return build_complex(all_verts, children.reshape(-1, 4))
 
 
 @dataclass(frozen=True)
@@ -345,11 +287,9 @@ class OrderMap:
         if tet_orders.min() < 0:
             raise ValueError("orders must be nonnegative")
         face_orders = np.full(mesh.n_faces, np.iinfo(np.int64).max)
+        np.minimum.at(face_orders, mesh.tet_faces, tet_orders[:, None])
         edge_orders = np.full(mesh.n_edges, np.iinfo(np.int64).max)
-        for t in range(mesh.n_tets):
-            np.minimum.at(face_orders, mesh.tet_faces[t], tet_orders[t])
-        for f in range(mesh.n_faces):
-            np.minimum.at(edge_orders, mesh.face_edges[f], face_orders[f])
+        np.minimum.at(edge_orders, mesh.face_edges, face_orders[:, None])
         return OrderMap(tet_orders, face_orders, edge_orders)
 
     @staticmethod
@@ -373,16 +313,13 @@ class OrderMap:
 def validate_order_map(mesh, orders):
     """Monotonicity report: list of (kind, sub_id, super_id, r_sub, r_super)."""
     violations = []
-    for t in range(mesh.n_tets):
-        rt = orders.tet_orders[t]
-        for f in mesh.tet_faces[t]:
-            if orders.face_orders[f] > rt:
-                violations.append(("face>tet", int(f), t, int(orders.face_orders[f]), int(rt)))
-    for f in range(mesh.n_faces):
-        rf = orders.face_orders[f]
-        for e in mesh.face_edges[f]:
-            if orders.edge_orders[e] > rf:
-                violations.append(("edge>face", int(e), f, int(orders.edge_orders[e]), int(rf)))
+    for kind, subs, r_sub, r_super in (
+        ("face>tet", mesh.tet_faces, orders.face_orders, orders.tet_orders),
+        ("edge>face", mesh.face_edges, orders.edge_orders, orders.face_orders),
+    ):
+        sup, k = np.nonzero(r_sub[subs] > r_super[:, None])
+        violations += [(kind, int(s), int(p), int(r_sub[s]), int(r_super[p]))
+                       for s, p in zip(subs[sup, k], sup)]
     return violations
 
 

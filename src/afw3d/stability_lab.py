@@ -175,7 +175,7 @@ def best_approximation_errors(mesh, orders, case, system=None):
     rhs = np.zeros(system.dofmap.n_stress)
     w = ws.vol_rule.weights
     aff = mesh.affine
-    for ro, tets in assembly.signature_blocks(space):
+    for ro, tets, sds, _ in system.blocks:
         basis = ps.stress_basis(ro)
         nb, deg = basis.dim, ro.tet + 1
         sv = interp.block_values(mesh, case.sigma, tets, ws.vol_rule.points)   # (tets, q, 3, 3)
@@ -188,7 +188,6 @@ def best_approximation_errors(mesh, orders, case, system=None):
         raw = svA @ np.swapaxes(ref, 1, 2).reshape(nb, -1).T
         wfv = (w[:, None] * fv).reshape(len(tets), -1)
         raw += wfv @ np.swapaxes(div_ref, 1, 2).reshape(nb, -1).T
-        sds = np.stack([space.elements[t].dof_ids for t in tets])
         np.add.at(rhs, sds, (np.swapaxes(space.dual_bases(tets), 1, 2) @ raw[..., None])[..., 0])
     proj = space.field(linalg.solve_sparse(Mh, rhs))
     best_sigma = np.hypot(
