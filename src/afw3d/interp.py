@@ -27,7 +27,7 @@ Face moments are taken in the coordinates of each face's vertices in
 ascending global order, so both neighbours of a face test against the same
 functions.  Pulled back to the reference tet, a face row or face rule then
 depends only on the order signature, the local face and the order of its
-vertices (_face_perm), and is cached per such key, not per tet.  The
+vertices (Workspace.face_perms), and is cached per such key, not per tet.  The
 interior moments of the stress space pair the flux pullback with its test
 functions on the reference tet as well, so a tet's whole stress moment
 matrix is its face orientation signs times one matrix per (signature, face
@@ -709,6 +709,9 @@ class Workspace:
         # tet ids of each order signature
         self.signature_groups = {ro: np.flatnonzero(self._sig_of == k)
                                  for k, ro in enumerate(self._signatures)}
+        # (T, 4, 3): the local vertices of each local face (reftet.FACE_VERTS)
+        # as positions in ascending global vertex id
+        self.face_perms = np.argsort(mesh.tets[:, reftet.FACE_VERTS], axis=2)
 
     @property
     def amaps(self):
@@ -723,12 +726,6 @@ class Workspace:
         per_tet = 4 * len(self.tri_rule.weights) + len(self.vol_rule.weights)
         for tets in self.signature_groups.values():
             yield from tet_blocks(tets, per_tet)
-
-
-def _face_perm(mesh, t, f):
-    """The local vertices of local face f of tet t (reftet.FACE_VERTS[f])
-    as positions in ascending global vertex id."""
-    return tuple(int(i) for i in np.argsort(mesh.tets[t][list(reftet.FACE_VERTS[f])]))
 
 
 @lru_cache(maxsize=None)
@@ -796,9 +793,10 @@ def _rhs(ws, t, sysm, Uhat):
     tets, orders, rule = np.atleast_1d(t), sysm.orders, ws.vol_rule
     rhs = []
     for f in range(4):
-        quads = [_ref_face_quadrature(f, _face_perm(ws.mesh, s, f), orders.faces[f], ws.face_deg)
-                 for s in tets]
-        xhat, modes_vals, w = (np.stack(a) for a in zip(*quads))
+        perms, which = np.unique(ws.face_perms[tets, f], axis=0, return_inverse=True)
+        quads = [_ref_face_quadrature(f, tuple(p), orders.faces[f], ws.face_deg)
+                 for p in perms.tolist()]
+        xhat, modes_vals, w = (np.stack(a)[which.ravel()] for a in zip(*quads))
         Ut = Uhat.value(xhat, tets) @ _face_directions(sysm.kind, f).T          # (B, q, 3, a)
         rhs.append(np.einsum("tq,tsq,tqia->tsai", w, modes_vals, Ut).reshape(len(tets), -1))
     field = Uhat if sysm.kind == "2minus" else Uhat.apply_s1()
@@ -893,7 +891,7 @@ def conformity_error(df):
     points of one face rule per face."""
     mesh = df.mesh
     rule = quadrature.rule_for(2, CONFORMITY_RULE_DEG)
-    fids = np.array([f for f, ts in enumerate(mesh.face_tets) if len(ts) == 2], dtype=np.int64)
+    fids = np.flatnonzero(~mesh.boundary_face)
     if len(fids) == 0:
         return 0.0, 0.0
     verts = mesh.vertices[mesh.faces[fids]]                           # (faces, 3, 3)
@@ -937,11 +935,9 @@ def clement(mesh, W, orders=None):
     np.add.at(sums, mesh.tets, integrals[:, None])
     vols = np.bincount(mesh.tets.ravel(), np.repeat(det / 6.0, 4), mesh.n_vertices)
     vertex_vals = (sums / vols[:, None, None]).reshape(-1, 9)[mesh.tets]   # (T, 4, 9)
-    idx1 = mo.index_of(3, 1)
     c = np.zeros((mesh.n_tets, 9, mo.count(3, 1)))
     c[:, :, 0] = vertex_vals[:, 0]
-    for k, e in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        c[:, :, idx1[e]] = vertex_vals[:, k + 1] - vertex_vals[:, 0]
+    c[:, :, mo.coordinate_index(3)] = np.swapaxes(vertex_vals[:, 1:] - vertex_vals[:, :1], 1, 2)
     return DiscreteField(mesh, orders, "compose", [1] * mesh.n_tets, list(c), space="linear_mat")
 
 
@@ -1025,7 +1021,7 @@ def _face_test_table(f, perm, rf, deg):
     """(n2(deg), ns): the reference face f integrals of the face-frame
     monomials of degree deg against the unit-triangle modes
     scalar_face_modes(3, rf), taken in the coordinates s of the face's
-    vertices in the order perm (_face_perm)."""
+    vertices in the order perm (Workspace.face_perms)."""
     Y = ps.REF_FACE_FRAMES[f].yverts[list(perm)]
     L_inv = np.linalg.inv((Y[1:] - Y[0]).T)
     S = mo.substitution_matrix(2, rf, L_inv, -L_inv @ Y[0])         # s(y) = L^{-1} (y - Y_0)
@@ -1037,9 +1033,7 @@ def _face_test_table(f, perm, rf, deg):
 def _face_trace(ro, f):
     """(nb, 3, n2(r+1)): the normal traces of the stress basis of signature ro
     on reference face f."""
-    basis = ps.stress_basis(ro)
-    return ps.trace_normal(basis.coeffs.reshape(basis.dim, 3, 3, -1), ps.REF_FACE_FRAMES[f],
-                           ps._ref_face_subst(f, ro.tet + 1))
+    return ps.trace(ps.stress_basis(ro), ro.tet + 1, f, "normal")
 
 
 class StressSpace:
@@ -1075,8 +1069,8 @@ class StressSpace:
         self.systems = {}        # (signature, face vertex orders) -> unsigned StressElement
         self.elements = []
         offset = int(self.face_offset[-1])
-        for t in range(mesh.n_tets):
-            key = (self.ws.ref_orders(t), tuple(_face_perm(mesh, t, f) for f in range(4)))
+        for t, perms in enumerate(self.ws.face_perms.tolist()):
+            key = (self.ws.ref_orders(t), tuple(map(tuple, perms)))
             if key not in self.systems:
                 self.systems[key] = self._build_system(*key)
             elem = self.systems[key]

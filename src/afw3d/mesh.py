@@ -157,9 +157,14 @@ def _subsimplices(tets, local):
     """(table, ids): the distinct sorted vertex tuples of the local
     subsimplices local (k, m) of all tets, in lexicographic order, and the
     (T, k) row of each in the table."""
-    table, ids = np.unique(np.sort(tets[:, local], axis=2).reshape(-1, local.shape[1]),
-                           axis=0, return_inverse=True)
-    return table, ids.reshape(len(tets), -1)
+    rows = np.sort(tets[:, local], axis=2).reshape(-1, local.shape[1])
+    order = np.lexsort(rows.T[::-1])              # the first column is the primary key
+    rows = rows[order]
+    start = np.ones(len(rows), dtype=bool)        # first of each run of equal rows
+    start[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(start) - 1
+    return rows[start], ids.reshape(len(tets), -1)
 
 
 def build_complex(vertices, tets):

@@ -30,6 +30,13 @@ def index_of(dim, deg):
     return {tuple(e): i for i, e in enumerate(exponents(dim, deg))}
 
 
+@lru_cache(maxsize=None)
+def coordinate_index(dim):
+    """Frame positions of the coordinate monomials x_1..x_dim."""
+    # row e_j of the degree-1 frame is the first with a 1 in column j
+    return np.argmax(exponents(dim, 1), axis=0)
+
+
 def count(dim, deg):
     """dim P_deg in `dim` variables; 0 for negative degree."""
     if deg < 0:
@@ -144,13 +151,9 @@ def substitution_matrix(dim_in, deg, L, b):
     exps = exponents(dim_in, deg)
     idx = index_of(dim_in, deg)
     n_out = count(dim_out, deg)
-    idx1 = index_of(dim_out, 1)
-    lin = np.zeros((dim_in, count(dim_out, 1)))
-    for i in range(dim_in):
-        lin[i, 0] = b[i]
-        for j in range(dim_out):
-            unit = tuple(1 if k == j else 0 for k in range(dim_out))
-            lin[i, idx1[unit]] = L[i, j]
+    lin = np.zeros((dim_in, count(dim_out, 1)))   # row i: b_i + (L y)_i
+    lin[:, 0] = b
+    lin[:, coordinate_index(dim_out)] = L
     S = np.zeros((len(exps), n_out))
     S[0, 0] = 1.0
     for i, e in enumerate(exps):

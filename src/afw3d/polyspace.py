@@ -7,13 +7,21 @@ family and its complement used by the auxiliary interpolation moments.
 
 Space tags follow the exterior-calculus naming:
 
-==================  =========================================dim==========
+==================  ==================================================
+tag                 space
+==================  ==================================================
 lambda3             scalar polynomials P_r(T)
 lambda3_vec         vector polynomials P_r(T;V)
 lambda2             vector polynomials P_r(T;V) seen as flux fields
 lambda2_minus       P_{r-1}(T;V) + x P_{r-1}(T)          (RT family)
 lambda1_minus       P_{r-1}(T;V) + x ^ P_{r-1}(T;V)      (Nedelec family)
 ==================  ==================================================
+
+Every space is built from the same coefficient primitives: the coordinate
+rows x_j (_coordinate_rows, at monomials.coordinate_index), the component
+frames e_c m (_component_frame), the products x_j m (_times_coordinates),
+the matrix rows of a vector space (to_matrix_rows) and the traces on
+reference faces and edges (trace).
 
 Variable-order constraints restrict normal face traces (lambda2 family),
 tangential face/edge traces (lambda1 family) subsimplex by subsimplex;
@@ -158,42 +166,29 @@ def _ref_face_subst(face, deg):
     return mo.substitution_matrix(3, deg, L, fr.origin)
 
 
-def trace_normal(coeffs, frame, subst):
-    """Normal component on a face: (..., 3, n3) -> (..., n2)."""
-    c = np.asarray(coeffs, dtype=float)
-    return frame.normal @ (c @ subst)
-
-
-def trace_tangential(coeffs, frame, subst):
-    """Tangential components on a face: (..., 3, n3) -> (..., 2, n2)."""
-    c = np.asarray(coeffs, dtype=float)
-    return np.vstack([frame.t1, frame.t2]) @ (c @ subst)
-
-
-def trace_edge_tangential(coeffs, deg, frame):
-    """Tangential component along an edge: (..., 3, n3) -> (..., n1)."""
-    S = mo.substitution_matrix(3, deg, frame.tangent.reshape(3, 1), frame.origin)
-    c = np.asarray(coeffs, dtype=float)
-    return frame.tangent @ (c @ S)
-
-
 def trace(basis_or_coeffs, deg, sub, kind):
     """Trace polynomial of a vector/matrix field on a reference subsimplex.
 
-    kind is one of 'normal', 'tangential-face', 'tangential-edge'; sub is
-    the local face index (normal/tangential-face) or edge index.
+    kind is one of 'normal' (..., 3, n3) -> (..., n2), 'tangential-face'
+    (..., 3, n3) -> (..., 2, n2) and 'tangential-edge' (..., 3, n3) ->
+    (..., n1); sub is the local face index (normal/tangential-face) or edge
+    index.  Matrix fields (..., 9, n3) give the traces of their rows.
     """
     c = basis_or_coeffs.coeffs if isinstance(basis_or_coeffs, PolyBasis) else basis_or_coeffs
     c = np.asarray(c, dtype=float)
     if c.shape[-2] == 9:
         c = c.reshape(c.shape[:-2] + (3, 3, c.shape[-1]))
-    if kind == "normal":
-        return trace_normal(c, REF_FACE_FRAMES[sub], _ref_face_subst(sub, deg))
-    if kind == "tangential-face":
-        return trace_tangential(c, REF_FACE_FRAMES[sub], _ref_face_subst(sub, deg))
     if kind == "tangential-edge":
-        return trace_edge_tangential(c, deg, REF_EDGE_FRAMES[sub])
-    raise ValueError(f"unknown trace kind {kind!r}")
+        frame = REF_EDGE_FRAMES[sub]
+        dirs = frame.tangent
+        S = mo.substitution_matrix(3, deg, frame.tangent.reshape(3, 1), frame.origin)
+    elif kind in ("normal", "tangential-face"):
+        frame = REF_FACE_FRAMES[sub]
+        dirs = frame.normal if kind == "normal" else np.vstack([frame.t1, frame.t2])
+        S = _ref_face_subst(sub, deg)
+    else:
+        raise ValueError(f"unknown trace kind {kind!r}")
+    return dirs @ (c @ S)
 
 
 # ---------------------------------------------------------------------------
@@ -267,76 +262,50 @@ def scalar_face_modes(face, deg):
     """L2(F)-orthonormal scalar polynomial modes on a reference face."""
     if deg < 0:
         return np.zeros((0, 1, mo.count(2, 0)))
-    eye = np.eye(mo.count(2, deg))[:, None, :]
-    return _orthonormalize(eye, ref_face_gram(face, deg))
+    return _orthonormalize(_component_frame(1, 2, deg, deg), ref_face_gram(face, deg))
 
 
 @lru_cache(maxsize=None)
 def volume_modes(deg):
     """L2(T)-orthonormal scalar modes on the reference tet."""
-    eye = np.eye(mo.count(3, deg))[:, None, :]
-    return _orthonormalize(eye, mo.gram_simplex(3, deg))
+    return _orthonormalize(_component_frame(1, 3, deg, deg), mo.gram_simplex(3, deg))
 
 
 @lru_cache(maxsize=None)
 def zero_mean_volume_modes(deg):
     """Orthonormal basis of P_deg(T) / R (zero-mean scalar modes)."""
-    eye = np.eye(mo.count(3, deg))[:, None, :]
-    const = np.zeros((1, 1, mo.count(3, deg)))
-    const[0, 0, 0] = 1.0
-    return _l2_complement(eye, const, mo.gram_simplex(3, deg))
+    frame = _component_frame(1, 3, deg, deg)
+    return _l2_complement(frame, frame[:1], mo.gram_simplex(3, deg))   # frame[:1]: the constants
 
 
 # ---------------------------------------------------------------------------
 # full and trimmed spaces
 
-def _vector_monomial_basis(deg, target_deg=None):
-    """e_i * monomial for all i, monomials of degree <= deg."""
-    target_deg = deg if target_deg is None else target_deg
-    n = mo.count(3, deg)
-    N = mo.count(3, target_deg)
-    out = np.zeros((3 * n, 3, N))
-    for i in range(3):
-        out[i * n : (i + 1) * n, i, :n] = np.eye(n)
-    return out
+def _coordinate_rows(dim):
+    """(dim, n1): the coordinates x_1..x_dim in the degree-1 frame."""
+    rows = np.zeros((dim, mo.count(dim, 1)))
+    rows[np.arange(dim), mo.coordinate_index(dim)] = 1.0
+    return rows
 
 
-def _position_times_scalars(deg_s, target_deg):
-    """x * m for scalar monomials m of degree <= deg_s; frame deg_s + 1."""
-    n = mo.count(3, deg_s)
-    out = np.zeros((n, 3, mo.count(3, target_deg)))
-    x_coeffs = np.zeros((3, mo.count(3, 1)))
-    idx1 = mo.index_of(3, 1)
-    for j in range(3):
-        x_coeffs[j, idx1[tuple(1 if k == j else 0 for k in range(3))]] = 1.0
-    eye = np.eye(n)
-    for j in range(3):
-        prod = mo.mul(eye, deg_s, x_coeffs[j], 1, 3)
-        out[:, j, : prod.shape[-1]] = prod
-    return out
+def _component_frame(ncomp, dim, deg, target_deg):
+    """(ncomp * n, ncomp, N): e_c m for every component c and monomial m of
+    degree <= deg, row c * n + k for the k-th monomial, in the target_deg frame."""
+    n = mo.count(dim, deg)
+    return mo.embed(np.eye(ncomp * n).reshape(-1, ncomp, n), dim, deg, target_deg)
 
 
-def _cross_position_vectors(deg_s, target_deg):
-    """x ^ (e_i m) for scalar monomials m of degree <= deg_s."""
-    n = mo.count(3, deg_s)
-    out = np.zeros((3 * n, 3, mo.count(3, target_deg)))
-    x_coeffs = np.zeros((3, mo.count(3, 1)))
-    idx1 = mo.index_of(3, 1)
-    for j in range(3):
-        x_coeffs[j, idx1[tuple(1 if k == j else 0 for k in range(3))]] = 1.0
-    eye = np.eye(n)
-    eps = np.zeros((3, 3, 3))
-    for i, j, k, s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (0, 2, 1, -1), (1, 0, 2, -1), (2, 1, 0, -1)]:
-        eps[i, j, k] = s
-    for i in range(3):  # field e_i * m
-        for c in range(3):  # output component (x ^ e_i m)_c = eps_cji x_j m
-            acc = np.zeros((n, mo.count(3, deg_s + 1)))
-            for j in range(3):
-                if eps[c, j, i] != 0.0:
-                    acc += eps[c, j, i] * mo.mul(eye, deg_s, x_coeffs[j], 1, 3)
-            out[i * n : (i + 1) * n, c, : acc.shape[-1]] = acc
-    return out
+def _times_coordinates(dim, deg):
+    """(n, dim, n(deg + 1)): the vector field x m for every monomial m of degree <= deg."""
+    return mo.mul(_component_frame(1, dim, deg, deg), deg, _coordinate_rows(dim), 1, dim)
+
+
+def _cross_position_vectors(deg):
+    """(3 n, 3, n(deg + 1)): x ^ (e_i m) = (x m) ^ e_i, row i * n + k for the
+    k-th monomial m of degree <= deg."""
+    cross = np.cross(_times_coordinates(3, deg), np.eye(3)[:, None, :, None],
+                     axisa=-2, axisb=-2, axisc=-2)              # (3, n, 3, N)
+    return cross.reshape(-1, 3, cross.shape[-1])
 
 
 def _independent_subset(span, expected=None):
@@ -363,23 +332,19 @@ def basis_full(tag, r):
     if r < 0:
         raise ValueError("order must be nonnegative")
     if tag == "lambda3":
-        return _mk(tag, 1, r, np.eye(mo.count(3, r))[:, None, :], r)
+        return _mk(tag, 1, r, _component_frame(1, 3, r, r), r)
     if tag in ("lambda3_vec", "lambda2"):
-        return _mk(tag, 3, r, _vector_monomial_basis(r), r)
+        return _mk(tag, 3, r, _component_frame(3, 3, r, r), r)
     if tag == "lambda2_minus":
         if r == 0:
             return _mk(tag, 3, 0, np.zeros((0, 3, 1)), r)
-        span = np.concatenate(
-            [_vector_monomial_basis(r - 1, r), _position_times_scalars(r - 1, r)]
-        )
+        span = np.concatenate([_component_frame(3, 3, r - 1, r), _times_coordinates(3, r - 1)])
         picked = _independent_subset(span, dim_lambda2_minus(r))
         return _mk(tag, 3, r, picked, r)
     if tag == "lambda1_minus":
         if r == 0:
             return _mk(tag, 3, 0, np.zeros((0, 3, 1)), r)
-        span = np.concatenate(
-            [_vector_monomial_basis(r - 1, r), _cross_position_vectors(r - 1, r)]
-        )
+        span = np.concatenate([_component_frame(3, 3, r - 1, r), _cross_position_vectors(r - 1)])
         picked = _independent_subset(span, dim_lambda1_minus(r))
         return _mk(tag, 3, r, picked, r)
     raise ValueError(f"unknown space tag {tag!r}")
@@ -388,11 +353,10 @@ def basis_full(tag, r):
 def to_matrix_rows(basis):
     """Matrix-valued space whose rows live in the given vector space."""
     nb, _, n = basis.coeffs.shape
-    out = np.zeros((3 * nb, 9, n))
+    out = np.zeros((3, nb, 3, 3, n))
     for i in range(3):
-        for j in range(3):
-            out[i * nb : (i + 1) * nb, 3 * i + j, :] = basis.coeffs[:, j, :]
-    return _mk(basis.tag + "_mat", 9, basis.deg, out, basis.orders)
+        out[i, :, i] = basis.coeffs   # row i * nb + k: basis row k as matrix row i
+    return _mk(basis.tag + "_mat", 9, basis.deg, out.reshape(3 * nb, 9, n), basis.orders)
 
 
 # ---------------------------------------------------------------------------
@@ -459,36 +423,29 @@ def _nullspace_basis(basis, rows, tag, orders=None):
     return _mk(tag, basis.ncomp, basis.deg, coeffs, orders)
 
 
+# ring tag -> (full space, trace kind that vanishes); None is the scalar trace
+_RING_TRACES = {
+    "lambda0": ("lambda3", None),
+    "lambda2": ("lambda2", "normal"),
+    "lambda2_minus": ("lambda2_minus", "normal"),
+    "lambda1_minus": ("lambda1_minus", "tangential-face"),
+}
+
+
 @lru_cache(maxsize=None)
 def basis_ring(tag, r):
     """Subspace with vanishing traces on the whole boundary."""
-    if tag == "lambda0":
-        full = basis_full("lambda3", r)
-        rows = []
-        for f in range(4):
-            S = _ref_face_subst(f, r)
-            tr = full.coeffs[:, 0, :] @ S   # (nb, n2)
-            rows.append(tr.T)
-        return _nullspace_basis(full, np.vstack(rows), "lambda0_ring", r)
-    if tag in ("lambda2", "lambda2_minus"):
-        full = basis_full(tag, r)
-        if full.dim == 0:
-            return _mk(tag + "_ring", 3, full.deg, full.coeffs, r)
-        rows = []
-        for f in range(4):
-            tr = trace(full.coeffs, r, f, "normal")   # (nb, n2)
-            rows.append(tr.T)
-        return _nullspace_basis(full, np.vstack(rows), tag + "_ring", r)
-    if tag == "lambda1_minus":
-        full = basis_full(tag, r)
-        if full.dim == 0:
-            return _mk(tag + "_ring", 3, full.deg, full.coeffs, r)
-        rows = []
-        for f in range(4):
-            tr = trace(full.coeffs, r, f, "tangential-face")  # (nb, 2, n2)
-            rows.append(tr.reshape(full.dim, -1).T)
-        return _nullspace_basis(full, np.vstack(rows), tag + "_ring", r)
-    raise ValueError(f"unknown ring tag {tag!r}")
+    if tag not in _RING_TRACES:
+        raise ValueError(f"unknown ring tag {tag!r}")
+    full_tag, kind = _RING_TRACES[tag]
+    full = basis_full(full_tag, r)
+    if full.dim == 0:
+        return _mk(tag + "_ring", full.ncomp, full.deg, full.coeffs, r)
+    rows = []
+    for f in range(4):
+        tr = full.flat() @ _ref_face_subst(f, r) if kind is None else trace(full, r, f, kind)
+        rows.append(tr.reshape(full.dim, -1).T)
+    return _nullspace_basis(full, np.vstack(rows), tag + "_ring", r)
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +460,9 @@ def _face_trimmed_tangent_basis(face, d):
     """
     if d <= 0:
         return np.zeros((0, 2, mo.count(2, max(d, 0))))
-    n = mo.count(2, d - 1)
-    N = mo.count(2, d)
-    vec = np.zeros((2 * n, 2, N))
-    for i in range(2):
-        vec[i * n : (i + 1) * n, i, :n] = np.eye(n)
-    y_coeffs = np.zeros((2, mo.count(2, 1)))
-    idx1 = mo.index_of(2, 1)
-    y_coeffs[0, idx1[(1, 0)]] = 1.0
-    y_coeffs[1, idx1[(0, 1)]] = 1.0
-    eye = np.eye(n)
-    rot = np.zeros((n, 2, N))
-    rot[:, 0, :] = -mo.mul(eye, d - 1, y_coeffs[1], 1, 2)
-    rot[:, 1, :] = mo.mul(eye, d - 1, y_coeffs[0], 1, 2)
-    span = np.concatenate([vec, rot])
+    # rot(y) m = (-y2 m, y1 m)
+    rot = _times_coordinates(2, d - 1)[:, ::-1] * np.array([[-1.0], [1.0]])
+    span = np.concatenate([_component_frame(2, 2, d - 1, d), rot])
     expected = d * (d + 2)
     return _independent_subset(span, expected)
 
@@ -534,11 +480,7 @@ def _radial_rows(tr, deg):
     n_hi = mo.count(2, deg)
     h = np.zeros(tr.shape[:-2] + (2, n_hi))
     h[..., :, n_lo:n_hi] = tr[..., :, n_lo:n_hi]
-    y = np.zeros((2, mo.count(2, 1)))
-    idx1 = mo.index_of(2, 1)
-    y[0, idx1[(1, 0)]] = 1.0
-    y[1, idx1[(0, 1)]] = 1.0
-    prod = mo.mul(h[..., 0, :], deg, y[0], 1, 2) + mo.mul(h[..., 1, :], deg, y[1], 1, 2)
+    prod = mo.mul(h, deg, _coordinate_rows(2), 1, 2).sum(axis=-2)
     # y . h is homogeneous of degree deg + 1
     return prod[..., mo.count(2, deg) :]
 
@@ -633,14 +575,9 @@ def curl_image_basis(r):
     if ring.dim == 0 or k == 0:
         return _mk("curl_image", 9, max(r, 0), np.zeros((0, 9, mo.count(3, max(r, 0)))), r)
     curls = differentiate(ring.coeffs, r + 1, "curl")   # (nb, 3, n_r)
-    vec = _independent_subset(curls, k // 3)
-    nb = vec.shape[0]
-    out = np.zeros((3 * nb, 9, vec.shape[-1]))
-    for i in range(3):
-        for j in range(3):
-            out[i * nb : (i + 1) * nb, 3 * i + j, :] = vec[:, j, :]
-    assert out.shape[0] == k
-    return _mk("curl_image", 9, r, out, r)
+    mat = to_matrix_rows(_mk("curl_image", 3, r, _independent_subset(curls, k // 3), r))
+    assert mat.dim == k
+    return _mk("curl_image", 9, r, mat.coeffs, r)
 
 
 @lru_cache(maxsize=None)
@@ -656,10 +593,7 @@ def complement_g_basis(r):
         return _mk("grad_complement", 9, deg, np.zeros((0, 9, mo.count(3, deg))), r)
     vec = basis_full("lambda3_vec", r)
     grads = differentiate(vec.coeffs, r, "grad")        # (nb, 9, n_{r-1})
-    n = mo.count(3, r - 1)
-    full = np.zeros((9 * n, 9, n))
-    for c in range(9):
-        full[c * n : (c + 1) * n, c, :] = np.eye(n)
+    full = _component_frame(9, 3, r - 1, r - 1)
     G = mo.gram_simplex(3, r - 1)
     comp = _l2_complement(full, grads, G, expected=k)
     return _mk("grad_complement", 9, r - 1, comp, r)
