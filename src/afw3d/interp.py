@@ -32,6 +32,12 @@ interior moments of the stress space pair the flux pullback with its test
 functions on the reference tet as well, so a tet's whole stress moment
 matrix is its face orientation signs times one matrix per (signature, face
 vertex orders) key, which StressSpace factors and inverts once per key.
+
+One builder, moment_matrix, forms the reference moment matrices of the
+stress element and of both trimmed interpolants: face rows from
+polyspace.trace against per-face test tables, divergence rows against the
+zero-mean modes and volume rows against a family (the auxiliary h(t) of the
+trimmed systems, the divergence-free interior of the stress element).
 """
 
 from dataclasses import dataclass, replace
@@ -504,17 +510,57 @@ def h1_norm(mesh, sample, quad_deg, tets=None):
 # ---------------------------------------------------------------------------
 # reference moment systems
 #
-# Both trimmed interpolants are fixed by the same face / divergence /
-# auxiliary conditions.  The 1minus conditions are the 2minus ones with
-# tangential instead of normal face traces, and with S1 applied to the
-# field in the divergence and auxiliary rows.
+# The 1minus conditions are the 2minus ones with tangential instead of
+# normal face traces, and with S1 applied to the field in the divergence and
+# auxiliary rows.  The stress element conditions have the 2minus form, with
+# other face modes and the divergence-free interior as the volume family.
+
+def moment_matrix(basis, rt, kind, face_tables, face_signs, family, what):
+    """(M, face slices, divergence slice, volume slice): the square moment
+    matrix of a matrix-valued reference basis on a tet of order rt.
+
+    Face f gives face_signs[f] times the kind trace ("normal" or
+    "tangential-face") of the basis on reference face f times the table
+    face_tables[f] (n2(deg), ns), in (mode, direction, row) order.  The
+    divergence rows test against zero_mean_volume_modes(rt), the volume rows
+    against the rows of family (k, 9, n3(deg)), in the L2 pairing of the
+    reference tet, and of S1 of the basis for tangential traces.  Raises
+    DimensionMismatch, naming the system what, if M is not square.
+    """
+    deg, nb = basis.deg, basis.dim
+    rows, face_slices, pos = [], [], 0
+    for f in range(4):
+        vals = face_signs[f] * (ps.trace(basis, deg, f, kind) @ face_tables[f])  # (nb, 3, [a,] ns)
+        rows.append(vals.T.reshape(-1, nb))
+        face_slices.append(slice(pos, pos + len(rows[-1])))
+        pos += len(rows[-1])
+    coeffs = basis.coeffs if kind == "normal" else tensor_ops.S1_MATRIX @ basis.coeffs
+    zm = mo.embed(ps.zero_mean_volume_modes(rt)[:, 0, :], 3, rt, deg - 1)
+    rows.append(np.einsum("bln,nm,sm->slb", ps.differentiate(coeffs, deg, "div"),
+                          mo.gram_simplex(3, deg - 1), zm).reshape(-1, nb))
+    div_slice = slice(pos, pos + len(rows[-1]))
+    rows.append(np.tensordot(family, coeffs @ mo.gram_simplex(3, deg).T, axes=([1, 2], [1, 2])))
+    M = np.vstack(rows)
+    if M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"{what} is {M.shape[0]}x{M.shape[1]}")
+    return M, face_slices, div_slice, slice(div_slice.stop, len(M))
+
+
+def _lu_factor(M, what):
+    """linalg.lu_factor of the moment matrix M of the system named what."""
+    try:
+        return linalg.lu_factor(M)
+    except linalg.SingularMatrix as exc:
+        raise SingularMomentSystem(f"{what} is singular: {exc}") from exc
+
 
 @dataclass
 class MomentSystem:
     """Square moment matrix over a trimmed-space basis at parameter t.
 
-    Rows are grouped face / divergence / auxiliary, in that order; the
-    columns follow the reference basis of the target space.
+    Rows are grouped face / divergence / auxiliary, in that order
+    (moment_matrix); the columns follow the reference basis of the target
+    space.
     """
 
     kind: str                 # "2minus" or "1minus"
@@ -532,16 +578,8 @@ class MomentSystem:
 
 def _aux_families(r):
     """(curl-image block, gradient-complement block) embedded at degree r."""
-    f = ps.curl_image_basis(r)
-    g = ps.complement_g_basis(r)
-    k = ps.curl_dim(r)
-    nf = mo.count(3, max(r, 0))
-    fam_f = np.zeros((k, 9, nf))
-    fam_g = np.zeros((k, 9, nf))
-    if k:
-        fam_f[:, :, : f.coeffs.shape[-1]] = f.coeffs
-        fam_g[:, :, : g.coeffs.shape[-1]] = g.coeffs
-    return fam_f, fam_g
+    return tuple(mo.embed(b.coeffs, 3, b.deg, max(r, 0))
+                 for b in (ps.curl_image_basis(r), ps.complement_g_basis(r)))
 
 
 def _face_directions(kind, f):
@@ -552,54 +590,29 @@ def _face_directions(kind, f):
 
 
 def _moment_rows(kind, orders, t):
-    """(matrix, row groups, basis) of the kind's conditions at parameter t."""
+    """(matrix, row groups, basis) of the kind's conditions at parameter t:
+    face traces against P_{rF}(F;V) in the face-frame modes, and auxiliary
+    rows against h(t) = (1-t) f + t g."""
     rt = orders.tet
     if kind == "2minus":
-        vec, deg = ps.basis_variable("lambda2_minus", orders.shifted(1)), rt + 1
+        vec, trace_kind = ps.basis_variable("lambda2_minus", orders.shifted(1)), "normal"
     else:
-        vec, deg = ps.basis_lambda1_minus_edge_zero(orders.shifted(2)), rt + 2
+        vec, trace_kind = ps.basis_lambda1_minus_edge_zero(orders.shifted(2)), "tangential-face"
     basis = ps.to_matrix_rows(vec)
-    nb = basis.dim
-    mats = basis.coeffs.reshape(nb, 3, 3, -1)
-    rows = []
-    # face rows: traces against P_{rF}(F;V), ordered (mode, direction, row)
-    for f in range(4):
-        rf = orders.faces[f]
-        modes = ps.scalar_face_modes(f, rf)                  # (ns, 1, n2(rf))
-        if modes.shape[0] == 0:
-            continue
-        tr = _face_directions(kind, f) @ (mats @ ps._ref_face_subst(f, deg))  # (nb, 3, a, n2)
-        memb = mo.embed(modes[:, 0, :], 2, rf, deg)
-        vals = tr @ (ps.ref_face_gram(f, deg) @ memb.T)      # (nb, 3, a, ns)
-        rows.append(vals.transpose(3, 2, 1, 0).reshape(-1, nb))
-    n_face = sum(r.shape[0] for r in rows)
-    coeffs = basis.coeffs if kind == "2minus" else tensor_ops.S1_MATRIX @ basis.coeffs
-    # divergence rows against zero-mean vector modes
-    divs = ps.differentiate(coeffs, deg, "div")              # (nb, 3, n3(deg-1))
-    zm = mo.embed(ps.zero_mean_volume_modes(rt)[:, 0, :], 3, rt, deg - 1)
-    vals = divs @ (mo.gram_simplex(3, deg - 1) @ zm.T)       # (nb, 3, nz)
-    rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
-    n_div = 3 * zm.shape[0]
-    # auxiliary rows against h(t) = (1-t) f + t g
+    deg = basis.deg
+    tables = [ps.ref_face_gram(f, deg) @ mo.embed(ps.scalar_face_modes(f, rf)[:, 0, :], 2, rf, deg).T
+              for f, rf in enumerate(orders.faces)]
     fam_f, fam_g = _aux_families(rt)
     fam = mo.embed((1.0 - t) * fam_f + t * fam_g, 3, max(rt, 0), deg)
-    rows.append(np.tensordot(fam, coeffs @ mo.gram_simplex(3, deg), axes=([1, 2], [1, 2])))
-    groups = {
-        "face": slice(0, n_face),
-        "div": slice(n_face, n_face + n_div),
-        "aux": slice(n_face + n_div, n_face + n_div + len(fam)),
-    }
-    return np.vstack(rows), groups, basis
+    M, face_slices, div_slice, aux_slice = moment_matrix(
+        basis, rt, trace_kind, tables, (1, 1, 1, 1), fam, f"{kind} system for orders {orders}")
+    groups = {"face": slice(0, face_slices[-1].stop), "div": div_slice, "aux": aux_slice}
+    return M, groups, basis
 
 
 def build_moment_system(kind, orders, t):
     """Square matrix of the kind's trimmed interpolation conditions at t."""
-    M, groups, basis = _moment_rows(kind, orders, t)
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(
-            f"{kind} system is {M.shape[0]}x{M.shape[1]} for orders {orders}"
-        )
-    return MomentSystem(kind, orders, t, M, groups, basis)
+    return MomentSystem(kind, orders, t, *_moment_rows(kind, orders, t))
 
 
 _moment_rows_2minus = partial(_moment_rows, "2minus")
@@ -651,12 +664,7 @@ def reference_systems(orders):
     t = select_t(orders)
     systems = tuple(build_moment_system(kind, orders, t) for kind in ("2minus", "1minus"))
     for s in systems:
-        try:
-            s.lu = linalg.lu_factor(s.matrix)
-        except linalg.SingularMatrix as exc:
-            raise SingularMomentSystem(
-                f"{s.kind} system singular at t={t} for {orders}"
-            ) from exc
+        s.lu = _lu_factor(s.matrix, f"{s.kind} system at t={t} for orders {orders}")
     return systems
 
 
@@ -1002,7 +1010,7 @@ class StressElement:
 
 @lru_cache(maxsize=None)
 def _divfree_interior(rt):
-    """(divergence-free zero-trace matrix basis of degree rt+1, its Gram)."""
+    """The divergence-free zero-trace matrix basis of degree rt+1."""
     ring = ps.basis_ring("lambda2", rt + 1)
     if ring.dim:
         divs = ps.differentiate(ring.coeffs, rt + 1, "div")
@@ -1010,10 +1018,9 @@ def _divfree_interior(rt):
         N_vec = np.einsum("kb,bcn->kcn", combos, ring.coeffs)
     else:
         N_vec = np.zeros((0, 3, mo.count(3, rt + 1)))
-    Nb = ps.to_matrix_rows(
+    return ps.to_matrix_rows(
         ps.PolyBasis("divfree_ring", 3, rt + 1, np.ascontiguousarray(N_vec), rt + 1)
     )
-    return Nb, mo.gram_simplex(3, rt + 1)
 
 
 @lru_cache(maxsize=None)
@@ -1027,13 +1034,6 @@ def _face_test_table(f, perm, rf, deg):
     S = mo.substitution_matrix(2, rf, L_inv, -L_inv @ Y[0])         # s(y) = L^{-1} (y - Y_0)
     modes = mo.embed(ps.scalar_face_modes(3, rf)[:, 0, :] @ S, 2, rf, deg)
     return ps.ref_face_gram(f, deg) @ modes.T
-
-
-@lru_cache(maxsize=None)
-def _face_trace(ro, f):
-    """(nb, 3, n2(r+1)): the normal traces of the stress basis of signature ro
-    on reference face f."""
-    return ps.trace(ps.stress_basis(ro), ro.tet + 1, f, "normal")
 
 
 class StressSpace:
@@ -1057,7 +1057,8 @@ class StressSpace:
     on the geometry.  The divergence and interior rows depend on the
     signature alone.  So the moment matrix of a tet is signs[:, None] * C
     with one C per (signature, face vertex orders) key, and the space builds
-    C, its LU and X = C^{-1} once per key (_build_system).
+    C (moment_matrix, the builder of the trimmed systems too), its LU and
+    X = C^{-1} once per key (_build_system).
     """
 
     def __init__(self, mesh, orders, ws=None):
@@ -1091,37 +1092,16 @@ class StressSpace:
     @staticmethod
     def _build_system(ro, perms):
         """The StressElement of signature ro whose local faces have the vertex
-        orders perms, without signs or dof ids: its moment matrix C (face rows
-        oriented by the outward reference normal), the LU of C and X = C^{-1}."""
-        rt, basis = ro.tet, ps.stress_basis(ro)
-        deg, nb = rt + 1, basis.dim
-        rows, face_slices, pos = [], [], 0
-        for f in range(4):
-            # (nb, 3, ns); the trace of the signature and the test table are cached
-            vals = _REF_OUTWARD_SIGN[f] * (
-                _face_trace(ro, f) @ _face_test_table(f, perms[f], ro.faces[f] + 1, deg))
-            rows.append(vals.transpose(2, 1, 0).reshape(-1, nb))
-            face_slices.append(slice(pos, pos + len(rows[-1])))
-            pos += len(rows[-1])
-        # divergence rows
-        zm = ps.zero_mean_volume_modes(rt)
-        rows.append(np.einsum("bln,nm,sm->slb", ps.differentiate(basis.coeffs, deg, "div"),
-                              mo.gram_simplex(3, rt), zm[:, 0, :]).reshape(-1, nb))
-        div_slice = slice(pos, pos + len(rows[-1]))
-        # interior rows: the reference L2 pairing with the divergence-free zero-trace subspace
-        Nb, G3 = _divfree_interior(rt)
-        rows.append(np.tensordot(Nb.coeffs, basis.coeffs @ G3.T, axes=([1, 2], [1, 2])))
-        int_slice = slice(div_slice.stop, div_slice.stop + Nb.dim)
-        C = np.vstack(rows)
-        if C.shape[0] != C.shape[1]:
-            raise DimensionMismatch(f"stress element system is {C.shape[0]}x{C.shape[1]} for {ro}")
-        try:
-            lu = linalg.lu_factor(C)
-        except linalg.SingularMatrix as exc:
-            raise SingularMomentSystem(
-                f"stress element system singular for {ro}, face vertex orders {perms}: {exc}"
-            ) from exc
-        return StressElement(basis, deg, C, lu, linalg.lu_apply(lu, np.eye(nb)),
+        orders perms, without signs or dof ids: its moment matrix C
+        (moment_matrix, face rows oriented by the outward reference normal),
+        the LU of C and X = C^{-1}."""
+        basis, deg = ps.stress_basis(ro), ro.tet + 1
+        what = f"stress element system for {ro}, face vertex orders {perms}"
+        tables = [_face_test_table(f, perms[f], ro.faces[f] + 1, deg) for f in range(4)]
+        C, face_slices, div_slice, int_slice = moment_matrix(
+            basis, ro.tet, "normal", tables, _REF_OUTWARD_SIGN, _divfree_interior(ro.tet).coeffs, what)
+        lu = _lu_factor(C, what)
+        return StressElement(basis, deg, C, lu, linalg.lu_apply(lu, np.eye(basis.dim)),
                              face_slices, div_slice, int_slice)
 
     # -- functionals of a field sample (the interpolation right-hand side)
@@ -1148,7 +1128,7 @@ class StressSpace:
             divU = np.einsum("tqijj->tqi", values_at(U.jacobian, tets, x))
             rhs[:, elem.div_slice] = (det[:, None, None] * np.einsum(
                 "q,sq,tqi->tsi", rule.weights, zv, divU)).reshape(len(tets), -1)
-        Nb, _ = _divfree_interior(ro.tet)
+        Nb = _divfree_interior(ro.tet)
         if Nb.dim:
             # int_That nu_j : det U A^{-T}: nu_j against the flux pullback of U
             Nv = mo.evaluate(Nb.coeffs, 3, ro.tet + 1, rule.points)          # (j, 9, q)

@@ -141,8 +141,10 @@ def independent_rows(A):
 def solve_sparse(K, b):
     """Direct sparse LU solve (falls back to dense below 800 unknowns).
 
-    Used for the mass matrix M_h of the stability lab; the saddle-point
-    system is solved by assembly.solve_saddle.
+    Solves the H(div) Gram system of the best approximation in
+    stability_lab.best_approximation_errors, and is the monolithic oracle
+    the tests check assembly.solve_saddle against; the saddle-point system
+    itself is solved by assembly.solve_saddle.
     """
     b = np.asarray(b, dtype=float)
     if sp.issparse(K):

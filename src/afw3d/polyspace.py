@@ -166,6 +166,12 @@ def _ref_face_subst(face, deg):
     return mo.substitution_matrix(3, deg, L, fr.origin)
 
 
+@lru_cache(maxsize=None)
+def _ref_edge_subst(edge, deg):
+    fr = REF_EDGE_FRAMES[edge]
+    return mo.substitution_matrix(3, deg, fr.tangent.reshape(3, 1), fr.origin)
+
+
 def trace(basis_or_coeffs, deg, sub, kind):
     """Trace polynomial of a vector/matrix field on a reference subsimplex.
 
@@ -179,9 +185,7 @@ def trace(basis_or_coeffs, deg, sub, kind):
     if c.shape[-2] == 9:
         c = c.reshape(c.shape[:-2] + (3, 3, c.shape[-1]))
     if kind == "tangential-edge":
-        frame = REF_EDGE_FRAMES[sub]
-        dirs = frame.tangent
-        S = mo.substitution_matrix(3, deg, frame.tangent.reshape(3, 1), frame.origin)
+        dirs, S = REF_EDGE_FRAMES[sub].tangent, _ref_edge_subst(sub, deg)
     elif kind in ("normal", "tangential-face"):
         frame = REF_FACE_FRAMES[sub]
         dirs = frame.normal if kind == "normal" else np.vstack([frame.t1, frame.t2])
