@@ -38,6 +38,9 @@ stress element and of both trimmed interpolants: face rows from
 polyspace.trace against per-face test tables, divergence rows against the
 zero-mean modes and volume rows against a family (the auxiliary h(t) of the
 trimmed systems, the divergence-free interior of the stress element).
+moment_rhs forms their right-hand sides from the pulled-back field on the
+face rule laid out per tet; the two tets of a face map it to the same points
+up to roundoff, so the interpolants conform to roundoff (elementwise_to_global).
 """
 
 from dataclasses import dataclass, replace
@@ -68,17 +71,8 @@ class ConformityViolation(Exception):
 T_GRID = np.arange(65) / 64.0
 
 # whether each reference face frame's normal points out of the reference tet
-_REF_OUTWARD_SIGN = np.array(
-    [
-        1 if np.dot(
-            ps.REF_FACE_FRAMES[f].normal,
-            reftet.VERTICES[list(reftet.FACE_VERTS[f])].mean(axis=0)
-            - reftet.VERTICES.mean(axis=0),
-        ) > 0 else -1
-        for f in range(4)
-    ],
-    dtype=np.int64,
-)
+_REF_OUTWARD_SIGN = np.array([1 if fr.normal @ (fr.origin - reftet.VERTICES.mean(axis=0)) > 0 else -1
+                              for fr in ps.REF_FACE_FRAMES])
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +517,7 @@ def moment_matrix(basis, rt, kind, face_tables, face_signs, family, what):
     "tangential-face") of the basis on reference face f times the table
     face_tables[f] (n2(deg), ns), in (mode, direction, row) order.  The
     divergence rows test against zero_mean_volume_modes(rt), the volume rows
-    against the rows of family (k, 9, n3(deg)), in the L2 pairing of the
+    against the matrix-valued PolyBasis family, in the L2 pairing of the
     reference tet, and of S1 of the basis for tangential traces.  Raises
     DimensionMismatch, naming the system what, if M is not square.
     """
@@ -539,11 +533,42 @@ def moment_matrix(basis, rt, kind, face_tables, face_signs, family, what):
     rows.append(np.einsum("bln,nm,sm->slb", ps.differentiate(coeffs, deg, "div"),
                           mo.gram_simplex(3, deg - 1), zm).reshape(-1, nb))
     div_slice = slice(pos, pos + len(rows[-1]))
-    rows.append(np.tensordot(family, coeffs @ mo.gram_simplex(3, deg).T, axes=([1, 2], [1, 2])))
+    rows.append(np.tensordot(mo.embed(family.coeffs, 3, family.deg, deg),
+                             coeffs @ mo.gram_simplex(3, deg).T, axes=([1, 2], [1, 2])))
     M = np.vstack(rows)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{what} is {M.shape[0]}x{M.shape[1]}")
     return M, face_slices, div_slice, slice(div_slice.stop, len(M))
+
+
+def moment_rhs(ws, tets, field, rt, kind, face_modes, face_signs, family, dim, what):
+    """(len(tets), dim): moment_matrix's functionals, same arguments, of a
+    pulled-back field on the tets of one signature.  Face f tests face_signs[f]
+    times the kind trace of field against the mode values face_modes(f, perm)
+    (ns, q) at the face rule laid out in the tet's vertex order perm
+    (Workspace.face_perms).  Raises DimensionMismatch if the length is not dim."""
+    rhs, rule = [], ws.vol_rule
+    for f in range(4):
+        perms, which = np.unique(ws.face_perms[tets, f], axis=0, return_inverse=True)
+        rules = [_ref_face_rule(f, p, ws.face_deg) + (face_modes(f, p),) for p in map(tuple, perms.tolist())]
+        xhat, w, modes = (np.stack(a)[which.ravel()] for a in zip(*rules))
+        Ut = face_signs[f] * (field.value(xhat, tets) @ np.atleast_2d(ps.trace_directions(f, kind)).T)
+        rhs.append(np.einsum("tq,tsq,tqia->tsai", w, modes, Ut).reshape(len(tets), -1))
+    field = field if kind == "normal" else field.apply_s1()
+    pts = np.broadcast_to(rule.points, (len(tets),) + rule.points.shape)
+    zm = ps.zero_mean_volume_modes(rt)
+    if zm.shape[0]:
+        zv = mo.evaluate(zm[:, 0, :], 3, rt, rule.points)
+        divU = np.einsum("tmikk->tmi", field.jacobian(pts, tets))
+        rhs.append(np.einsum("q,sq,tqi->tsi", rule.weights, zv, divU).reshape(len(tets), -1))
+    if family.dim:
+        hv = mo.evaluate(family.coeffs, 3, family.deg, rule.points)          # (k, 9, q)
+        Uv = field.value(pts, tets).reshape(len(tets), -1, 9)
+        rhs.append(np.einsum("q,kcq,tqc->tk", rule.weights, hv, Uv))
+    rhs = np.concatenate(rhs, axis=1)
+    if rhs.shape[1] != dim:
+        raise DimensionMismatch(f"{what} has {dim} rows, its right-hand side {rhs.shape[1]}")
+    return rhs
 
 
 def _lu_factor(M, what):
@@ -582,30 +607,27 @@ def _aux_families(r):
                  for b in (ps.curl_image_basis(r), ps.complement_g_basis(r)))
 
 
-def _face_directions(kind, f):
-    """Directions (a, 3) a face condition tests on reference face f: the
-    normal for 2minus, the two tangents for 1minus."""
-    frame = ps.REF_FACE_FRAMES[f]
-    return frame.normal[None, :] if kind == "2minus" else np.vstack([frame.t1, frame.t2])
+def _aux_family(orders, t):
+    """h(t) = (1-t) f + t g, the auxiliary family of the trimmed systems, at degree r(T)."""
+    fam_f, fam_g = _aux_families(orders.tet)
+    return ps.PolyBasis("aux", 9, max(orders.tet, 0), (1.0 - t) * fam_f + t * fam_g)
+
+
+_TRACE_KIND = {"2minus": "normal", "1minus": "tangential-face"}
 
 
 def _moment_rows(kind, orders, t):
     """(matrix, row groups, basis) of the kind's conditions at parameter t:
     face traces against P_{rF}(F;V) in the face-frame modes, and auxiliary
-    rows against h(t) = (1-t) f + t g."""
-    rt = orders.tet
-    if kind == "2minus":
-        vec, trace_kind = ps.basis_variable("lambda2_minus", orders.shifted(1)), "normal"
-    else:
-        vec, trace_kind = ps.basis_lambda1_minus_edge_zero(orders.shifted(2)), "tangential-face"
-    basis = ps.to_matrix_rows(vec)
+    rows against h(t)."""
+    basis = ps.to_matrix_rows(ps.basis_variable("lambda2_minus", orders.shifted(1)) if kind == "2minus"
+                              else ps.basis_lambda1_minus_edge_zero(orders.shifted(2)))
     deg = basis.deg
     tables = [ps.ref_face_gram(f, deg) @ mo.embed(ps.scalar_face_modes(f, rf)[:, 0, :], 2, rf, deg).T
               for f, rf in enumerate(orders.faces)]
-    fam_f, fam_g = _aux_families(rt)
-    fam = mo.embed((1.0 - t) * fam_f + t * fam_g, 3, max(rt, 0), deg)
     M, face_slices, div_slice, aux_slice = moment_matrix(
-        basis, rt, trace_kind, tables, (1, 1, 1, 1), fam, f"{kind} system for orders {orders}")
+        basis, orders.tet, _TRACE_KIND[kind], tables, (1, 1, 1, 1), _aux_family(orders, t),
+        f"{kind} system for orders {orders}")
     groups = {"face": slice(0, face_slices[-1].stop), "div": div_slice, "aux": aux_slice}
     return M, groups, basis
 
@@ -683,14 +705,14 @@ FACE_QUAD_EXTRA = 2
 class Workspace:
     """Per-(mesh, orders) quadrature data shared by all operators.
 
-    Face moments use one face rule per global face, laid out in the
-    coordinates of its vertices in ascending global order: face_points
-    (F, q, 3) and face_weights (F, q), in the physical surface measure.  The
-    two elements sharing a face consume identical samples of the input
-    field, so elementwise interpolation assembles into a conforming global
-    field without any further communication.  Per tet only the index of
-    its order signature is kept: one polyspace.RefOrders per signature
-    comes from one np.unique over the rows of tet, face and edge orders.
+    The moment interpolants lay the face rule tri_rule out on the reference
+    tet in each tet's face vertex orders (face_perms).  face_points (F, q, 3)
+    and face_weights (F, q) are that rule on each global face, in the
+    coordinates of its vertices in ascending global order and the physical
+    surface measure; only the boundary term of assembly reads them.  Per tet
+    only the index of its order signature is kept: one polyspace.RefOrders
+    per signature comes from one np.unique over the rows of tet, face and
+    edge orders.
     """
 
     def __init__(self, mesh, orders):
@@ -737,17 +759,21 @@ class Workspace:
 
 
 @lru_cache(maxsize=None)
-def _ref_face_quadrature(f, perm, rf, face_deg):
-    """(points (q, 3), mode values (ns, q), weights (q,)) of the face rule of
-    degree face_deg on reference face f, laid out in the coordinates of its
-    vertices in the order perm: the points, the modes scalar_face_modes(f, rf)
-    there and the weights in the surface measure of reference face f."""
+def _ref_face_rule(f, perm, face_deg):
+    """(points (q, 3), weights (q,)) of the face rule of degree face_deg on
+    reference face f, laid out in the coordinates of its vertices in the
+    order perm, the weights in the surface measure of reference face f."""
     tri = quadrature.rule_for(2, face_deg)
     V = reftet.VERTICES[[reftet.FACE_VERTS[f][i] for i in perm]]
-    xhat = V[0] + tri.points @ (V[1:] - V[0])
-    frame = ps.REF_FACE_FRAMES[f]
-    vals = mo.evaluate(ps.scalar_face_modes(f, rf)[:, 0, :], 2, rf, frame.to_y(xhat))
-    return xhat, vals, tri.weights * (frame.area / 0.5)
+    return V[0] + tri.points @ (V[1:] - V[0]), tri.weights * (ps.REF_FACE_FRAMES[f].area / 0.5)
+
+
+@lru_cache(maxsize=None)
+def _frame_mode_values(f, perm, rf, face_deg):
+    """(ns, q): the face-frame modes scalar_face_modes(f, rf) at the points of
+    _ref_face_rule(f, perm, face_deg)."""
+    xhat = _ref_face_rule(f, perm, face_deg)[0]
+    return mo.evaluate(ps.scalar_face_modes(f, rf)[:, 0, :], 2, rf, ps.REF_FACE_FRAMES[f].to_y(xhat))
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +800,8 @@ def project_l2_p3(mesh, orders, f, ws=None):
 # trimmed-family element interpolants (reference route)
 
 def _pullback(kind, U, aff):
-    """Uhat(xhat) = L U(A xhat + b) R, the inverse of the kind's pushforward
-    ("op2": A^T U A^{-T}, "op1": A^{-1} U A), with matching derivatives.
+    """Uhat(xhat) = L U(A xhat + b) R, the inverse of the kind's pushforward ("piola":
+    det U A^{-T}, "op2": A^T U A^{-T}, "op1": A^{-1} U A), with matching derivatives.
     aff is one tet's AffineMap or the maps of a block (AffineStack.take); the
     points are (len(tets), m, 3) for the tets given as the hint."""
     L, R = _push_matrices(kind, aff.A_inv, aff.A, 1.0 / aff.det)
@@ -797,31 +823,12 @@ _pullback_op2 = partial(_pullback, "op2")
 
 def _rhs(ws, t, sysm, Uhat):
     """Right-hand side of sysm's conditions for the pulled-back field on tet
-    t, or (len(t), dim) on the tets t of one signature."""
-    tets, orders, rule = np.atleast_1d(t), sysm.orders, ws.vol_rule
-    rhs = []
-    for f in range(4):
-        perms, which = np.unique(ws.face_perms[tets, f], axis=0, return_inverse=True)
-        quads = [_ref_face_quadrature(f, tuple(p), orders.faces[f], ws.face_deg)
-                 for p in perms.tolist()]
-        xhat, modes_vals, w = (np.stack(a)[which.ravel()] for a in zip(*quads))
-        Ut = Uhat.value(xhat, tets) @ _face_directions(sysm.kind, f).T          # (B, q, 3, a)
-        rhs.append(np.einsum("tq,tsq,tqia->tsai", w, modes_vals, Ut).reshape(len(tets), -1))
-    field = Uhat if sysm.kind == "2minus" else Uhat.apply_s1()
-    pts = np.broadcast_to(rule.points, (len(tets),) + rule.points.shape)
-    zm = ps.zero_mean_volume_modes(orders.tet)
-    if zm.shape[0]:
-        zv = mo.evaluate(zm[:, 0, :], 3, orders.tet, rule.points)
-        divU = np.einsum("tmikk->tmi", field.jacobian(pts, tets))
-        rhs.append(np.einsum("q,sq,tqi->tsi", rule.weights, zv, divU).reshape(len(tets), -1))
-    fam_f, fam_g = _aux_families(orders.tet)
-    if fam_f.shape[0]:
-        fam = (1.0 - sysm.t) * fam_f + sysm.t * fam_g
-        hv = mo.evaluate(fam, 3, max(orders.tet, 0), rule.points)      # (k,9,q)
-        Uv = field.value(pts, tets).reshape(len(tets), -1, 9)          # (B,q,9)
-        rhs.append(np.einsum("q,kcq,tqc->tk", rule.weights, hv, Uv))
-    rhs = np.concatenate(rhs, axis=1)
-    assert rhs.shape[1] == sysm.dim
+    t, or (len(t), dim) on the tets t of one signature (moment_rhs)."""
+    orders = sysm.orders
+    rhs = moment_rhs(ws, np.atleast_1d(t), Uhat, orders.tet, _TRACE_KIND[sysm.kind],
+                     lambda f, perm: _frame_mode_values(f, perm, orders.faces[f], ws.face_deg),
+                     (1, 1, 1, 1), _aux_family(orders, sysm.t), sysm.dim,
+                     f"{sysm.kind} system for orders {orders}")
     return rhs if np.ndim(t) else rhs[0]
 
 
@@ -1058,7 +1065,9 @@ class StressSpace:
     signature alone.  So the moment matrix of a tet is signs[:, None] * C
     with one C per (signature, face vertex orders) key, and the space builds
     C (moment_matrix, the builder of the trimmed systems too), its LU and
-    X = C^{-1} once per key (_build_system).
+    X = C^{-1} once per key (_build_system).  The functionals of a field are
+    the signs times the same moments of its flux pullback (element_rhs), as
+    divhat sigmahat = det div sigma.
     """
 
     def __init__(self, mesh, orders, ws=None):
@@ -1086,7 +1095,7 @@ class StressSpace:
 
     @property
     def face_frames(self):
-        """mesh.face_frames, built on first use (the solve does not read them)."""
+        """mesh.face_frames, built on first use."""
         return self.mesh.face_frames
 
     @staticmethod
@@ -1099,7 +1108,7 @@ class StressSpace:
         what = f"stress element system for {ro}, face vertex orders {perms}"
         tables = [_face_test_table(f, perms[f], ro.faces[f] + 1, deg) for f in range(4)]
         C, face_slices, div_slice, int_slice = moment_matrix(
-            basis, ro.tet, "normal", tables, _REF_OUTWARD_SIGN, _divfree_interior(ro.tet).coeffs, what)
+            basis, ro.tet, "normal", tables, _REF_OUTWARD_SIGN, _divfree_interior(ro.tet), what)
         lu = _lu_factor(C, what)
         return StressElement(basis, deg, C, lu, linalg.lu_apply(lu, np.eye(basis.dim)),
                              face_slices, div_slice, int_slice)
@@ -1108,33 +1117,16 @@ class StressSpace:
 
     def element_rhs(self, t, U):
         """The interpolation functionals of U on tet t, or (len(t), nb) on the
-        tets t of one signature."""
-        mesh, ws, rule = self.mesh, self.ws, self.ws.vol_rule
-        tets = np.atleast_1d(t)
-        ro, elem = ws.ref_orders(tets[0]), self.elements[tets[0]]
-        det = mesh.affine.det[tets]
-        rhs = np.zeros((len(tets), elem.basis.dim))
-        for f in range(4):
-            fids, rf = mesh.tet_faces[tets, f], ro.faces[f] + 1
-            mv = ps.scalar_face_modes(3, rf)[:, 0, :] @ mo.eval_basis(2, rf, ws.tri_rule.points).T
-            normals = np.array([self.face_frames[fid].normal for fid in fids])
-            Un = np.einsum("tqij,tj->tqi", values_at(U.value, tets, ws.face_points[fids]), normals)
-            rhs[:, elem.face_slices[f]] = np.einsum(
-                "tq,sq,tqi->tsi", ws.face_weights[fids], mv, Un).reshape(len(tets), -1)
-        x = mesh.affine.apply(tets, rule.points)
-        zm = ps.zero_mean_volume_modes(ro.tet)
-        if zm.shape[0]:
-            zv = mo.evaluate(zm[:, 0, :], 3, ro.tet, rule.points)
-            divU = np.einsum("tqijj->tqi", values_at(U.jacobian, tets, x))
-            rhs[:, elem.div_slice] = (det[:, None, None] * np.einsum(
-                "q,sq,tqi->tsi", rule.weights, zv, divU)).reshape(len(tets), -1)
-        Nb = _divfree_interior(ro.tet)
-        if Nb.dim:
-            # int_That nu_j : det U A^{-T}: nu_j against the flux pullback of U
-            Nv = mo.evaluate(Nb.coeffs, 3, ro.tet + 1, rule.points)          # (j, 9, q)
-            UAit = values_at(U.value, tets, x) @ np.swapaxes(mesh.affine.A_inv[tets], 1, 2)[:, None]
-            wU = (rule.weights[:, None, None] * UAit).reshape(len(tets), -1)
-            rhs[:, elem.int_slice] = det[:, None] * (wU @ np.swapaxes(Nv, 1, 2).reshape(Nb.dim, -1).T)
+        tets t of one signature, by moment_rhs; the face modes are taken at
+        the s-coordinates of the face rule, the unit-triangle points."""
+        tets, ws = np.atleast_1d(t), self.ws
+        ro = ws.ref_orders(tets[0])
+        modes = [mo.evaluate(ps.scalar_face_modes(3, rf + 1)[:, 0, :], 2, rf + 1, ws.tri_rule.points)
+                 for rf in ro.faces]
+        rhs = moment_rhs(ws, tets, _pullback("piola", U, self.mesh.affine.take(t)), ro.tet, "normal",
+                         lambda f, perm: modes[f], _REF_OUTWARD_SIGN, _divfree_interior(ro.tet),
+                         self.elements[tets[0]].basis.dim, f"stress element system for {ro}")
+        rhs *= np.stack([self.elements[s].signs for s in tets])
         return rhs if np.ndim(t) else rhs[0]
 
     def dual_bases(self, tets):

@@ -1,8 +1,11 @@
 """Dense and sparse linear algebra used by every other module.
 
-Thin, contract-enforcing wrappers around numpy/scipy factorizations.  All
-numerical tolerances live in one :class:`Tolerances` record so tests and
-callers agree on the thresholds.
+Thin, contract-enforcing wrappers around numpy/scipy factorizations.  The
+relative pivot and rank cuts live in one :class:`Tolerances` record, and
+RANK_ABS_FLOOR is the size below which a matrix has rank 0.  Other gates
+are constants of the modules that apply them: interp.CONFORMITY_TOL and
+interp.L2_SQ_RTOL, assembly.PCG_RTOL, the 1e-9 residual gate of
+assembly.solve_saddle and the tolerances of the CLI checks.
 """
 
 from dataclasses import dataclass

@@ -172,6 +172,16 @@ def _ref_edge_subst(edge, deg):
     return mo.substitution_matrix(3, deg, fr.tangent.reshape(3, 1), fr.origin)
 
 
+def trace_directions(sub, kind):
+    """The directions of the kind trace (see trace) on reference subsimplex sub."""
+    if kind == "tangential-edge":
+        return REF_EDGE_FRAMES[sub].tangent
+    if kind not in ("normal", "tangential-face"):
+        raise ValueError(f"unknown trace kind {kind!r}")
+    frame = REF_FACE_FRAMES[sub]
+    return frame.normal if kind == "normal" else np.vstack([frame.t1, frame.t2])
+
+
 def trace(basis_or_coeffs, deg, sub, kind):
     """Trace polynomial of a vector/matrix field on a reference subsimplex.
 
@@ -184,14 +194,8 @@ def trace(basis_or_coeffs, deg, sub, kind):
     c = np.asarray(c, dtype=float)
     if c.shape[-2] == 9:
         c = c.reshape(c.shape[:-2] + (3, 3, c.shape[-1]))
-    if kind == "tangential-edge":
-        dirs, S = REF_EDGE_FRAMES[sub].tangent, _ref_edge_subst(sub, deg)
-    elif kind in ("normal", "tangential-face"):
-        frame = REF_FACE_FRAMES[sub]
-        dirs = frame.normal if kind == "normal" else np.vstack([frame.t1, frame.t2])
-        S = _ref_face_subst(sub, deg)
-    else:
-        raise ValueError(f"unknown trace kind {kind!r}")
+    dirs = trace_directions(sub, kind)
+    S = _ref_edge_subst(sub, deg) if kind == "tangential-edge" else _ref_face_subst(sub, deg)
     return dirs @ (c @ S)
 
 

@@ -1,6 +1,7 @@
 """The one moment-matrix builder of the trimmed and stress element systems,
-the homotopy parameter t selected from its trimmed matrices, and the cached
-edge tables its bases are built from."""
+the homotopy parameter t selected from its trimmed matrices, the cached
+edge tables its bases are built from, and the right-hand sides of the same
+systems."""
 
 from dataclasses import replace
 
@@ -84,3 +85,48 @@ def test_edge_tables_are_built_once_per_edge_and_degree(monkeypatch):
     for ro in sigs:
         ps.basis_lambda1_minus_edge_zero(ro.shifted(2))
     assert len(calls) == len(set(calls)) <= 6 * len({ro.tet for ro in sigs})
+
+
+@pytest.fixture(scope="module")
+def mixed_ws(cube1):
+    # orders 1,1,2,2,0,0: faces of either sign, and signature blocks whose
+    # tets have several face vertex orders
+    ws = interp.Workspace(cube1, OrderMap.random(cube1, 0, 2, seed=1))
+    assert any(len(np.unique(ws.face_perms[tets], axis=0)) > 1 for tets in ws.signature_groups.values())
+    return ws
+
+
+def _member(ws, kind, bases, rng):
+    """(random coefficients x per tet, the field sum_b x_b basis_b of kind)."""
+    x = [rng.standard_normal(b.dim) for b in bases]
+    coeffs = [np.einsum("b,bcn->cn", xt, b.coeffs) for xt, b in zip(x, bases)]
+    return x, interp.DiscreteField(ws.mesh, ws.orders, kind, [b.deg for b in bases], coeffs)
+
+
+def test_stress_rhs_of_a_member_is_its_signed_moments(mixed_ws):
+    space = interp.StressSpace(mixed_ws.mesh, mixed_ws.orders, mixed_ws)
+    assert any(np.any(elem.signs < 0) for elem in space.elements)
+    x, member = _member(mixed_ws, "piola", [e.basis for e in space.elements], np.random.default_rng(5))
+    for tets in mixed_ws.signature_groups.values():
+        got = space.element_rhs(tets, member.as_sample())
+        want = np.stack([space.elements[t].signs * (space.elements[t].C @ x[t]) for t in tets])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("which, push", [(0, "op2"), (1, "op1")], ids=["2minus", "1minus"])
+def test_trimmed_rhs_of_a_member_is_its_moments(mixed_ws, which, push):
+    systems = [interp.reference_systems(mixed_ws.ref_orders(t))[which] for t in range(mixed_ws.mesh.n_tets)]
+    x, member = _member(mixed_ws, push, [s.basis for s in systems], np.random.default_rng(6))
+    for tets in mixed_ws.signature_groups.values():
+        Uhat = interp._pullback(push, member.as_sample(), mixed_ws.mesh.affine.take(tets))
+        got = interp._rhs(mixed_ws, tets, systems[tets[0]], Uhat)
+        want = np.stack([systems[t].matrix @ x[t] for t in tets])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_rhs_of_a_system_of_another_length_is_a_typed_error(mixed_ws):
+    sysm = interp.reference_systems(mixed_ws.ref_orders(0))[0]
+    short = replace(sysm, matrix=sysm.matrix[:-1, :-1])
+    Uhat = interp._pullback("op2", interp.FieldSample.constant(np.eye(3)), mixed_ws.mesh.affine.take(0))
+    with pytest.raises(interp.DimensionMismatch, match=rf"2minus system .* has {sysm.dim - 1} rows"):
+        interp._rhs(mixed_ws, 0, short, Uhat)
