@@ -23,6 +23,13 @@ of one order signature as a block (Workspace.blocks), with one field
 evaluation per point set and one multi-column solve per block; their
 element calls take one tet or such a block, and one tet is a block of one.
 
+Independent blocks run on every usable CPU (map_blocks): one less worker
+thread than len(os.sched_getaffinity(0)), and the calling thread, take the
+blocks in turn.  l2_norm adds the partial sums of its blocks in block order,
+and assembly.assemble scatters its element terms in block order, so every
+result has the bits of the serial loop, which runs on one usable CPU.  The
+moment interpolants stay serial.
+
 Face moments are taken in the coordinates of each face's vertices in
 ascending global order, so both neighbours of a face test against the same
 functions.  Pulled back to the reference tet, a face row or face rule then
@@ -43,6 +50,9 @@ face rule laid out per tet; the two tets of a face map it to the same points
 up to roundoff, so the interpolants conform to roundoff (elementwise_to_global).
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -151,16 +161,21 @@ class FieldSample:
     @staticmethod
     def from_trees(trees):
         """Field from an object array of expr trees, with their derivative
-        trees as its Jacobian."""
+        trees as its Jacobian, differentiated and compiled on its first call
+        (under a lock, so once, whichever thread calls first)."""
         shape = trees.shape
         f_all = expr.compile_trees(list(trees.ravel()))
-        df_all = expr.compile_trees([expr.diff(t, v) for t in trees.ravel() for v in expr.VARIABLES])
+        lock, df_all = threading.Lock(), []
 
         def val(pts, tet):
             return f_all(pts).reshape((len(pts),) + shape)
 
         def jac(pts, tet):
-            return df_all(pts).reshape((len(pts),) + shape + (3,))
+            with lock:
+                if not df_all:
+                    df_all.append(expr.compile_trees(
+                        [expr.diff(t, v) for t in trees.ravel() for v in expr.VARIABLES]))
+            return df_all[0](pts).reshape((len(pts),) + shape + (3,))
 
         return FieldSample(shape, val, jac)
 
@@ -406,6 +421,54 @@ def tet_blocks(tets, per_tet, cap=BLOCK_POINTS):
     return np.array_split(tets, -(-len(tets) // max(cap // per_tet, 1)))
 
 
+_IN_BLOCK = threading.local()       # .on: this thread is running an item of map_blocks
+
+
+@lru_cache(maxsize=None)
+def _block_pool(n_workers):
+    return ThreadPoolExecutor(n_workers, thread_name_prefix="afw3d-block")
+
+
+def map_blocks(fn, items):
+    """[fn(item) for item in items], on len(os.sched_getaffinity(0)) - 1
+    worker threads and the calling thread, which take the items in turn.
+    The results come back in item order, and if items fail, the exception of
+    the first of them is raised, as the plain loop would raise it.  The plain
+    loop runs for one item, on one usable CPU, and when fn itself calls
+    map_blocks, so no thread waits on another that is waiting too.  numpy's
+    BLAS and the elementwise kernels release the GIL, so the blocks of one
+    call overlap; each fn(item) is computed exactly as in the plain loop."""
+    items = list(items)
+    n_workers = min(len(os.sched_getaffinity(0)), len(items)) - 1
+    if n_workers < 1 or getattr(_IN_BLOCK, "on", False):
+        return [fn(item) for item in items]
+    results, errors, lock, order = [None] * len(items), {}, threading.Lock(), iter(range(len(items)))
+
+    def take():
+        """Run the next item until none is left or one has failed."""
+        _IN_BLOCK.on = True
+        try:
+            while not errors:
+                with lock:
+                    k = next(order, None)
+                if k is None:
+                    return
+                try:
+                    results[k] = fn(items[k])
+                except BaseException as exc:
+                    errors[k] = exc
+        finally:
+            _IN_BLOCK.on = False
+
+    futures = [_block_pool(n_workers).submit(take) for _ in range(n_workers)]
+    take()
+    for fut in futures:
+        fut.result()
+    if errors:      # the items before any failed one were all taken, and ran
+        raise errors[min(errors)]
+    return results
+
+
 def values_at(fn, tets, x):
     """fn (a FieldSample's value or jacobian) at the physical points x
     (len(tets), m, 3) in one call, with the tet of each point as its hint:
@@ -434,7 +497,9 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
     field is a FieldSample (with tet hints) or a DiscreteField; minus, when
     given, is a DiscreteField.  The tets are evaluated in blocks
     (tet_blocks, block_values): each block maps the points of all its tets,
-    evaluates once and contracts with the weights.
+    evaluates once and contracts with the weights.  The blocks run through
+    map_blocks, and their partial sums are added in block order, so the
+    norm has the bits of the serial loop.
 
     If field is a DiscreteField the integrand is polynomial on each element
     and one rule of degree quad_deg is used; it is exact once quad_deg is at
@@ -458,9 +523,8 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
         under the last, from one evaluation on all their points."""
         pts = np.vstack([r.points for r in rules])
         weights = scipy.linalg.block_diag(*[r.weights for r in rules])   # (rules, points)
-        totals = np.zeros(len(rules))
-        floor = 0.0
-        for block in tet_blocks(tets, len(pts)):
+
+        def block_sums(block):
             e = block_values(mesh, field, block, pts).reshape(len(block), len(pts), -1)
             size = np.linalg.norm(e, axis=2)
             if minus is not None:
@@ -468,8 +532,13 @@ def l2_norm(mesh, field, quad_deg, tets=None, minus=None):
                 e = e - w
                 size += np.linalg.norm(w, axis=2)
             e_sq = np.sum(e**2, axis=2)                  # (tets, points)
-            totals += det[block] @ (e_sq @ weights.T)
-            floor += det[block] @ ((np.sqrt(e_sq) * size) @ weights[-1])
+            return det[block] @ (e_sq @ weights.T), det[block] @ ((np.sqrt(e_sq) * size) @ weights[-1])
+
+        totals = np.zeros(len(rules))
+        floor = 0.0
+        for block_totals, block_floor in map_blocks(block_sums, tet_blocks(tets, len(pts))):
+            totals += block_totals
+            floor += block_floor
         return totals, floor
 
     if isinstance(field, DiscreteField):
@@ -546,12 +615,18 @@ def moment_rhs(ws, tets, field, rt, kind, face_modes, face_signs, family, dim, w
     pulled-back field on the tets of one signature.  Face f tests face_signs[f]
     times the kind trace of field against the mode values face_modes(f, perm)
     (ns, q) at the face rule laid out in the tet's vertex order perm
-    (Workspace.face_perms).  Raises DimensionMismatch if the length is not dim."""
+    (Workspace.face_perms).  The field is evaluated once per face: a
+    polynomial field evaluates by one GEMM over all its points, whose bits
+    depend on the number of points.  Raises DimensionMismatch if the length
+    is not dim."""
     rhs, rule = [], ws.vol_rule
+    perms = ws.face_perms[tets]
+    codes = perms @ (9, 3, 1)                   # (tets, 4): each face's vertex order as one integer
     for f in range(4):
-        perms, which = np.unique(ws.face_perms[tets, f], axis=0, return_inverse=True)
-        rules = [_ref_face_rule(f, p, ws.face_deg) + (face_modes(f, p),) for p in map(tuple, perms.tolist())]
-        xhat, w, modes = (np.stack(a)[which.ravel()] for a in zip(*rules))
+        _, first, which = np.unique(codes[:, f], return_index=True, return_inverse=True)
+        rules = [_ref_face_rule(f, p, ws.face_deg) + (face_modes(f, p),)
+                 for p in map(tuple, perms[first, f].tolist())]
+        xhat, w, modes = (np.stack(a)[which] for a in zip(*rules))
         Ut = face_signs[f] * (field.value(xhat, tets) @ np.atleast_2d(ps.trace_directions(f, kind)).T)
         rhs.append(np.einsum("tq,tsq,tqia->tsai", w, modes, Ut).reshape(len(tets), -1))
     field = field if kind == "normal" else field.apply_s1()
