@@ -12,14 +12,21 @@ The element blocks are built, kept and applied as stacks over blocks of
 tets that share an order signature (signature_blocks): the geometry enters
 through products with the stacked affine maps (one GEMM of the signature's
 G4 against all A^T A for the L2 Grams), and the load and boundary data are
-evaluated once per block through interp.block_values.  The blocks of one
-signature run through interp.map_blocks, on len(os.sched_getaffinity(0)) - 1
-worker threads and the calling thread; the raw Grams are built one signature
-at a time before its blocks run, and G and F are scattered in block order, so
-the system has the bits of the serial loop.  The element factorizations of
-hybrid_operator stay serial: they are one small LU per tet, mostly Python
-time under the GIL, and through map_blocks they took 0.072 s against 0.051 s
-serially on cube n = 3, r = 1 (minima of 10 runs, 2 vCPUs).
+evaluated once per block through interp.block_values.  The signatures run
+through interp.map_blocks, one item each (_map_signatures), on
+len(os.sched_getaffinity(0)) - 1 worker threads and the calling thread: an
+item builds its signature's raw Grams and then the terms of its blocks, which
+are items of their own only on a mesh of one signature.  G and F are
+scattered in block order, so the system has the bits of the serial loop.
+
+The element factorizations of hybrid_operator stay serial.  Under cProfile
+on cube n = 3, r = 1, getrf and getri take about 36 ms of the 46-50 ms loop,
+and they release the GIL; but two threads running only those calls on the
+162 element blocks (114 x 114) took 0.035-0.048 s against 0.040-0.056 s
+serially, and element_block, 12-17 ms of small numpy calls, holds the GIL
+between them.  Through map_blocks the loop took 0.071-0.072 s
+against 0.054-0.081 s serially (minima of 10 runs, 2 vCPUs, one BLAS
+thread): no gain beyond the noise.
 
 `solve_saddle` solves the symmetric indefinite K x = b by hybridization at
 the level of dofs (Arnold & Brezzi 1985; for weak symmetry Cockburn,
@@ -200,9 +207,10 @@ def build_dof_map(mesh, orders, space=None):
 def _raw_gram_data(ro):
     """(basis, G4, divG, B1W, W3): exact reference Grams of the stress basis
     of signature ro, built afresh on each call.  assemble and
-    assemble_stress_grams make them once per signature for all its blocks
-    and keep them no longer, so a variable-order mesh holds one signature's
-    Grams at a time (G4 alone is 17 MB at r = 4).
+    assemble_stress_grams make them once per signature, in the signature's
+    item of map_blocks, for all its blocks, and keep them no longer, so a
+    variable-order mesh holds at most one signature's Grams per usable CPU
+    (G4 alone is 17 MB at r = 4).
 
     Contraction order: the monomial Gram multiplies one factor first, then
     G4 and divG are each one GEMM of the two factors over their remaining
@@ -240,6 +248,18 @@ def signature_blocks(space):
         nb = ps.stress_basis(ro).dim
         for block in interp.tet_blocks(tets, nb * nb, BLOCK_ENTRIES):
             yield ro, block
+
+
+def _map_signatures(fn, blocks):
+    """The results of fn(ro, [tets of each block of signature ro]) for each
+    signature, one item per signature through interp.map_blocks, joined in
+    block order.  blocks are tuples (ro, tets, ...) in which the blocks of a
+    signature come in a row (signature_blocks); fn returns one result per
+    block.  When fn maps its own blocks, they run in parallel only on a mesh
+    of one signature, as map_blocks runs a nested call serially."""
+    runs = [(ro, [b[1] for b in run]) for ro, run in itertools.groupby(blocks, key=lambda b: b[0])]
+    return [result for results in interp.map_blocks(lambda run: fn(*run), runs)
+            for result in results]
 
 
 def _l2_grams(space, G4, tets):
@@ -286,6 +306,10 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
     boundary_g, when given, is the prescribed boundary displacement; it
     enters the first equation as the natural term int_dOmega g . (tau n).
+    Each signature is one item of interp.map_blocks (_map_signatures): it
+    builds its raw Grams and S2W, then the element stacks, boundary term and
+    load of each of its blocks (block_terms, mapped in turn); G and F are
+    scattered afterwards in block order.
     """
     ws = Workspace(mesh, orders) if ws is None else ws
     space = StressSpace(mesh, orders, ws) if space is None else space
@@ -326,28 +350,30 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
             F_e = (J * np.einsum("q,jq,tqc->tcj", rule.weights, modes[ro.tet], fq)).reshape(len(tets), -1)
         return A_e, B1_e, B2_e, G_e, F_e
 
-    blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
-    F, G = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress)
-    # the blocks of a signature come in a row; its G4 goes before the next one is built
-    for ro, sig_blocks in itertools.groupby(signature_blocks(space), key=lambda b: b[0]):
-        sig_tets = [tets for _, tets in sig_blocks]
+    def signature_terms(ro, sig_tets):
+        """block_terms of the blocks of signature ro, from its raw Grams,
+        which are dropped when the blocks are done."""
         basis, G4, _, B1W, W3 = _raw_gram_data(ro)
         # B2_raw[c, j, b] = sum_{p,q,k} S2M[c,p,q] A[q,k] W3[b,p,k,j]: one GEMM of
         # the stacked A against the signature's product of S2M and W3
         S2W = np.einsum("cpq,bpkj->qkcjb", S2M, W3.reshape(basis.dim, 3, 3, -1)).reshape(9, -1)
-        terms = interp.map_blocks(partial(block_terms, ro, (basis, G4, B1W, S2W)), sig_tets)
-        del G4
-        for tets, (A_e, B1_e, B2_e, G_e, F_e) in zip(sig_tets, terms):
-            sd = np.stack([space.elements[t].dof_ids for t in tets])
-            ud = np.stack([dofmap.disp_elem_dofs[t] for t in tets])
-            blocks.append((ro, tets, sd, ud))
-            A_blocks.append(A_e)
-            B1_blocks.append(B1_e)
-            B2_blocks.append(B2_e)
-            if G_e is not None:
-                np.add.at(G, sd, G_e)
-            if F_e is not None:
-                F[ud] = F_e
+        return interp.map_blocks(partial(block_terms, ro, (basis, G4, B1W, S2W)), sig_tets)
+
+    blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
+    F, G = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress)
+    sig_blocks = list(signature_blocks(space))
+    terms = _map_signatures(signature_terms, sig_blocks)
+    for (ro, tets), (A_e, B1_e, B2_e, G_e, F_e) in zip(sig_blocks, terms):
+        sd = np.stack([space.elements[t].dof_ids for t in tets])
+        ud = np.stack([dofmap.disp_elem_dofs[t] for t in tets])
+        blocks.append((ro, tets, sd, ud))
+        A_blocks.append(A_e)
+        B1_blocks.append(B1_e)
+        B2_blocks.append(B2_e)
+        if G_e is not None:
+            np.add.at(G, sd, G_e)
+        if F_e is not None:
+            F[ud] = F_e
 
     return BlockSaddleSystem(
         F=F, G=G, blocks=blocks, A_blocks=A_blocks, B1_blocks=B1_blocks, B2_blocks=B2_blocks,
@@ -360,15 +386,20 @@ def assemble_stress_grams(system):
     global; the H(div) stacks are their element sums, one per block of
     system.blocks, which stability_lab.infsup_constant passes to
     hybrid_operator."""
-    space, raw_ro = system.space, None
-    L2s, divs = [], []
-    for ro, tets, _, _ in system.blocks:
-        if ro != raw_ro:            # system.blocks keeps the order of signature_blocks
-            raw_ro, (_, G4, divG, _, _) = ro, _raw_gram_data(ro)
-        X, M_raw = _l2_grams(space, G4, tets)
-        XT = np.swapaxes(X, 1, 2)
-        L2s.append(XT @ M_raw @ X)
-        divs.append(XT @ (divG / space.mesh.affine.det[tets, None, None]) @ X)
+    space = system.space
+
+    def signature_grams(ro, sig_tets):
+        """(L2, div) stacks of the blocks of signature ro, from its raw Grams."""
+        _, G4, divG, _, _ = _raw_gram_data(ro)
+
+        def block_grams(tets):
+            X, M_raw = _l2_grams(space, G4, tets)
+            XT = np.swapaxes(X, 1, 2)
+            return XT @ M_raw @ X, XT @ (divG / space.mesh.affine.det[tets, None, None]) @ X
+
+        return interp.map_blocks(block_grams, sig_tets)
+
+    L2s, divs = zip(*_map_signatures(signature_grams, system.blocks))
     sds = [sd for _, _, sd, _ in system.blocks]
     shape = (system.dofmap.n_stress,) * 2
     hdiv = [l2 + dv for l2, dv in zip(L2s, divs)]

@@ -3,8 +3,13 @@ stability runs and convergence studies.
 
 Every subcommand writes a CSV table and a JSON report (schema
 afw3d-report/1) into the output directory and prints a summary.  Identical
-configuration and seed produce byte-identical output files, so runtimes
-are printed but never written.
+configuration and seed produce byte-identical output files for a fixed
+number of BLAS threads, so runtimes are printed but never written.  The
+number of usable CPUs does not change the files (interp.map_blocks keeps
+the bits of its serial loop), but OpenBLAS rounds some products
+differently on another thread count, and with OPENBLAS_NUM_THREADS unset
+it takes one thread per usable CPU, so the files then depend on the CPUs
+too.  CI and perfbench set OPENBLAS_NUM_THREADS=1.
 
 Exit codes:
   0  every check passed its tolerance;

@@ -23,12 +23,17 @@ of one order signature as a block (Workspace.blocks), with one field
 evaluation per point set and one multi-column solve per block; their
 element calls take one tet or such a block, and one tet is a block of one.
 
-Independent blocks run on every usable CPU (map_blocks): one less worker
+Independent items run on every usable CPU (map_blocks): one less worker
 thread than len(os.sched_getaffinity(0)), and the calling thread, take the
-blocks in turn.  l2_norm adds the partial sums of its blocks in block order,
-and assembly.assemble scatters its element terms in block order, so every
-result has the bits of the serial loop, which runs on one usable CPU.  The
-moment interpolants stay serial.
+items in turn.  Where an item builds reference data of an order signature,
+the item is the whole signature: the StressSpace keys of one signature, the
+raw Grams and element stacks of one signature in assembly, and the blocks of
+one signature in the moment interpolants.  Blocks of tets are items of
+their own only in l2_norm, which builds no signature data, and in assembly
+on a mesh of one signature, once its raw Grams are built.  l2_norm adds
+the partial sums of its blocks in block order, and every other caller places
+its results in item order, so every result has the bits of the serial loop,
+which runs on one usable CPU.
 
 Face moments are taken in the coordinates of each face's vertices in
 ascending global order, so both neighbours of a face test against the same
@@ -435,9 +440,12 @@ def map_blocks(fn, items):
     The results come back in item order, and if items fail, the exception of
     the first of them is raised, as the plain loop would raise it.  The plain
     loop runs for one item, on one usable CPU, and when fn itself calls
-    map_blocks, so no thread waits on another that is waiting too.  numpy's
-    BLAS and the elementwise kernels release the GIL, so the blocks of one
-    call overlap; each fn(item) is computed exactly as in the plain loop."""
+    map_blocks, so no thread waits on another that is waiting too: an item
+    that maps its own blocks runs them in parallel only when it is the one
+    item of its call.  numpy's BLAS and the elementwise kernels release the
+    GIL, so the items of one call overlap; each fn(item) is computed exactly
+    as in the plain loop.  Items may build the same lru_cache entry at the
+    same time; the builders are pure, so either result has the same bits."""
     items = list(items)
     n_workers = min(len(os.sched_getaffinity(0)), len(items)) - 1
     if n_workers < 1 or getattr(_IN_BLOCK, "on", False):
@@ -826,11 +834,14 @@ class Workspace:
     def ref_orders(self, t):
         return self._signatures[self._sig_of[t]]
 
-    def blocks(self):
-        """The tets of each signature in tet_blocks, sized for 4 face rules and the volume rule."""
+    def signature_blocks(self):
+        """Per signature, its tets in tet_blocks, sized for 4 face rules and the volume rule."""
         per_tet = 4 * len(self.tri_rule.weights) + len(self.vol_rule.weights)
-        for tets in self.signature_groups.values():
-            yield from tet_blocks(tets, per_tet)
+        return [tet_blocks(tets, per_tet) for tets in self.signature_groups.values()]
+
+    def blocks(self):
+        """The blocks of every signature in turn (signature_blocks)."""
+        return [block for blocks in self.signature_blocks() for block in blocks]
 
 
 @lru_cache(maxsize=None)
@@ -924,10 +935,15 @@ def _interp_trimmed(kind, ws, t, U):
 
 def _glue_blocks(ws, kind, shift, space, element_coeffs):
     """elementwise_to_global of the coefficients element_coeffs(block) on each
-    block of ws.blocks(), of degree r(T) + shift."""
+    block of ws.blocks(), of degree r(T) + shift.  The signatures run through
+    map_blocks, one item each with its blocks in turn, as the first block of
+    a signature builds its reference systems."""
+    def signature_coeffs(blocks):
+        return [(t, c) for block in blocks for t, c in zip(block, element_coeffs(block))]
+
     coeffs = [None] * ws.mesh.n_tets
-    for block in ws.blocks():
-        for t, c in zip(block, element_coeffs(block)):
+    for pairs in map_blocks(signature_coeffs, ws.signature_blocks()):
+        for t, c in pairs:
             coeffs[t] = c
     degs = [int(r) + shift for r in ws.orders.tet_orders]
     return elementwise_to_global(ws.mesh, ws.orders, kind, degs, coeffs, space=space)
@@ -1140,7 +1156,9 @@ class StressSpace:
     signature alone.  So the moment matrix of a tet is signs[:, None] * C
     with one C per (signature, face vertex orders) key, and the space builds
     C (moment_matrix, the builder of the trimmed systems too), its LU and
-    X = C^{-1} once per key (_build_system).  The functionals of a field are
+    X = C^{-1} once per key (_build_system), the keys of one signature in
+    turn and the signatures through map_blocks; systems keeps the keys in the
+    order of their first tet.  The functionals of a field are
     the signs times the same moments of its flux pullback (element_rhs), as
     divhat sigmahat = det div sigma.
     """
@@ -1151,13 +1169,22 @@ class StressSpace:
         self.ws = Workspace(mesh, orders) if ws is None else ws
         face_ndof = [3 * mo.count(2, int(r) + 1) for r in orders.face_orders]
         self.face_offset = np.concatenate([[0], np.cumsum(face_ndof)])
-        self.systems = {}        # (signature, face vertex orders) -> unsigned StressElement
+        keys = [(self.ws.ref_orders(t), tuple(map(tuple, perms)))
+                for t, perms in enumerate(self.ws.face_perms.tolist())]
+        first = list(dict.fromkeys(keys))           # in order of first appearance
+        by_signature = {}
+        for key in first:
+            by_signature.setdefault(key[0], []).append(key)
+        # one item per signature: its keys share the signature's tables, built by the first
+        built = {}
+        for systems in map_blocks(lambda sig_keys: {key: self._build_system(*key) for key in sig_keys},
+                                  by_signature.values()):
+            built.update(systems)
+        # (signature, face vertex orders) -> unsigned StressElement
+        self.systems = {key: built[key] for key in first}
         self.elements = []
         offset = int(self.face_offset[-1])
-        for t, perms in enumerate(self.ws.face_perms.tolist()):
-            key = (self.ws.ref_orders(t), tuple(map(tuple, perms)))
-            if key not in self.systems:
-                self.systems[key] = self._build_system(*key)
+        for t, key in enumerate(keys):
             elem = self.systems[key]
             sizes = [s.stop - s.start for s in elem.face_slices]
             n_own = elem.basis.dim - sum(sizes)          # divergence and interior rows
