@@ -13,11 +13,9 @@ tets that share an order signature (signature_blocks): the geometry enters
 through products with the stacked affine maps (one GEMM of the signature's
 G4 against all A^T A for the L2 Grams), and the load and boundary data are
 evaluated once per block through interp.block_values.  The signatures run
-through interp.map_blocks, one item each (_map_signatures), on
-len(os.sched_getaffinity(0)) - 1 worker threads and the calling thread: an
-item builds its signature's raw Grams and then the terms of its blocks, which
-are items of their own only on a mesh of one signature.  G and F are
-scattered in block order, so the system has the bits of the serial loop.
+through interp.map_signatures: an item builds its signature's raw Grams and
+then the terms of its blocks.  G and F are scattered in block order, so the
+system has the bits of the serial loop.
 
 The element factorizations of hybrid_operator stay serial.  Under cProfile
 on cube n = 3, r = 1, getrf and getri take about 36 ms of the 46-50 ms loop,
@@ -47,7 +45,6 @@ of each face (Gopalakrishnan & Tan 2009; Cockburn, Dubois, Gopalakrishnan
 times and keep the factor.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -207,10 +204,10 @@ def build_dof_map(mesh, orders, space=None):
 def _raw_gram_data(ro):
     """(basis, G4, divG, B1W, W3): exact reference Grams of the stress basis
     of signature ro, built afresh on each call.  assemble and
-    assemble_stress_grams make them once per signature, in the signature's
-    item of map_blocks, for all its blocks, and keep them no longer, so a
-    variable-order mesh holds at most one signature's Grams per usable CPU
-    (G4 alone is 17 MB at r = 4).
+    assemble_stress_grams make them in the signature's item of
+    interp.map_signatures and keep them no longer, so a variable-order mesh
+    holds at most one signature's Grams per usable CPU (G4 alone is 17 MB at
+    r = 4).
 
     Contraction order: the monomial Gram multiplies one factor first, then
     G4 and divG are each one GEMM of the two factors over their remaining
@@ -248,18 +245,6 @@ def signature_blocks(space):
         nb = ps.stress_basis(ro).dim
         for block in interp.tet_blocks(tets, nb * nb, BLOCK_ENTRIES):
             yield ro, block
-
-
-def _map_signatures(fn, blocks):
-    """The results of fn(ro, [tets of each block of signature ro]) for each
-    signature, one item per signature through interp.map_blocks, joined in
-    block order.  blocks are tuples (ro, tets, ...) in which the blocks of a
-    signature come in a row (signature_blocks); fn returns one result per
-    block.  When fn maps its own blocks, they run in parallel only on a mesh
-    of one signature, as map_blocks runs a nested call serially."""
-    runs = [(ro, [b[1] for b in run]) for ro, run in itertools.groupby(blocks, key=lambda b: b[0])]
-    return [result for results in interp.map_blocks(lambda run: fn(*run), runs)
-            for result in results]
 
 
 def _l2_grams(space, G4, tets):
@@ -306,10 +291,9 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
     boundary_g, when given, is the prescribed boundary displacement; it
     enters the first equation as the natural term int_dOmega g . (tau n).
-    Each signature is one item of interp.map_blocks (_map_signatures): it
-    builds its raw Grams and S2W, then the element stacks, boundary term and
-    load of each of its blocks (block_terms, mapped in turn); G and F are
-    scattered afterwards in block order.
+    The item of each signature (interp.map_signatures) builds its raw Grams
+    and S2W, then the element stacks, boundary term and load of each of its
+    blocks (block_terms); G and F are scattered afterwards in block order.
     """
     ws = Workspace(mesh, orders) if ws is None else ws
     space = StressSpace(mesh, orders, ws) if space is None else space
@@ -362,7 +346,7 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
     F, G = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress)
     sig_blocks = list(signature_blocks(space))
-    terms = _map_signatures(signature_terms, sig_blocks)
+    terms = interp.map_signatures(signature_terms, sig_blocks)
     for (ro, tets), (A_e, B1_e, B2_e, G_e, F_e) in zip(sig_blocks, terms):
         sd = np.stack([space.elements[t].dof_ids for t in tets])
         ud = np.stack([dofmap.disp_elem_dofs[t] for t in tets])
@@ -399,7 +383,7 @@ def assemble_stress_grams(system):
 
         return interp.map_blocks(block_grams, sig_tets)
 
-    L2s, divs = zip(*_map_signatures(signature_grams, system.blocks))
+    L2s, divs = zip(*interp.map_signatures(signature_grams, system.blocks))
     sds = [sd for _, _, sd, _ in system.blocks]
     shape = (system.dofmap.n_stress,) * 2
     hdiv = [l2 + dv for l2, dv in zip(L2s, divs)]

@@ -25,15 +25,13 @@ element calls take one tet or such a block, and one tet is a block of one.
 
 Independent items run on every usable CPU (map_blocks): one less worker
 thread than len(os.sched_getaffinity(0)), and the calling thread, take the
-items in turn.  Where an item builds reference data of an order signature,
-the item is the whole signature: the StressSpace keys of one signature, the
-raw Grams and element stacks of one signature in assembly, and the blocks of
-one signature in the moment interpolants.  Blocks of tets are items of
-their own only in l2_norm, which builds no signature data, and in assembly
-on a mesh of one signature, once its raw Grams are built.  l2_norm adds
-the partial sums of its blocks in block order, and every other caller places
-its results in item order, so every result has the bits of the serial loop,
-which runs on one usable CPU.
+items in turn.  Work that builds reference data of an order signature goes
+through map_signatures: the StressSpace keys, the raw Grams and element
+stacks of assembly, and the blocks of the moment interpolants.  l2_norm,
+which builds no signature data, maps its blocks directly and adds their
+partial sums in block order; every other caller places its results in item
+order, so every result has the bits of the serial loop, which runs on one
+usable CPU.
 
 Face moments are taken in the coordinates of each face's vertices in
 ascending global order, so both neighbours of a face test against the same
@@ -55,6 +53,7 @@ face rule laid out per tet; the two tets of a face map it to the same points
 up to roundoff, so the interpolants conform to roundoff (elementwise_to_global).
 """
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -477,6 +476,19 @@ def map_blocks(fn, items):
     return results
 
 
+def map_signatures(fn, members):
+    """The one policy for per-signature work: members are tuples (ro, x, ...)
+    in which the members of each order signature ro come in a row; each
+    signature is one item of map_blocks, which calls fn(ro, [x, ...]) on the
+    second entries of its members, and fn returns one result per member.
+    The results come back in member order.  An item builds its signature's
+    reference data once, for all its members, which run in turn; when fn maps
+    its own members through map_blocks, they run in parallel only on a mesh
+    of one signature, as map_blocks runs a nested call serially."""
+    runs = [(ro, [m[1] for m in run]) for ro, run in itertools.groupby(members, key=lambda m: m[0])]
+    return [result for results in map_blocks(lambda run: fn(*run), runs) for result in results]
+
+
 def values_at(fn, tets, x):
     """fn (a FieldSample's value or jacobian) at the physical points x
     (len(tets), m, 3) in one call, with the tet of each point as its hint:
@@ -834,14 +846,12 @@ class Workspace:
     def ref_orders(self, t):
         return self._signatures[self._sig_of[t]]
 
-    def signature_blocks(self):
-        """Per signature, its tets in tet_blocks, sized for 4 face rules and the volume rule."""
-        per_tet = 4 * len(self.tri_rule.weights) + len(self.vol_rule.weights)
-        return [tet_blocks(tets, per_tet) for tets in self.signature_groups.values()]
-
     def blocks(self):
-        """The blocks of every signature in turn (signature_blocks)."""
-        return [block for blocks in self.signature_blocks() for block in blocks]
+        """(signature, tets) pairs: the tets of every signature in turn, in
+        tet_blocks sized for 4 face rules and the volume rule."""
+        per_tet = 4 * len(self.tri_rule.weights) + len(self.vol_rule.weights)
+        return [(ro, block) for ro, tets in self.signature_groups.items()
+                for block in tet_blocks(tets, per_tet)]
 
 
 @lru_cache(maxsize=None)
@@ -935,15 +945,12 @@ def _interp_trimmed(kind, ws, t, U):
 
 def _glue_blocks(ws, kind, shift, space, element_coeffs):
     """elementwise_to_global of the coefficients element_coeffs(block) on each
-    block of ws.blocks(), of degree r(T) + shift.  The signatures run through
-    map_blocks, one item each with its blocks in turn, as the first block of
-    a signature builds its reference systems."""
-    def signature_coeffs(blocks):
-        return [(t, c) for block in blocks for t, c in zip(block, element_coeffs(block))]
-
+    block of ws.blocks() (map_signatures), of degree r(T) + shift."""
+    blocks = ws.blocks()
     coeffs = [None] * ws.mesh.n_tets
-    for pairs in map_blocks(signature_coeffs, ws.signature_blocks()):
-        for t, c in pairs:
+    for (_, block), block_coeffs in zip(blocks, map_signatures(
+            lambda ro, sig_blocks: [element_coeffs(b) for b in sig_blocks], blocks)):
+        for t, c in zip(block, block_coeffs):
             coeffs[t] = c
     degs = [int(r) + shift for r in ws.orders.tet_orders]
     return elementwise_to_global(ws.mesh, ws.orders, kind, degs, coeffs, space=space)
@@ -1156,11 +1163,10 @@ class StressSpace:
     signature alone.  So the moment matrix of a tet is signs[:, None] * C
     with one C per (signature, face vertex orders) key, and the space builds
     C (moment_matrix, the builder of the trimmed systems too), its LU and
-    X = C^{-1} once per key (_build_system), the keys of one signature in
-    turn and the signatures through map_blocks; systems keeps the keys in the
-    order of their first tet.  The functionals of a field are
-    the signs times the same moments of its flux pullback (element_rhs), as
-    divhat sigmahat = det div sigma.
+    X = C^{-1} once per key (_build_system), through map_signatures;
+    systems keeps the keys in the order of their first tet.  The
+    functionals of a field are the signs times the same moments of its flux
+    pullback (element_rhs), as divhat sigmahat = det div sigma.
     """
 
     def __init__(self, mesh, orders, ws=None):
@@ -1172,14 +1178,10 @@ class StressSpace:
         keys = [(self.ws.ref_orders(t), tuple(map(tuple, perms)))
                 for t, perms in enumerate(self.ws.face_perms.tolist())]
         first = list(dict.fromkeys(keys))           # in order of first appearance
-        by_signature = {}
-        for key in first:
-            by_signature.setdefault(key[0], []).append(key)
-        # one item per signature: its keys share the signature's tables, built by the first
-        built = {}
-        for systems in map_blocks(lambda sig_keys: {key: self._build_system(*key) for key in sig_keys},
-                                  by_signature.values()):
-            built.update(systems)
+        rank = {ro: k for k, ro in enumerate(self.ws.signature_groups)}
+        ranked = sorted(first, key=lambda key: rank[key[0]])
+        built = dict(zip(ranked, map_signatures(
+            lambda ro, perms: [self._build_system(ro, p) for p in perms], ranked)))
         # (signature, face vertex orders) -> unsigned StressElement
         self.systems = {key: built[key] for key in first}
         self.elements = []

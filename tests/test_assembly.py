@@ -541,3 +541,15 @@ def test_multiplier_system_equals_dense_sum(request, material, mesh_name, orders
     got = assembly._multiplier_system(n_mult, parts, inverses).toarray()
     assert np.abs(S).max() > 0
     assert np.abs(got - S).max() == 0
+
+
+def test_solve_and_error_norms_build_no_per_face_or_per_tet_objects(material):
+    # the geometry is read from the stacked mesh.affine; the per-face frames
+    # and per-tet AffineMap views stay unbuilt through a solve and its norms
+    mesh = unit_cube_mesh(2)
+    orders = OrderMap.random(mesh, 0, 2, seed=1)
+    case = ManufacturedCase.sine_cube(material)
+    _, solution = assembly.solve_case(mesh, orders, case)
+    assembly.error_norms(mesh, orders, solution, case)
+    assert "affine" in vars(mesh)
+    assert "face_frames" not in vars(mesh) and "amaps" not in vars(mesh)
