@@ -17,14 +17,15 @@ through interp.map_signatures: an item builds its signature's raw Grams and
 then the terms of its blocks.  G and F are scattered in block order, so the
 system has the bits of the serial loop.
 
-The element factorizations of hybrid_operator stay serial.  Under cProfile
-on cube n = 3, r = 1, getrf and getri take about 36 ms of the 46-50 ms loop,
-and they release the GIL; but two threads running only those calls on the
-162 element blocks (114 x 114) took 0.035-0.048 s against 0.040-0.056 s
-serially, and element_block, 12-17 ms of small numpy calls, holds the GIL
-between them.  Through map_blocks the loop took 0.071-0.072 s
-against 0.054-0.081 s serially (minima of 10 runs, 2 vCPUs, one BLAS
-thread): no gain beyond the noise.
+The element factorizations of hybrid_operator stay serial, because the
+inverse holds the GIL: scipy 1.17's dgetri wrapper keeps it, while dgetrf
+and dgetrs release it.  On two threads, 32 matrices with n = 228 and one
+BLAS thread, dgetri ran 1.03-1.09x as fast as serially, dgetrf 1.54-1.87x
+and dgetrs 1.40-2.47x; dtrtri, dtrsm, dsytrf and dpotrf hold the GIL too.
+Per-block items running the unchanged per-tet loop showed no consistent
+gain (medians 0.050 -> 0.053 s on cube n = 3, r = 1 and 0.038 -> 0.029 s
+on cube n = 2 with random orders 0..2, within the noise), so threading the
+loop waits for a GIL-free inverse.
 
 `solve_saddle` solves the symmetric indefinite K x = b by hybridization at
 the level of dofs (Arnold & Brezzi 1985; for weak symmetry Cockburn,
@@ -141,19 +142,20 @@ class BlockSaddleSystem:
         ids of the element dofs and of where the hybridized solve splits a stress
         dof held by two tets: each copy has the dof's multiplier id and sign +1
         at its owner, the first tet that holds it, and -1 at the other tet.
-        Every other dof has the id n_mult and sign 0."""
+        Every other dof has the id n_mult and sign 0.  The ids are int32 and
+        the signs int8; a product with +-1 or 0 is exact in any dtype."""
         d, sds = self.dofmap, self.dofmap.stress_elem_dofs
         tet_of = np.repeat(np.arange(len(sds)), [len(sd) for sd in sds])
         _, first, counts = np.unique(np.concatenate(sds), return_index=True, return_counts=True)
         n_mult = int((counts > 1).sum())
-        mult_of = np.full(d.n_total, n_mult)
+        mult_of = np.full(d.n_total, n_mult, np.int32)
         mult_of[np.flatnonzero(counts > 1)] = np.arange(n_mult)
         owner = np.pad(tet_of[first], (0, d.n_total - d.n_stress))
         parts = []
         for _, tets, sd, ud in self.blocks:
             glob = np.hstack([sd, d.n_stress + ud, d.n_stress + d.n_disp + ud])
             parts.append((glob, mult_of[glob], np.where(mult_of[glob] < n_mult, np.where(
-                owner[glob] == tets[:, None], 1.0, -1.0), 0.0)))
+                owner[glob] == tets[:, None], 1, -1), 0).astype(np.int8)))
         return n_mult, parts
 
     def matvec(self, x):
@@ -258,7 +260,8 @@ def _l2_grams(space, G4, tets):
     M = np.swapaxes(A, 1, 2) @ A
     # M_raw[b, c] = sum_{q,s} G4[b, c, q, s] M[s, q]
     M_raw = np.swapaxes(M, 1, 2).reshape(len(tets), 9) @ G4.reshape(nb * nb, 9).T
-    M_raw = M_raw.reshape(-1, nb, nb) / aff.det[tets, None, None]
+    M_raw = M_raw.reshape(-1, nb, nb)
+    M_raw /= aff.det[tets, None, None]
     return space.dual_bases(tets), M_raw
 
 
@@ -280,7 +283,8 @@ def _boundary_raw(ws, ro, tets, g):
         xhat = aff.pull(t, pts).reshape(-1, 3)
         bref = mo.evaluate(basis.coeffs, 3, ro.tet + 1, xhat).reshape(nb, 3, 3, len(t), q)
         bref = bref.transpose(3, 0, 4, 1, 2)                          # (pairs, b, q, j, k)
-        bphys = np.einsum("pbqjk,plk->pbqjl", bref, aff.A[t]) / aff.det[t, None, None, None, None]
+        bphys = np.einsum("pbqjk,plk->pbqjl", bref, aff.A[t])
+        bphys /= aff.det[t, None, None, None, None]
         bn = np.einsum("pbqjl,pl->pbqj", bphys, interp._outward_normal(mesh, t, lf[sel]))
         np.add.at(out, k[sel], np.einsum("pq,pbqj,pqj->pb", w, bn, gv))
     return out
@@ -310,7 +314,10 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
     def block_terms(ro, raw, tets):
         """(A_e, B1_e, B2_e) stacks of the tets of one block, and their
-        boundary term on the element stress dofs and load (None without data)."""
+        boundary term on the element stress dofs and load (None without data).
+        Its (tets, nb, nb) temporaries are X and two raw Grams, whose buffers
+        take the products in place and then A_e: two items in flight hold
+        little besides their outputs."""
         basis, G4, B1W, S2W = raw
         nb = basis.dim
         A = aff.A[tets]
@@ -319,10 +326,19 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
         trv = A.reshape(-1, 9) @ basis.coeffs.reshape(nb, 9, -1).transpose(1, 0, 2).reshape(9, -1)
         trv = trv.reshape(len(tets), nb, -1)
         J = aff.det[tets, None, None]
-        T_raw = trv @ mo.gram_simplex(3, ro.tet + 1) @ np.swapaxes(trv, 1, 2) / J
-        A_raw = M_raw / (2 * mu) - c_tr * T_raw
-        A_e = np.swapaxes(X, 1, 2) @ A_raw @ X
-        A_e = np.swapaxes(np.swapaxes(A_e, 1, 2).copy(), 1, 2)             # see matvec
+        T_raw = trv @ mo.gram_simplex(3, ro.tet + 1) @ np.swapaxes(trv, 1, 2)
+        T_raw /= J
+        T_raw *= c_tr
+        # A_raw = M_raw / (2 mu) - c_tr T_raw in M_raw's buffer; X^T A_raw in
+        # T_raw's, then A_e = X^T A_raw X in M_raw's, and A_e is returned in
+        # T_raw's buffer with column-major slices (see matvec)
+        A_raw = M_raw
+        A_raw /= 2 * mu
+        A_raw -= T_raw
+        np.matmul(np.swapaxes(X, 1, 2), A_raw, out=T_raw)
+        np.matmul(T_raw, X, out=A_raw)
+        T_raw[...] = np.swapaxes(A_raw, 1, 2)
+        A_e = np.swapaxes(T_raw, 1, 2)
         B1_e = B1W.reshape(nb, -1).T @ X                    # rows (c, j) c-major
         B2_e = (A.reshape(-1, 9) @ S2W).reshape(len(tets), -1, nb) @ X
         G_e = F_e = None
@@ -331,7 +347,9 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
             G_e = (np.swapaxes(X, 1, 2) @ G_raw[..., None])[..., 0]
         if f is not None:
             fq = interp.block_values(mesh, f, tets, rule.points)           # (tets, q, 3)
-            F_e = (J * np.einsum("q,jq,tqc->tcj", rule.weights, modes[ro.tet], fq)).reshape(len(tets), -1)
+            F_e = np.einsum("q,jq,tqc->tcj", rule.weights, modes[ro.tet], fq)
+            F_e *= J
+            F_e = F_e.reshape(len(tets), -1)
         return A_e, B1_e, B2_e, G_e, F_e
 
     def signature_terms(ro, sig_tets):
@@ -408,38 +426,57 @@ def element_block(system, t, a11):
     return np.block([[a11, B.T], [B, np.zeros((len(B), len(B)))]])
 
 
+def _multiplier_pattern(n_mult, parts):
+    """(indptr, pair_of, col): the canonical CSR pattern of S.  Row mu holds,
+    ascending, the multipliers of the two tets that share mu, so the rows of
+    one pair of tets, pair_of[mu], have the same columns: the multiplier of
+    the c-th shared copy of the pair's owner tet (side 0) or other tet (side
+    1) is entry col[pair, side, c] of each of its rows."""
+    shared = [sign != 0 for _, _, sign in parts]
+    width = max(int(sh.sum(1).max()) for sh in shared)      # most shared copies of a tet
+    first = np.cumsum([0] + [len(sh) for sh in shared])     # number of a block's first tet
+    n_tets = first[-1]
+    cols = np.full((n_tets, width), n_mult, np.int32)       # a tet's multipliers in copy order
+    tet_of = np.empty((2, n_mult), np.int64)                # a multiplier's owner and other tet
+    for (_, mult, sign), sh, t0 in zip(parts, shared, first):
+        k, i = np.nonzero(sh)
+        cols[t0 + k, (np.cumsum(sh, 1) - 1)[k, i]] = mult[k, i]
+        tet_of[(sign[k, i] < 0).astype(np.intp), mult[k, i]] = t0 + k
+    pairs, pair_of = np.unique(tet_of[0] * n_tets + tet_of[1], return_inverse=True)
+    both = np.hstack([cols[t] for t in np.divmod(pairs, n_tets)])     # owner's, then other's
+    order = np.argsort(both, axis=1, kind="stable")
+    srt = np.take_along_axis(both, order, 1)
+    new = (srt < n_mult) & (np.diff(srt, axis=1, prepend=-1) != 0)
+    col = np.empty_like(order)
+    np.put_along_axis(col, order, np.cumsum(new, 1) - 1, 1)
+    indptr = np.concatenate([[0], np.cumsum(new.sum(1)[pair_of])])
+    return indptr, pair_of, col.reshape(len(pairs), 2, width)
+
+
 def _multiplier_system(n_mult, parts, inverses):
     """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses, written straight
-    into the arrays of a CSR matrix: row mu holds the entries from the tet
-    that owns multiplier mu, then those from the other tet, and
-    sum_duplicates adds the two terms of an entry in place.  Besides S itself
-    only temporaries of one block are made, with int8 signs and int32 ids.
-    The sign products are exact and an entry sums at most two terms, so S is
-    bit-identical to the canonical matrix of the same entries built through
-    COO triplets."""
-    shared = [sign != 0 for _, _, sign in parts]
-    n_sh = [sh.sum(1) for sh in shared]                 # shared copies per tet
-    length = np.zeros((2, n_mult), np.int64)            # entries of a row from owner, other
-    for (_, mult, sign), n in zip(parts, n_sh):
-        per_copy = np.broadcast_to(n[:, None], sign.shape)
-        length[0, mult[sign > 0]] = per_copy[sign > 0]
-        length[1, mult[sign < 0]] = per_copy[sign < 0]
-    indptr = np.concatenate([[0], np.cumsum(length.sum(0))])
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
-    for inv, (_, mult, sign), sh, n in zip(inverses, parts, shared, n_sh):
-        k, i = np.nonzero(sh)           # the shared copy (k, i) fills a run of n[k] entries
-        row, runs = mult[k, i], n[k]
-        start = indptr[row] + np.where(sign[k, i] > 0, 0, length[0, row])
-        dest = np.repeat(start - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
-        pair = sh[:, :, None] & sh[:, None, :]
-        s, m = sign.astype(np.int8), mult.astype(np.int32)
-        s_i, s_j, m_j = (np.broadcast_to(a, pair.shape)[pair] for a in (
-            s[:, :, None], s[:, None, :], m[:, None, :]))
-        data[dest] = inv[pair] * (s_i * s_j)
-        indices[dest] = m_j
-    S = sp.csr_matrix((data, indices, indptr), shape=(n_mult, n_mult))
-    S.sum_duplicates()
-    return S
+    into the arrays of a canonical CSR matrix (_multiplier_pattern), each of
+    exactly S.nnz entries.  The tets of a block with the same number of
+    shared copies are filled together: the shared rows and columns of their
+    K_e^{-1} times the sign products, added by np.add.at to data, which
+    starts at -0.0, the identity of addition.  An entry is its one term or
+    the sum of its two, so S is bit-identical to the canonical matrix of the
+    same entries built through COO triplets."""
+    indptr, pair_of, col = _multiplier_pattern(n_mult, parts)
+    data, indices = np.full(indptr[-1], -0.0), np.empty(indptr[-1], np.int32)
+    for inv, (_, mult, sign) in zip(inverses, parts):
+        n_sh = np.count_nonzero(sign, axis=1)
+        for n in np.unique(n_sh[n_sh > 0]):
+            kk = np.flatnonzero(n_sh == n)
+            J = np.nonzero(sign[kk])[1].reshape(-1, n)      # (tets, n) shared copies
+            m, s = mult[kk[:, None], J], sign[kk[:, None], J]
+            vals = inv[kk[:, None, None], J[:, :, None], J[:, None, :]]
+            vals *= s[:, :, None] * s[:, None, :]
+            dest = col[pair_of[m], (s < 0).astype(np.intp), :n]
+            dest += indptr[m][:, :, None]
+            np.add.at(data, dest, vals)
+            indices[dest] = m[:, None, :]
+    return sp.csr_matrix((data, indices, indptr), shape=(n_mult, n_mult))
 
 
 def _face_blocks(system, inverses):

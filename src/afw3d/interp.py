@@ -1234,8 +1234,12 @@ class StressSpace:
         return rhs if np.ndim(t) else rhs[0]
 
     def dual_bases(self, tets):
-        """(len(tets), nb, nb): the dual bases of tets, which share one signature."""
-        return np.stack([self.elements[t].dual_basis() for t in tets])
+        """(len(tets), nb, nb): the dual bases of tets, which share one
+        signature: their keys' X gathered into one stack, whose columns are
+        scaled by the signs in place, as dual_basis scales them."""
+        X = np.stack([self.elements[t].X for t in tets])
+        X *= np.stack([self.elements[t].signs for t in tets])[:, None, :]
+        return X
 
     def coeffs_from_dofs(self, t, dof_values):
         elem = self.elements[t]
