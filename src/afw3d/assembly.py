@@ -88,9 +88,11 @@ def _scatter(stacks, row_dofs, col_dofs, shape):
 @dataclass
 class BlockSaddleSystem:
     """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element
-    blocks stacked per block of blocks; A_loc[t] is a view of the A_e of tet
-    t.  A, B1, B2, full_matrix() and the stress Grams are assembled from the
-    stacks on first use.
+    blocks stacked per block of blocks.  The hybridized solve
+    (hybrid_operator) reads only these stacks and the multiplier system S it
+    builds from them, and matvec only the stacks.  The per-tet views
+    A_loc[t], B1_loc[t] and B2_loc[t], and A, B1, B2, full_matrix() and the
+    stress Grams, are built from the stacks on first use.
     """
 
     F: np.ndarray              # <f, v>
@@ -416,16 +418,6 @@ def vq_mass_diag(system):
     return np.concatenate([d, d])      # rotation dofs are numbered as displacement ones
 
 
-def element_block(system, t, a11):
-    """K_e = [[a11, B1_e^T, -B2_e^T], [B1_e, 0, 0], [-B2_e, 0, 0]] of tet t.
-
-    With a11 = A_e, the one-element problem with displacement data, in
-    element dof order [stress | displacement | rotation].
-    """
-    B = np.vstack([system.B1_loc[t], -system.B2_loc[t]])
-    return np.block([[a11, B.T], [B, np.zeros((len(B), len(B)))]])
-
-
 def _multiplier_pattern(n_mult, parts):
     """(indptr, pair_of, col): the canonical CSR pattern of S.  Row mu holds,
     ascending, the multipliers of the two tets that share mu, so the rows of
@@ -479,40 +471,32 @@ def _multiplier_system(n_mult, parts, inverses):
     return sp.csr_matrix((data, indices, indptr), shape=(n_mult, n_mult))
 
 
-def _face_blocks(system, inverses):
+def _face_blocks(system, S):
     """[(ids, D)] per face-block size m: the (faces, m) multiplier ids of the
     interior faces with m dofs and the (faces, m, m) diagonal blocks of S at
-    them, summed from the two tets' inverses with no loop over faces.  The
-    multipliers are the interior face dofs in face order, each face's as
-    (mode, component); the copies of a face have one sign, so a block is the
-    plain sum and equals S's block bit for bit."""
-    mesh, space = system.mesh, system.space
-    interior = np.flatnonzero(~mesh.boundary_face)
-    size = np.diff(space.face_offset)[interior]
+    them, gathered from S.  The multipliers are the interior face dofs in
+    face order, each face's as (mode, component)."""
+    size = np.diff(system.space.face_offset)[~system.mesh.boundary_face]
     start = np.cumsum(size) - size
-    slot = np.zeros(mesh.n_faces, np.int64)
-    D = {}
+    blocks = []
     for m in np.unique(size):
-        slot[interior[size == m]] = np.arange(np.count_nonzero(size == m))
-        D[m] = np.zeros((np.count_nonzero(size == m), m, m))
-    for (_, tets, _, _), inv in zip(system.blocks, inverses):
-        for lf, P in enumerate(space.elements[tets[0]].face_slices):
-            fids = mesh.tet_faces[tets, lf]
-            k = np.flatnonzero(~mesh.boundary_face[fids])
-            np.add.at(D[P.stop - P.start], slot[fids[k]], inv[k, P, P])
-    return [(start[size == m, None] + np.arange(m), Dm) for m, Dm in D.items()]
+        ids = start[size == m, None] + np.arange(m)
+        rows, cols = np.broadcast_arrays(ids[:, :, None], ids[:, None, :])
+        blocks.append((ids, np.asarray(S[rows.ravel(), cols.ravel()]).reshape(rows.shape)))
+    return blocks
 
 
-def _pcg_solver(system, S, inverses):
+def _pcg_solver(system, S):
     """g -> S^{-1} g by linalg.pcg to PCG_RTOL, preconditioned by B = sum_F
     R_F^T S_FF^{-1} R_F + R_0^T (R_0 S R_0^T)^{-1} R_0: the inverse of each
     face's diagonal block of S (_face_blocks) plus a Galerkin coarse solve on
     the first 3 multipliers of each face, its first test mode times the 3
     components.  That mode spans nearly the constants: the constant's cosine
-    with it is 0.998, 0.996 and 0.995 at face degrees 1, 2 and 3.  The coarse
-    matrix, a submatrix of S, is factored by linalg.spd_factor.  PCG that
-    does not converge in PCG_MAX_ITER iterations is a FactorizationBreakdown."""
-    groups = [(ids, np.linalg.inv(D)) for ids, D in _face_blocks(system, inverses)]
+    with it is 0.998, 0.996 and 0.995 at face degrees 1, 2 and 3.  Both the
+    face blocks and the coarse matrix are read from S, and the coarse matrix
+    is factored by linalg.spd_factor.  PCG that does not converge in
+    PCG_MAX_ITER iterations is a FactorizationBreakdown."""
+    groups = [(ids, np.linalg.inv(D)) for ids, D in _face_blocks(system, S)]
     coarse_ids = np.sort(np.concatenate([ids[:, :3].ravel() for ids, _ in groups]))
     coarse = linalg.spd_factor(S[coarse_ids][:, coarse_ids])
 
@@ -548,13 +532,17 @@ PCG_MAX_ITER = 1000
 def hybrid_operator(system, a11_blocks, pcg=False):
     """x = H(b): the hybridized solve of K x = b for any right-hand side b.
 
-    K has the element blocks element_block(system, t, a11), a11 the tet's
-    matrix in a11_blocks, one stack per block of system.blocks: solve_saddle
-    passes system.A_blocks, the inf-sup constant the H(div) Gram stacks of
+    The solve reads the block stacks and S only.  K has the element blocks
+    K_e = [[a11, B^T], [B, 0]] with B = [B1_e; -B2_e], in element dof order
+    [stress | displacement | rotation]; a11_blocks, system.B1_blocks and
+    system.B2_blocks give one stack per block of system.blocks.  solve_saddle
+    passes system.A_blocks as a11_blocks, the one-element problems with
+    displacement data, and the inf-sup constant the H(div) Gram stacks of
     assemble_stress_grams.  E_e maps the stress copies of tet e onto their
     multipliers with the signs of system.layout; the owner's copy alone takes
-    the stress rows of b and gives the stress value of x.  Each K_e is
-    factored (linalg.lu_factor, whose pivot gate names the tet) and inverted.
+    the stress rows of b and gives the stress value of x.  A block's K_e stack
+    is formed in the buffer of its inverses, and each slice is factored
+    (linalg.lu_factor, whose pivot gate names the tet) and inverted in place.
     H(b) is y_e = K_e^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e =
     y_e - K_e^{-1} E_e^T lambda: two stacked products per block.  S is
     factored once by linalg.spd_factor, or with pcg=True solved on each call
@@ -562,19 +550,25 @@ def hybrid_operator(system, a11_blocks, pcg=False):
     """
     n_mult, parts = system.layout
     inverses = []
-    for (_, tets, _, _), a11, (glob, _, _) in zip(system.blocks, a11_blocks, parts):
-        inv = np.empty((len(tets), glob.shape[1], glob.shape[1]))
+    for (_, tets, _, _), a11, B1, B2 in zip(system.blocks, a11_blocks, system.B1_blocks,
+                                           system.B2_blocks):
+        n, m = a11.shape[1], B1.shape[1]
+        K = np.zeros((len(tets), n + 2 * m, n + 2 * m))
+        K[:, :n, :n] = a11
+        K[:, n:n + m, :n] = B1
+        np.negative(B2, out=K[:, n + m:, :n])
+        K[:, :n, n:] = np.swapaxes(K[:, n:, :n], 1, 2)
         for k, t in enumerate(tets):
             try:
-                inv[k] = linalg.lu_inverse(linalg.lu_factor(element_block(system, t, a11[k])))
+                K[k] = linalg.lu_inverse(linalg.lu_factor(K[k]))
             except linalg.SingularMatrix as exc:
                 raise FactorizationBreakdown(
                     f"element block of tet {t} is singular: {exc}"
                 ) from exc
-        inverses.append(inv)
+        inverses.append(K)
     S = _multiplier_system(n_mult, parts, inverses)
     try:
-        S_solve = _pcg_solver(system, S, inverses) if pcg else linalg.spd_factor(S).solve
+        S_solve = _pcg_solver(system, S) if pcg else linalg.spd_factor(S).solve
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
     del S                       # the factor path keeps only the factor
@@ -627,7 +621,7 @@ def split_solution(system, x):
         coeffs = system._per_tet([x[offset + ud].reshape(len(tets), 3, -1)
                                   @ ps.volume_modes(ro.tet)[:, 0, :]
                                   for ro, tets, _, ud in system.blocks])
-        fields.append(DiscreteField(system.mesh, system.orders, "compose", degs, coeffs, "p3_vec"))
+        fields.append(DiscreteField(system.mesh, system.orders, "compose", degs, coeffs))
     return tuple(fields)
 
 

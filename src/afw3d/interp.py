@@ -273,7 +273,6 @@ class DiscreteField:
     kind: str
     degs: list
     coeffs: list
-    space: str = ""
 
     @property
     def shape(self):
@@ -377,14 +376,13 @@ class DiscreteField:
             lambda pts, tet: self._at_points(pts, tet, True),
         )
 
-    def copy_with(self, coeffs, kind=None, degs=None, space=None):
+    def copy_with(self, coeffs, kind=None, degs=None):
         return DiscreteField(
             mesh=self.mesh,
             orders=self.orders,
             kind=self.kind if kind is None else kind,
             degs=self.degs if degs is None else degs,
             coeffs=coeffs,
-            space=self.space if space is None else space,
         )
 
     def __sub__(self, other):
@@ -402,7 +400,7 @@ def field_divergence(df):
     """
     assert df.kind == "piola"
     out = [ps.differentiate(c, d, "div") / det for c, d, det in zip(df.coeffs, df.degs, df.mesh.affine.det)]
-    return df.copy_with(out, kind="compose", degs=[max(d - 1, 0) for d in df.degs], space="p3_vec")
+    return df.copy_with(out, kind="compose", degs=[max(d - 1, 0) for d in df.degs])
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +887,7 @@ def project_l2_p3(mesh, orders, f, ws=None):
             for t, c in zip(block, np.swapaxes(fv, 1, 2) @ P):
                 coeffs[t] = c
     degs = [int(r) for r in orders.tet_orders]
-    return DiscreteField(mesh, orders, "compose", degs, coeffs, space="p3_vec")
+    return DiscreteField(mesh, orders, "compose", degs, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -930,20 +928,20 @@ def _rhs(ws, t, sysm, Uhat):
 
 _rhs_2minus = _rhs
 
-# trimmed kind -> (index in reference_systems, pushforward, degree - r(T), space)
-_TRIMMED = {"2minus": (0, "op2", 1, "p2_minus"), "1minus": (1, "op1", 2, "p1_minus")}
+# trimmed kind -> (index in reference_systems, pushforward, degree - r(T))
+_TRIMMED = {"2minus": (0, "op2", 1), "1minus": (1, "op1", 2)}
 
 
 def _interp_trimmed(kind, ws, t, U):
     """Element coefficients (9, nmono) of the kind's trimmed interpolant on
     tet t, or (len(t), 9, nmono) on the tets t of one signature."""
-    which, push, _, _ = _TRIMMED[kind]
+    which, push, _ = _TRIMMED[kind]
     sysm = reference_systems(ws.ref_orders(np.atleast_1d(t)[0]))[which]
     rhs = _rhs(ws, t, sysm, _pullback(push, U, ws.mesh.affine.take(t)))
     return np.einsum("b...,bcn->...cn", linalg.lu_apply(sysm.lu, rhs.T), sysm.basis.coeffs)
 
 
-def _glue_blocks(ws, kind, shift, space, element_coeffs):
+def _glue_blocks(ws, kind, shift, element_coeffs):
     """elementwise_to_global of the coefficients element_coeffs(block) on each
     block of ws.blocks() (map_signatures), of degree r(T) + shift."""
     blocks = ws.blocks()
@@ -953,7 +951,7 @@ def _glue_blocks(ws, kind, shift, space, element_coeffs):
         for t, c in zip(block, block_coeffs):
             coeffs[t] = c
     degs = [int(r) + shift for r in ws.orders.tet_orders]
-    return elementwise_to_global(ws.mesh, ws.orders, kind, degs, coeffs, space=space)
+    return elementwise_to_global(ws.mesh, ws.orders, kind, degs, coeffs)
 
 
 def _interp_trimmed_global(kind, mesh, orders, U, ws=None):
@@ -982,13 +980,13 @@ CONFORMITY_TOL = 1e-10        # trace jump relative to max(field scale, 1)
 CONFORMITY_RULE_DEG = 4       # face rule of the trace-jump check
 
 
-def elementwise_to_global(mesh, orders, kind, degs, per_elem, space=""):
+def elementwise_to_global(mesh, orders, kind, degs, per_elem):
     """Glue per-element coefficient arrays into a conforming DiscreteField.
 
     Checks interface continuity of the relevant trace (normal for flux
     kinds, tangential for the edge kind) at face quadrature points.
     """
-    df = DiscreteField(mesh, orders, kind, list(degs), list(per_elem), space=space)
+    df = DiscreteField(mesh, orders, kind, list(degs), list(per_elem))
     err, scale = conformity_error(df)
     if err > CONFORMITY_TOL * max(scale, 1.0):
         raise ConformityViolation(
@@ -1051,7 +1049,7 @@ def clement(mesh, W, orders=None):
     c = np.zeros((mesh.n_tets, 9, mo.count(3, 1)))
     c[:, :, 0] = vertex_vals[:, 0]
     c[:, :, mo.coordinate_index(3)] = np.swapaxes(vertex_vals[:, 1:] - vertex_vals[:, :1], 1, 2)
-    return DiscreteField(mesh, orders, "compose", [1] * mesh.n_tets, list(c), space="linear_mat")
+    return DiscreteField(mesh, orders, "compose", [1] * mesh.n_tets, list(c))
 
 
 def lift_linear_into_op1(ws, tets, lin_field):
@@ -1079,7 +1077,7 @@ def interp_p1minus_stabilized(mesh, orders, W, ws=None):
     ws = Workspace(mesh, orders) if ws is None else ws
     R = clement(mesh, W, orders)
     diff = (W if isinstance(W, FieldSample) else W.as_sample()) - R.as_sample()
-    return _glue_blocks(ws, "op1", 2, "p1_minus", lambda tets: (
+    return _glue_blocks(ws, "op1", 2, lambda tets: (
         interp_p1minus(ws, tets, diff) + lift_linear_into_op1(ws, tets, R)))
 
 
@@ -1251,7 +1249,6 @@ class StressSpace:
         return DiscreteField(
             self.mesh, self.orders, "piola", [el.deg for el in self.elements],
             [self.coeffs_from_dofs(t, dofs[el.dof_ids]) for t, el in enumerate(self.elements)],
-            space="stress_full",
         )
 
     dofs_of_field = element_rhs
@@ -1262,5 +1259,5 @@ def interp_p2(mesh, orders, U, space=None, ws=None):
     property: elementwise, div of the result is the L2 projection of div U.
     """
     space = StressSpace(mesh, orders, ws) if space is None else space
-    return _glue_blocks(space.ws, "piola", 1, "stress_full", lambda tets: [
+    return _glue_blocks(space.ws, "piola", 1, lambda tets: [
         space.coeffs_from_dofs(t, d) for t, d in zip(tets, space.element_rhs(tets, U))])

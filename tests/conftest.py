@@ -5,6 +5,42 @@ from afw3d import interp, tensor_ops
 from afw3d.mesh import OrderMap, build_complex, unit_cube_mesh
 
 
+def cpus(monkeypatch, n):
+    """Make map_blocks see n usable CPUs: n - 1 workers, or the serial loop for 1."""
+    monkeypatch.setattr(interp.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """The number of items of every map_blocks call."""
+    calls, map_blocks = [], interp.map_blocks
+
+    def counted(fn, items):
+        items = list(items)
+        calls.append(len(items))
+        return map_blocks(fn, items)
+
+    monkeypatch.setattr(interp, "map_blocks", counted)
+    return calls
+
+
+def element_block(system, t, a11):
+    """K_e = [[a11, B1_e^T, -B2_e^T], [B1_e, 0, 0], [-B2_e, 0, 0]] of tet t, one
+    np.block from the per-tet views.
+
+    With a11 = A_e, the one-element problem with displacement data, in
+    element dof order [stress | displacement | rotation].
+    """
+    B = np.vstack([system.B1_loc[t], -system.B2_loc[t]])
+    return np.block([[a11, B.T], [B, np.zeros((len(B), len(B)))]])
+
+
+def element_inverses(system):
+    """Per block of system.blocks, the stack of np.linalg.inv of each tet's K_e with a11 = A_e."""
+    return [np.stack([np.linalg.inv(element_block(system, t, system.A_loc[t]))
+                      for t in tets]) for _, tets, _, _ in system.blocks]
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

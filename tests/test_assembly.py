@@ -6,6 +6,7 @@ from afw3d import assembly, interp, monomials as mo, polyspace as ps, quadrature
 from afw3d.assembly import ManufacturedCase
 from afw3d.interp import FieldSample, Workspace
 from afw3d.mesh import OrderMap, affine_of, unit_cube_mesh
+from conftest import element_block, element_inverses
 
 
 def test_dof_counts_single_tet(single_tet):
@@ -325,25 +326,55 @@ def test_solve_saddle_refinement_meets_residual_gate_at_r3(cube1, material):
     assert np.isfinite(assembly.error_norms(cube1, om, sol, case).total)
 
 
-def test_singular_element_block_names_its_tet(cube1, material, monkeypatch):
+def _zero_element_block(system, t):
+    """Zero tet t's slices of the A_e, B1_e and B2_e stacks, so that its K_e is 0."""
+    for (_, tets, _, _), *stacks in zip(system.blocks, system.A_blocks, system.B1_blocks,
+                                        system.B2_blocks):
+        for stack in stacks:
+            stack[tets == t] = 0.0
+
+
+def test_singular_element_block_names_its_tet(cube1, material):
     system = assembly.assemble(cube1, OrderMap.uniform(cube1, 0), material, None)
-    block = assembly.element_block
-    monkeypatch.setattr(assembly, "element_block",
-                        lambda s, t, a: 0.0 * block(s, t, a) if t == 2 else block(s, t, a))
+    _zero_element_block(system, 2)
     with pytest.raises(assembly.FactorizationBreakdown, match="tet 2"):
         assembly.solve_saddle(system)
 
 
-def test_singular_element_block_in_a_multi_tet_block_names_its_tet(cube1, material,
-                                                                   monkeypatch):
+def test_singular_element_block_in_a_multi_tet_block_names_its_tet(cube1, material):
     system = assembly.assemble(cube1, OrderMap.random(cube1, 0, 2, seed=1), material, None)
     tets = next(tets for _, tets, _, _ in system.blocks if len(tets) > 1)
     bad = int(tets[-1])
-    block = assembly.element_block
-    monkeypatch.setattr(assembly, "element_block",
-                        lambda s, t, a: 0.0 * block(s, t, a) if t == bad else block(s, t, a))
+    _zero_element_block(system, bad)
     with pytest.raises(assembly.FactorizationBreakdown, match=rf"tet {bad} is singular"):
         assembly.solve_saddle(system)
+
+
+@pytest.mark.parametrize("a11", ["compliance", "hdiv"])
+@pytest.mark.parametrize(
+    "mesh_name, orders_of",
+    [("cube1", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)),
+     ("two_tets", lambda mesh: OrderMap.uniform(mesh, 1))],
+    ids=["cube1-random", "two_tets-r1"],
+)
+def test_hybrid_operator_factors_each_element_block_bit_for_bit(request, monkeypatch, material,
+                                                               mesh_name, orders_of, a11):
+    # every K_e that hybrid_operator hands to lu_factor, in block and tet order,
+    # against the per-tet np.block of the same a11, B1_e and B2_e
+    from afw3d import linalg
+
+    mesh = request.getfixturevalue(mesh_name)
+    system = assembly.assemble(mesh, orders_of(mesh), material, None)
+    a11_blocks = system.A_blocks if a11 == "compliance" else system.stress_grams[2]
+    factored, lu_factor = [], linalg.lu_factor
+    monkeypatch.setattr(linalg, "lu_factor",
+                        lambda K: factored.append(np.array(K)) or lu_factor(K))
+    assembly.hybrid_operator(system, a11_blocks)
+    want = [element_block(system, t, a11_e) for (_, tets, _, _), stack in
+            zip(system.blocks, a11_blocks) for t, a11_e in zip(tets, stack)]
+    assert len(factored) == len(want) == mesh.n_tets
+    for got, K in zip(factored, want):
+        assert got.shape == K.shape and np.array_equal(got, K)
 
 
 @pytest.mark.parametrize("a11", ["compliance", "hdiv"])
@@ -528,12 +559,9 @@ def test_multiplier_system_equals_dense_sum(request, material, mesh_name, orders
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout
-    inverses, S = [], np.zeros((n_mult, n_mult))
-    for (_, tets, _, _), (_, mult, sign) in zip(system.blocks, parts):
-        inv = np.stack([np.linalg.inv(assembly.element_block(system, t, system.A_loc[t]))
-                        for t in tets])
-        inverses.append(inv)
-        for k in range(len(tets)):
+    inverses, S = element_inverses(system), np.zeros((n_mult, n_mult))
+    for inv, (_, mult, sign) in zip(inverses, parts):
+        for k in range(len(inv)):
             shared = np.flatnonzero(sign[k])
             E = np.zeros((n_mult, len(sign[k])))
             E[mult[k, shared], shared] = sign[k, shared]

@@ -10,11 +10,7 @@ import scipy.sparse as sp
 from afw3d import assembly
 from afw3d.interp import StressSpace
 from afw3d.mesh import OrderMap
-
-
-def _inverses(system):
-    return [np.stack([np.linalg.inv(assembly.element_block(system, t, system.A_loc[t]))
-                      for t in tets]) for _, tets, _, _ in system.blocks]
+from conftest import element_inverses
 
 
 @pytest.mark.parametrize(
@@ -27,7 +23,7 @@ def test_multiplier_system_owns_exactly_its_entries(request, material, mesh_name
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout
-    inverses = _inverses(system)
+    inverses = element_inverses(system)
     S = assembly._multiplier_system(n_mult, parts, inverses)
     for a in (S.data, S.indices):
         assert a.size == S.nnz

@@ -24,7 +24,7 @@ def test_project_reproduces_members(single_tet, rng):
     om = OrderMap.uniform(single_tet, 2)
     ws = Workspace(single_tet, om)
     c = rng.standard_normal((3, mo.count(3, 2)))
-    f = DiscreteField(single_tet, om, "compose", [2], [c], space="p3_vec")
+    f = DiscreteField(single_tet, om, "compose", [2], [c])
     out = interp.project_l2_p3(single_tet, om, f.as_sample(), ws)
     assert np.abs(out.coeffs[0] - c).max() < 1e-12
 
@@ -357,7 +357,7 @@ def test_elementwise_to_global_single_tet(single_tet, ws1, rng):
     U = random_matrix_poly(rng, 2)
     c = interp.interp_p2minus(ws1, 0, U)
     df = interp.elementwise_to_global(
-        single_tet, ws1.orders, "op2", [3], [c], space="p2_minus"
+        single_tet, ws1.orders, "op2", [3], [c]
     )
     assert np.abs(df.coeffs[0] - c).max() == 0.0
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from afw3d import assembly, cli, linalg, stability_lab
 from afw3d.assembly import ManufacturedCase
 from afw3d.mesh import OrderMap, unit_cube_mesh
+from conftest import element_inverses
 
 MESHES = pytest.mark.parametrize(
     "mesh_name, orders_of",
@@ -29,11 +30,6 @@ def pcg_calls(monkeypatch):
     monkeypatch.setattr(assembly, "PCG_MIN_MULTIPLIERS", 0)
     monkeypatch.setattr(linalg, "pcg", counted)
     return calls
-
-
-def _element_inverses(system):
-    return [np.stack([np.linalg.inv(assembly.element_block(system, t, system.A_loc[t]))
-                      for t in tets]) for _, tets, _, _ in system.blocks]
 
 
 @pytest.mark.parametrize("case_name", ["taylor", "sine"])
@@ -58,10 +54,10 @@ def test_face_blocks_and_coarse_matrix_are_blocks_of_S(request, monkeypatch, mat
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout
-    inverses = _element_inverses(system)
+    inverses = element_inverses(system)
     S = assembly._multiplier_system(n_mult, parts, inverses)
     dense = S.toarray()
-    blocks = assembly._face_blocks(system, inverses)
+    blocks = assembly._face_blocks(system, S)
     ids = np.concatenate([i.ravel() for i, _ in blocks])
     assert np.array_equal(np.sort(ids), np.arange(n_mult))
     for face_ids, D in blocks:
@@ -70,7 +66,7 @@ def test_face_blocks_and_coarse_matrix_are_blocks_of_S(request, monkeypatch, mat
             assert np.array_equal(block, dense[np.ix_(f, f)])
     factored, spd_factor = [], linalg.spd_factor
     monkeypatch.setattr(linalg, "spd_factor", lambda M: factored.append(M) or spd_factor(M))
-    assembly._pcg_solver(system, S, inverses)
+    assembly._pcg_solver(system, S)
     coarse = np.sort(np.concatenate([f[:, :3].ravel() for f, _ in blocks]))
     assert len(factored) == 1
     assert np.array_equal(factored[0].toarray(), dense[np.ix_(coarse, coarse)])
@@ -81,7 +77,7 @@ def test_multiplier_system_is_the_canonical_matrix_of_its_triplets(cube1, materi
     # COO build of the same entries gives, so the factor path is unchanged
     system = assembly.assemble(cube1, OrderMap.random(cube1, 0, 2, seed=1), material, None)
     n_mult, parts = system.layout
-    inverses = _element_inverses(system)
+    inverses = element_inverses(system)
     triplets = []
     for inv, (_, mult, sign) in zip(inverses, parts):
         pair = (sign != 0)[:, :, None] & (sign != 0)[:, None, :]

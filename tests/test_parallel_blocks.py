@@ -10,30 +10,12 @@ import pytest
 
 from afw3d import assembly, expr, interp, stability_lab
 from afw3d.mesh import OrderMap, unit_cube_mesh
-
-
-def _cpus(monkeypatch, n):
-    """Make map_blocks see n usable CPUs: n - 1 workers, or the serial loop for 1."""
-    monkeypatch.setattr(interp.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def block_calls(monkeypatch):
-    """The number of items of every map_blocks call."""
-    calls, map_blocks = [], interp.map_blocks
-
-    def counted(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return map_blocks(fn, items)
-
-    monkeypatch.setattr(interp, "map_blocks", counted)
-    return calls
+from conftest import cpus
 
 
 def _solve(monkeypatch, mesh, orders, n_cpus):
     """(system, error norms) of the default convergence case, with n_cpus usable CPUs."""
-    _cpus(monkeypatch, n_cpus)
+    cpus(monkeypatch, n_cpus)
     case = stability_lab.default_convergence_case()
     system, solution = assembly.solve_case(mesh, orders, case)
     return system, assembly.error_norms(mesh, orders, solution, case, quad_deg=10)
@@ -65,16 +47,16 @@ def test_assemble_and_norms_equal_the_serial_loop(monkeypatch, block_calls, n, o
 def test_l2_norm_equals_the_serial_loop(monkeypatch, block_calls):
     mesh = unit_cube_mesh(3)
     case = stability_lab.default_convergence_case()
-    _cpus(monkeypatch, 1)
+    cpus(monkeypatch, 1)
     serial = interp.l2_norm(mesh, case.sigma, 10)
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
     block_calls.clear()
     assert interp.l2_norm(mesh, case.sigma, 10) == serial
     assert max(block_calls) > 1
 
 
 def test_map_blocks_keeps_item_order(monkeypatch):
-    _cpus(monkeypatch, 3)
+    cpus(monkeypatch, 3)
     threads = set()
 
     def slow(k):
@@ -90,7 +72,7 @@ def test_map_blocks_keeps_item_order(monkeypatch):
 def test_map_blocks_takes_each_item_once_under_stress(monkeypatch):
     """More workers than cores and a short switch interval: no item is lost or
     taken twice, and a Jacobian first called by all threads at once is compiled once."""
-    _cpus(monkeypatch, 8)
+    cpus(monkeypatch, 8)
     compiled, compile_trees = [], expr.compile_trees
 
     def counted(trees):
@@ -114,7 +96,7 @@ def test_map_blocks_takes_each_item_once_under_stress(monkeypatch):
 
 
 def test_map_blocks_raises_a_workers_exception(monkeypatch):
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
 
     def fails_on_a_worker(k):
         time.sleep(0.005)
@@ -127,7 +109,7 @@ def test_map_blocks_raises_a_workers_exception(monkeypatch):
 
 
 def test_map_blocks_raises_the_first_failing_item(monkeypatch):
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
 
     def fails_from_3(k):
         time.sleep(0.002)
@@ -140,7 +122,7 @@ def test_map_blocks_raises_the_first_failing_item(monkeypatch):
 
 
 def test_map_blocks_runs_serially_inside_an_item(monkeypatch):
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
 
     def inner(k):
         time.sleep(0.002)
@@ -172,7 +154,7 @@ def test_jacobian_is_compiled_once_on_first_use(monkeypatch):
     field = interp.FieldSample.from_sympy([["x*y", "sin(z)", "x"]] * 3)
     assert compiled == [9]                          # the values only
     pts = np.random.default_rng(0).uniform(size=(5, 3))
-    _cpus(monkeypatch, 3)
+    cpus(monkeypatch, 3)
     jacs = interp.map_blocks(lambda k: field.jacobian(pts), range(6))
     assert compiled == [9, 27]
     assert all(np.array_equal(j, jacs[0]) for j in jacs)

@@ -7,25 +7,7 @@ import pytest
 
 from afw3d import interp, stability_lab
 from afw3d.mesh import OrderMap, unit_cube_mesh
-
-
-def _cpus(monkeypatch, n):
-    """Make map_blocks see n usable CPUs: n - 1 workers, or the serial loop for 1."""
-    monkeypatch.setattr(interp.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def block_calls(monkeypatch):
-    """The number of items of every map_blocks call."""
-    calls, map_blocks = [], interp.map_blocks
-
-    def counted(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return map_blocks(fn, items)
-
-    monkeypatch.setattr(interp, "map_blocks", counted)
-    return calls
+from conftest import cpus
 
 
 # three signature runs of 2, 1 and 3 members; the third entries are not passed to fn
@@ -34,7 +16,7 @@ MEMBERS = [("a", 0, "x"), ("a", 1, "x"), ("b", 2, "y"), ("c", 3, "z"), ("c", 4, 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_results_come_in_member_order(monkeypatch, n_cpus):
-    _cpus(monkeypatch, n_cpus)
+    cpus(monkeypatch, n_cpus)
     got = interp.map_signatures(lambda ro, xs: [f"{ro}{x}" for x in xs], MEMBERS)
     assert got == ["a0", "a1", "b2", "c3", "c4", "c5"]
 
@@ -51,7 +33,7 @@ def test_fn_gets_the_signature_and_the_second_entries_of_its_members():
 
 
 def test_one_map_blocks_call_with_one_item_per_signature_run(monkeypatch, block_calls):
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
     interp.map_signatures(lambda ro, xs: xs, MEMBERS)
     assert block_calls == [3]
 
@@ -72,9 +54,9 @@ def test_edge_interpolants_equal_the_one_cpu_build(monkeypatch, orders_of, n_sig
     assert len(blocks) > n_signatures                   # some signature has several blocks
     sigma = stability_lab.default_convergence_case().sigma
     runs = (interp.interp_p1minus_stabilized, interp.interp_p1minus_global)
-    _cpus(monkeypatch, 1)
+    cpus(monkeypatch, 1)
     serial = [run(mesh, orders, sigma, ws) for run in runs]
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
     for run, want in zip(runs, serial):
         got = run(mesh, orders, sigma, ws)
         assert len(got.coeffs) == mesh.n_tets

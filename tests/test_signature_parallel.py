@@ -12,11 +12,7 @@ import pytest
 
 from afw3d import assembly, interp, stability_lab
 from afw3d.mesh import OrderMap, unit_cube_mesh
-
-
-def _cpus(monkeypatch, n):
-    """Make map_blocks see n usable CPUs: n - 1 workers, or the serial loop for 1."""
-    monkeypatch.setattr(interp.os, "sched_getaffinity", lambda pid: set(range(n)))
+from conftest import cpus
 
 
 def _clear_caches():
@@ -28,20 +24,6 @@ def _clear_caches():
                     obj.cache_clear()
 
 
-@pytest.fixture
-def block_calls(monkeypatch):
-    """The number of items of every map_blocks call."""
-    calls, map_blocks = [], interp.map_blocks
-
-    def counted(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return map_blocks(fn, items)
-
-    monkeypatch.setattr(interp, "map_blocks", counted)
-    return calls
-
-
 def _mixed(seed=1):
     mesh = unit_cube_mesh(2)
     return mesh, OrderMap.random(mesh, 0, 2, seed=seed)
@@ -50,7 +32,7 @@ def _mixed(seed=1):
 def _build(monkeypatch, n_cpus):
     """Space, system, stress Grams and interpolants on cube 2 with mixed orders
     0..2, from cold caches, with n_cpus usable CPUs."""
-    _cpus(monkeypatch, n_cpus)
+    cpus(monkeypatch, n_cpus)
     _clear_caches()
     mesh, orders = _mixed()
     case = stability_lab.default_convergence_case()
@@ -106,7 +88,7 @@ def test_each_signature_is_built_once(monkeypatch, block_calls):
 
     monkeypatch.setattr(interp.StressSpace, "_build_system", staticmethod(counted(build_system)))
     monkeypatch.setattr(assembly, "_raw_gram_data", counted(raw_gram_data))
-    _cpus(monkeypatch, 2)
+    cpus(monkeypatch, 2)
     _clear_caches()
     mesh, orders = _mixed(seed=2)       # a signature's keys first appear after other signatures
     case = stability_lab.default_convergence_case()
@@ -133,10 +115,10 @@ def test_signatures_share_cold_caches_under_stress(monkeypatch):
     signatures that build the same table at once still give the serial keys
     and moment matrices bit for bit."""
     mesh, orders = _mixed()
-    _cpus(monkeypatch, 1)
+    cpus(monkeypatch, 1)
     _clear_caches()
     serial = interp.StressSpace(mesh, orders)
-    _cpus(monkeypatch, 8)
+    cpus(monkeypatch, 8)
     _clear_caches()
     spaces, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
