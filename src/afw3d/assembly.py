@@ -17,11 +17,18 @@ through interp.map_signatures: an item builds its signature's raw Grams and
 then the terms of its blocks.  G and F are scattered in block order, so the
 system has the bits of the serial loop.
 
-The element factorizations of hybrid_operator stay serial, because the
-inverse holds the GIL: scipy 1.17's dgetri wrapper keeps it, while dgetrf
-and dgetrs release it.  On two threads, 32 matrices with n = 228 and one
-BLAS thread, dgetri ran 1.03-1.09x as fast as serially, dgetrf 1.54-1.87x
-and dgetrs 1.40-2.47x; dtrtri, dtrsm, dsytrf and dpotrf hold the GIL too.
+hybrid_operator factors and inverts one element block per congruence class
+(BlockSaddleSystem.classes): the tets of one signature whose face vertex
+orders, face signs and Jacobians are bit-equal have bit-equal K_e, so the
+class's inverse is each tet's own.  On cube n = 3, r = 1 that is 48
+factorizations for 162 tets, on cube n = 2 six for 48.  The element stacks
+A_blocks, B1_blocks and B2_blocks, and F and G, stay per tet: matvec reads
+them for the refinement step and the residual gate, and tests read and
+mutate them.  The factorizations stay serial, because the inverse holds
+the GIL: scipy 1.17's dgetri wrapper keeps it, while dgetrf and dgetrs
+release it.  On two threads, 32 matrices with n = 228 and one BLAS thread,
+dgetri ran 1.03-1.09x as fast as serially, dgetrf 1.54-1.87x and dgetrs
+1.40-2.47x; dtrtri, dtrsm, dsytrf and dpotrf hold the GIL too.
 Per-block items running the unchanged per-tet loop showed no consistent
 gain (medians 0.050 -> 0.053 s on cube n = 3, r = 1 and 0.038 -> 0.029 s
 on cube n = 2 with random orders 0..2, within the noise), so threading the
@@ -33,10 +40,10 @@ Gopalakrishnan & Guzman 2010): every stress face dof shared by two tets is
 split into one copy per tet, and a Lagrange multiplier forces the copies
 to be equal, which is the continuity of the normal trace tested against
 P_{r_F+1}(F).  Each element block K_e, the one-element problem with
-displacement data, is inverted densely; the multipliers solve the
-symmetric positive definite S = sum_e E_e K_e^{-1} E_e^T, and the element
-fields are recovered by stacked products per block.  One refinement step
-follows, and the relative residual must stay below 1e-9.  Below
+displacement data, is inverted densely, once per class; the multipliers
+solve the symmetric positive definite S = sum_e E_e K_e^{-1} E_e^T, and
+the element fields are recovered by products per class.  One refinement
+step follows, and the relative residual must stay below 1e-9.  Below
 PCG_MIN_MULTIPLIERS multipliers S is factored once by a sparse direct
 solver; from there on its fill costs more than conjugate gradients, and S
 is solved by PCG with a two-level preconditioner: the inverses of its
@@ -48,6 +55,7 @@ times and keep the factor.
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,8 +97,10 @@ def _scatter(stacks, row_dofs, col_dofs, shape):
 class BlockSaddleSystem:
     """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element
     blocks stacked per block of blocks.  The hybridized solve
-    (hybrid_operator) reads only these stacks and the multiplier system S it
-    builds from them, and matvec only the stacks.  The per-tet views
+    (hybrid_operator) reads only these stacks, the class table (classes) and
+    the multiplier system S it builds from them, and matvec only the stacks.
+    The stacks stay per tet although the tets of a class share one K_e:
+    matvec reads them, and tests read and mutate them.  The per-tet views
     A_loc[t], B1_loc[t] and B2_loc[t], and A, B1, B2, full_matrix() and the
     stress Grams, are built from the stacks on first use.
     """
@@ -159,6 +169,31 @@ class BlockSaddleSystem:
             parts.append((glob, mult_of[glob], np.where(mult_of[glob] < n_mult, np.where(
                 owner[glob] == tets[:, None], 1, -1), 0).astype(np.int8)))
         return n_mult, parts
+
+    @cached_property
+    def classes(self):
+        """Per block, the (tets,) congruence class of each tet's element block.
+        The tets of one signature, over all of its blocks, fall into one class
+        when their face vertex orders (Workspace.face_perms), face signs
+        (mesh.tet_face_sign) and Jacobians mesh.affine.A are bit-equal; then
+        their dual bases, element stacks and K_e are bit-equal too.  The signs
+        follow from the other two for a tet that is not nearly flat, so they
+        split no class on the meshes measured, but they make the equality hold
+        by construction.  Classes are numbered in order of their first tet in
+        block order, the class's representative."""
+        mesh, out, n_classes = self.mesh, [], 0
+        for _, run in groupby(self.blocks, key=lambda blk: blk[0]):
+            run = [tets for _, tets, _, _ in run]
+            tets = np.concatenate(run)
+            key = np.hstack([mesh.affine.A[tets].reshape(-1, 9).view(np.int64),
+                             self.space.ws.face_perms[tets].reshape(len(tets), -1),
+                             mesh.tet_face_sign[tets]])
+            _, first, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(len(first))
+            out += np.split(rank[cls.ravel()] + n_classes, np.cumsum([len(t) for t in run])[:-1])
+            n_classes += len(first)
+        return out
 
     def matvec(self, x):
         """K x = sum_e P_e^T K_e P_e x: stacked products per block, one np.bincount.
@@ -540,48 +575,62 @@ def hybrid_operator(system, a11_blocks, pcg=False):
     displacement data, and the inf-sup constant the H(div) Gram stacks of
     assemble_stress_grams.  E_e maps the stress copies of tet e onto their
     multipliers with the signs of system.layout; the owner's copy alone takes
-    the stress rows of b and gives the stress value of x.  A block's K_e stack
-    is formed in the buffer of its inverses, and each slice is factored
-    (linalg.lu_factor, whose pivot gate names the tet) and inverted in place.
-    H(b) is y_e = K_e^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e =
-    y_e - K_e^{-1} E_e^T lambda: two stacked products per block.  S is
-    factored once by linalg.spd_factor, or with pcg=True solved on each call
-    by _pcg_solver.
+    the stress rows of b and gives the stress value of x.
+
+    The factors and inverses are per class of system.classes, everything else
+    per tet.  Each class's K_c is formed from its representative's slices of
+    the three stacks in the buffer of its inverse, factored (linalg.lu_factor,
+    whose pivot gate names the representative) and inverted in place.
+    _multiplier_system gets the per-tet inverses of one block at a time, as
+    copies of their classes', so S has the bits of per-tet inverses.  H(b) is
+    y_e = K_c^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e -
+    K_c^{-1} E_e^T lambda: per class, two products of K_c^{-1} broadcast over
+    the class's tets, so each tet keeps its own matrix-vector product and
+    its bits (one GEMM per class may round differently).  S is factored once
+    by linalg.spd_factor, or with pcg=True solved on each call by
+    _pcg_solver.
     """
     n_mult, parts = system.layout
+    cls = np.concatenate(system.classes)
+    where = np.concatenate([np.column_stack([np.full(len(c), b), np.arange(len(c))])
+                            for b, c in enumerate(system.classes)])      # (block, row) per tet
+    members = np.split(where[np.argsort(cls, kind="stable")], np.cumsum(np.bincount(cls))[:-1])
     inverses = []
-    for (_, tets, _, _), a11, B1, B2 in zip(system.blocks, a11_blocks, system.B1_blocks,
-                                           system.B2_blocks):
-        n, m = a11.shape[1], B1.shape[1]
-        K = np.zeros((len(tets), n + 2 * m, n + 2 * m))
-        K[:, :n, :n] = a11
-        K[:, n:n + m, :n] = B1
-        np.negative(B2, out=K[:, n + m:, :n])
-        K[:, :n, n:] = np.swapaxes(K[:, n:, :n], 1, 2)
-        for k, t in enumerate(tets):
-            try:
-                K[k] = linalg.lu_inverse(linalg.lu_factor(K[k]))
-            except linalg.SingularMatrix as exc:
-                raise FactorizationBreakdown(
-                    f"element block of tet {t} is singular: {exc}"
-                ) from exc
+    for b, k in (w[0] for w in members):             # (block, row) of the representatives
+        a11, B1, B2 = a11_blocks[b][k], system.B1_blocks[b][k], system.B2_blocks[b][k]
+        n, m = len(a11), len(B1)
+        K = np.zeros((n + 2 * m, n + 2 * m))
+        K[:n, :n] = a11
+        K[n:n + m, :n] = B1
+        np.negative(B2, out=K[n + m:, :n])
+        K[:n, n:] = K[n:, :n].T
+        try:
+            K[...] = linalg.lu_inverse(linalg.lu_factor(K))
+        except linalg.SingularMatrix as exc:
+            raise FactorizationBreakdown(
+                f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
+            ) from exc
         inverses.append(K)
-    S = _multiplier_system(n_mult, parts, inverses)
+    S = _multiplier_system(n_mult, parts, (np.stack([inverses[c] for c in block_cls])
+                                           for block_cls in system.classes))
     try:
         S_solve = _pcg_solver(system, S) if pcg else linalg.spd_factor(S).solve
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
     del S                       # the factor path keeps only the factor
-    g_ids = np.concatenate([mult.ravel() for _, mult, _ in parts])
+    # per class, the (glob, mult, sign) rows of its tets, in block order
+    local = [[np.concatenate([stack[b][w[w[:, 0] == b, 1]] for b in np.unique(w[:, 0])])
+              for stack in zip(*parts)] for w in members]
+    g_ids = np.concatenate([mult.ravel() for _, mult, _ in local])
 
     def apply(b):
         ys = [(inv @ np.where(sign >= 0, b[glob], 0.0)[..., None])[..., 0]
-              for inv, (glob, _, sign) in zip(inverses, parts)]
+              for inv, (glob, _, sign) in zip(inverses, local)]
         g = np.bincount(g_ids, np.concatenate(
-            [(sign * y).ravel() for y, (_, _, sign) in zip(ys, parts)]), n_mult + 1)
+            [(sign * y).ravel() for y, (_, _, sign) in zip(ys, local)]), n_mult + 1)
         lam = np.append(S_solve(g[:n_mult]), 0.0)           # 0 at the unshared id n_mult
         x = np.empty(len(b))
-        for y, inv, (glob, mult, sign) in zip(ys, inverses, parts):       # a tet owns sign >= 0
+        for y, inv, (glob, mult, sign) in zip(ys, inverses, local):       # a tet owns sign >= 0
             x[glob[sign >= 0]] = (y - (inv @ (sign * lam[mult])[..., None])[..., 0])[sign >= 0]
         return x
 

@@ -33,9 +33,10 @@ def infsup_constant(mesh, orders, material=None, system=None):
     H(div) Gram M_h of the stress space and D is the L2 mass of the
     displacement/rotation pair (vq_mass_diag): the numerical inf-sup test
     of Chapelle & Bathe (1993).  S is never formed.  hybrid_operator built
-    on the per-tet H(div) Gram blocks of assemble_stress_grams in place of
-    A_e solves [[M_h, B^T], [B, 0]] [x; y] = [0; g], whose displacement
-    and rotation rows are y = -S^{-1} g, and linalg.sym_eig_min runs
+    on the H(div) Gram stacks of assemble_stress_grams in place of A_e,
+    and factored once per element class (BlockSaddleSystem.classes), solves
+    [[M_h, B^T], [B, 0]] [x; y] = [0; g], whose displacement and rotation
+    rows are y = -S^{-1} g, and linalg.sym_eig_min runs
     shift-invert Lanczos on g -> S^{-1} g.  When every element block and
     the multiplier system factor, that saddle matrix is nonsingular, so B
     has full row rank and S is SPD.
