@@ -17,18 +17,21 @@ through interp.map_signatures: an item builds its signature's raw Grams and
 then the terms of its blocks.  G and F are scattered in block order, so the
 system has the bits of the serial loop.
 
-hybrid_operator factors and inverts one element block per congruence class
+The element matrices are kept once per congruence class
 (BlockSaddleSystem.classes): the tets of one signature whose face vertex
-orders, face signs and Jacobians are bit-equal have bit-equal K_e, so the
-class's inverse is each tet's own.  On cube n = 3, r = 1 that is 48
-factorizations for 162 tets, on cube n = 2 six for 48.  The element stacks
-A_blocks, B1_blocks and B2_blocks, and F and G, stay per tet: matvec reads
-them for the refinement step and the residual gate, and tests read and
-mutate them.  The factorizations stay serial, because the inverse holds
-the GIL: scipy 1.17's dgetri wrapper keeps it, while dgetrf and dgetrs
-release it.  On two threads, 32 matrices with n = 228 and one BLAS thread,
-dgetri ran 1.03-1.09x as fast as serially, dgetrf 1.54-1.87x and dgetrs
-1.40-2.47x; dtrtri, dtrsm, dsytrf and dpotrf hold the GIL too.
+orders, face signs and Jacobians are bit-equal have bit-equal A_e, B1_e,
+B2_e and K_e.  The class table is built before the block terms, and
+assemble forms A_e, B1_e and B2_e for each class's representative only;
+hybrid_operator factors and inverts one K_e per class, and matvec applies
+each class's matrices to all of its tets.  On cube n = 3, r = 1 that is 48
+classes for 162 tets, on cube n = 2 six for 48.  F, G and the layout stay
+per tet; the per-tet stacks A_blocks, B1_blocks and B2_blocks are derived
+on first read, and the solve and the stability lab never read them.  The
+factorizations stay serial, because the inverse holds the GIL: scipy
+1.17's dgetri wrapper keeps it, while dgetrf and dgetrs release it.  On
+two threads, 32 matrices with n = 228 and one BLAS thread, dgetri ran
+1.03-1.09x as fast as serially, dgetrf 1.54-1.87x and dgetrs 1.40-2.47x;
+dtrtri, dtrsm, dsytrf and dpotrf hold the GIL too.
 Per-block items running the unchanged per-tet loop showed no consistent
 gain (medians 0.050 -> 0.053 s on cube n = 3, r = 1 and 0.038 -> 0.029 s
 on cube n = 2 with random orders 0..2, within the noise), so threading the
@@ -93,29 +96,94 @@ def _scatter(stacks, row_dofs, col_dofs, shape):
     ).tocsr()
 
 
+def _class_table(mesh, ws, blocks):
+    """Per block of blocks, whose entries start (signature, tets, ...) with
+    each signature's blocks in a row: the (tets,) congruence class of each
+    tet's element block.  The tets of one signature, over all of its blocks,
+    fall into one class when their face vertex orders (Workspace.face_perms),
+    face signs (mesh.tet_face_sign) and Jacobians mesh.affine.A are
+    bit-equal; then their dual bases, element stacks and K_e are bit-equal
+    too.  The signs follow from the other two for a tet that is not nearly
+    flat, so they split no class on the meshes measured, but they make the
+    equality hold by construction.  Classes are numbered in order of their
+    first tet in block order, the class's representative."""
+    out, n_classes = [], 0
+    for _, run in groupby(blocks, key=lambda blk: blk[0]):
+        run = [blk[1] for blk in run]
+        tets = np.concatenate(run)
+        key = np.hstack([mesh.affine.A[tets].reshape(-1, 9).view(np.int64),
+                         ws.face_perms[tets].reshape(len(tets), -1),
+                         mesh.tet_face_sign[tets]])
+        _, first, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        out += np.split(rank[cls.ravel()] + n_classes, np.cumsum([len(t) for t in run])[:-1])
+        n_classes += len(first)
+    return out
+
+
 @dataclass
 class BlockSaddleSystem:
-    """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as its element
-    blocks stacked per block of blocks.  The hybridized solve
-    (hybrid_operator) reads only these stacks, the class table (classes) and
-    the multiplier system S it builds from them, and matvec only the stacks.
-    The stacks stay per tet although the tets of a class share one K_e:
-    matvec reads them, and tests read and mutate them.  The per-tet views
-    A_loc[t], B1_loc[t] and B2_loc[t], and A, B1, B2, full_matrix() and the
-    stress Grams, are built from the stacks on first use.
+    """K = [[A, B1^T, -B2^T], [B1, 0, 0], [-B2, 0, 0]], kept as one element
+    matrix A_e, B1_e and B2_e per congruence class of classes (_class_table):
+    the tets of a class have bit-equal element matrices.  A_e has
+    column-major slices and B1_e and B2_e row-major ones (see matvec).  F, G
+    and the layout stay per tet.  The hybridized solve (hybrid_operator) and
+    matvec read only the class matrices, the class table and the layout.
+    The per-tet stacks A_blocks, B1_blocks and B2_blocks, one per block, and
+    the views A_loc[t], B1_loc[t] and B2_loc[t], A, B1, B2, full_matrix() and
+    the stress Grams are derived on first use.
+
+    classes may be reassigned to a finer table, whose numbering follows the
+    same rule (tests give every tet its own class): the class matrices are
+    then gathered at the new classes' representatives.
     """
 
     F: np.ndarray              # <f, v>
     G: np.ndarray              # boundary displacement term on stress dofs
     blocks: list               # (signature, tets, stress ids, displacement ids) per block
-    A_blocks: list             # per block: (tets, n, n) stacks of A_e, B1_e, B2_e
-    B1_blocks: list            # in element dof order
-    B2_blocks: list
+    A_classes: list            # per class: A_e, B1_e, B2_e of its tets,
+    B1_classes: list           # in element dof order
+    B2_classes: list
     dofmap: DofMap
     space: StressSpace
     material: object
     mesh: object
     orders: object
+    _classes: list             # per block, the (tets,) class of each tet
+
+    @property
+    def classes(self):
+        """Per block, the (tets,) class of each tet (_class_table)."""
+        return self._classes
+
+    @classes.setter
+    def classes(self, table):
+        old, self._classes = self._classes, table
+        self.__dict__.pop("class_layout", None)
+        ids = [old[b][k] for b, k in self.class_layout[0]]
+        for name in ("A_classes", "B1_classes", "B2_classes"):
+            mats = getattr(self, name)
+            setattr(self, name, [mats[c] for c in ids])
+
+    def per_class(self, stacks):
+        """One matrix per class: its representative's slice of per-block stacks."""
+        return [stacks[b][k] for b, k in self.class_layout[0]]
+
+    def _per_block(self, mats):
+        """Per block, the stack of its tets' class matrices, whose slices keep
+        the class matrices' memory layout."""
+        out = []
+        for cls in self.classes:
+            m = mats[cls[0]]
+            stack = (np.empty((len(cls),) + m.shape) if m.flags.c_contiguous
+                     else np.empty((len(cls),) + m.shape[::-1]).swapaxes(1, 2))
+            out.append(np.stack([mats[c] for c in cls], out=stack))
+        return out
+
+    A_blocks = cached_property(lambda self: self._per_block(self.A_classes))
+    B1_blocks = cached_property(lambda self: self._per_block(self.B1_classes))
+    B2_blocks = cached_property(lambda self: self._per_block(self.B2_classes))
 
     def _per_tet(self, stacks):
         views = [m for stack in stacks for m in stack]
@@ -171,41 +239,35 @@ class BlockSaddleSystem:
         return n_mult, parts
 
     @cached_property
-    def classes(self):
-        """Per block, the (tets,) congruence class of each tet's element block.
-        The tets of one signature, over all of its blocks, fall into one class
-        when their face vertex orders (Workspace.face_perms), face signs
-        (mesh.tet_face_sign) and Jacobians mesh.affine.A are bit-equal; then
-        their dual bases, element stacks and K_e are bit-equal too.  The signs
-        follow from the other two for a tet that is not nearly flat, so they
-        split no class on the meshes measured, but they make the equality hold
-        by construction.  Classes are numbered in order of their first tet in
-        block order, the class's representative."""
-        mesh, out, n_classes = self.mesh, [], 0
-        for _, run in groupby(self.blocks, key=lambda blk: blk[0]):
-            run = [tets for _, tets, _, _ in run]
-            tets = np.concatenate(run)
-            key = np.hstack([mesh.affine.A[tets].reshape(-1, 9).view(np.int64),
-                             self.space.ws.face_perms[tets].reshape(len(tets), -1),
-                             mesh.tet_face_sign[tets]])
-            _, first, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
-            rank = np.empty_like(first)
-            rank[np.argsort(first)] = np.arange(len(first))
-            out += np.split(rank[cls.ravel()] + n_classes, np.cumsum([len(t) for t in run])[:-1])
-            n_classes += len(first)
-        return out
+    def class_layout(self):
+        """(reps, rows): the (classes, 2) (block, row) of each class's
+        representative, and per class the (glob, mult, sign) rows of layout
+        of its tets in block order.  Built once per class table, one sort per
+        signature, and read by matvec and every hybrid_operator build."""
+        reps, rows = [], []
+        items = zip(self.blocks, range(len(self.blocks)), self.classes, self.layout[1])
+        for _, run in groupby(items, key=lambda item: item[0][0]):
+            _, bs, cls, parts = zip(*run)
+            where = np.concatenate([np.column_stack([np.full(len(c), b), np.arange(len(c))])
+                                    for b, c in zip(bs, cls)])
+            order = np.argsort(np.concatenate(cls), kind="stable")
+            cut = np.flatnonzero(np.diff(np.concatenate(cls)[order])) + 1
+            reps.append(where[order[np.r_[0, cut]]])
+            rows += zip(*(np.split(np.concatenate(stack)[order], cut) for stack in zip(*parts)))
+        return np.concatenate(reps), rows
 
     def matvec(self, x):
-        """K x = sum_e P_e^T K_e P_e x: stacked products per block, one np.bincount.
-        A_e has column-major slices, so BLAS sums each entry of A_e x_e over the
-        columns in order, as a CSR product does; row-major slices left 3-4x
-        larger residuals after the refinement step of solve_saddle at r >= 3."""
-        globs, ys = [glob for glob, _, _ in self.layout[1]], []
-        for glob, A, B1, B2 in zip(globs, self.A_blocks, self.B1_blocks, self.B2_blocks):
-            xs, xu, xp = np.split(x[glob, None], [A.shape[1], A.shape[1] + B1.shape[1]], axis=1)
-            ys.append(np.hstack([A @ xs + np.swapaxes(B1, 1, 2) @ xu - np.swapaxes(B2, 1, 2) @ xp,
-                                 B1 @ xs, -(B2 @ xs)]))
-        return np.bincount(np.concatenate([glob.ravel() for glob in globs]),
+        """K x = sum_e P_e^T K_e P_e x: per class, its matrices broadcast over
+        its tets' gathered x, so each tet gets its own matrix-vector products;
+        one np.bincount.  A_e has column-major slices, so BLAS sums each entry
+        of A_e x_e over the columns in order, as a CSR product does; row-major
+        slices left 3-4x larger residuals after the refinement step of
+        solve_saddle at r >= 3."""
+        rows, ys = self.class_layout[1], []
+        for (glob, _, _), A, B1, B2 in zip(rows, self.A_classes, self.B1_classes, self.B2_classes):
+            xs, xu, xp = np.split(x[glob, None], [len(A), len(A) + len(B1)], axis=1)
+            ys.append(np.hstack([A @ xs + B1.T @ xu - B2.T @ xp, B1 @ xs, -(B2 @ xs)]))
+        return np.bincount(np.concatenate([glob.ravel() for glob, _, _ in rows]),
                            np.concatenate([y.ravel() for y in ys]), len(x))
 
     def full_matrix(self):
@@ -349,22 +411,20 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     modes = {rt: mo.evaluate(ps.volume_modes(rt)[:, 0, :], 3, rt, rule.points)
              for rt in np.unique(orders.tet_orders).tolist()}
 
-    def block_terms(ro, raw, tets):
-        """(A_e, B1_e, B2_e) stacks of the tets of one block, and their
-        boundary term on the element stress dofs and load (None without data).
-        Its (tets, nb, nb) temporaries are X and two raw Grams, whose buffers
-        take the products in place and then A_e: two items in flight hold
-        little besides their outputs."""
+    def class_matrices(ro, raw, reps):
+        """(X, A_e, B1_e, B2_e) stacks of the class representatives reps of
+        one block.  Its (reps, nb, nb) temporaries are two raw Grams, whose
+        buffers take the products in place and then A_e: two items in flight
+        hold little besides their outputs."""
         basis, G4, B1W, S2W = raw
         nb = basis.dim
-        A = aff.A[tets]
-        X, M_raw = _l2_grams(space, G4, tets)
-        # tr(psihat_b A^T) as polynomials, (tets, nb, n3)
+        A = aff.A[reps]
+        X, M_raw = _l2_grams(space, G4, reps)
+        # tr(psihat_b A^T) as polynomials, (reps, nb, n3)
         trv = A.reshape(-1, 9) @ basis.coeffs.reshape(nb, 9, -1).transpose(1, 0, 2).reshape(9, -1)
-        trv = trv.reshape(len(tets), nb, -1)
-        J = aff.det[tets, None, None]
+        trv = trv.reshape(len(reps), nb, -1)
         T_raw = trv @ mo.gram_simplex(3, ro.tet + 1) @ np.swapaxes(trv, 1, 2)
-        T_raw /= J
+        T_raw /= aff.det[reps, None, None]
         T_raw *= c_tr
         # A_raw = M_raw / (2 mu) - c_tr T_raw in M_raw's buffer; X^T A_raw in
         # T_raw's, then A_e = X^T A_raw X in M_raw's, and A_e is returned in
@@ -377,46 +437,63 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
         T_raw[...] = np.swapaxes(A_raw, 1, 2)
         A_e = np.swapaxes(T_raw, 1, 2)
         B1_e = B1W.reshape(nb, -1).T @ X                    # rows (c, j) c-major
-        B2_e = (A.reshape(-1, 9) @ S2W).reshape(len(tets), -1, nb) @ X
+        B2_e = (A.reshape(-1, 9) @ S2W).reshape(len(reps), -1, nb) @ X
+        return X, A_e, B1_e, B2_e
+
+    def block_terms(ro, raw, item):
+        """(A_e, B1_e, B2_e) stacks of the class representatives among the
+        tets of one block (item = (tets, is_rep); empty lists for none), and
+        the boundary term on the element stress dofs and load of every tet
+        (None without data)."""
+        tets, is_rep = item
+        X, A_e, B1_e, B2_e = class_matrices(ro, raw, tets[is_rep]) if is_rep.any() else [()] * 4
         G_e = F_e = None
         if boundary_g is not None:
             G_raw = _boundary_raw(ws, ro, tets, boundary_g)
+            X = X if is_rep.all() else space.dual_bases(tets)      # members have their class's X
             G_e = (np.swapaxes(X, 1, 2) @ G_raw[..., None])[..., 0]
         if f is not None:
             fq = interp.block_values(mesh, f, tets, rule.points)           # (tets, q, 3)
             F_e = np.einsum("q,jq,tqc->tcj", rule.weights, modes[ro.tet], fq)
-            F_e *= J
+            F_e *= aff.det[tets, None, None]
             F_e = F_e.reshape(len(tets), -1)
         return A_e, B1_e, B2_e, G_e, F_e
 
-    def signature_terms(ro, sig_tets):
+    def signature_terms(ro, sig_items):
         """block_terms of the blocks of signature ro, from its raw Grams,
         which are dropped when the blocks are done."""
         basis, G4, _, B1W, W3 = _raw_gram_data(ro)
         # B2_raw[c, j, b] = sum_{p,q,k} S2M[c,p,q] A[q,k] W3[b,p,k,j]: one GEMM of
         # the stacked A against the signature's product of S2M and W3
         S2W = np.einsum("cpq,bpkj->qkcjb", S2M, W3.reshape(basis.dim, 3, 3, -1)).reshape(9, -1)
-        return interp.map_blocks(partial(block_terms, ro, (basis, G4, B1W, S2W)), sig_tets)
+        return interp.map_blocks(partial(block_terms, ro, (basis, G4, B1W, S2W)), sig_items)
 
-    blocks, A_blocks, B1_blocks, B2_blocks = [], [], [], []
-    F, G = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress)
     sig_blocks = list(signature_blocks(space))
-    terms = interp.map_signatures(signature_terms, sig_blocks)
-    for (ro, tets), (A_e, B1_e, B2_e, G_e, F_e) in zip(sig_blocks, terms):
+    classes = _class_table(mesh, ws, sig_blocks)
+    # the representatives, each class's first tet in block order
+    is_rep = np.zeros(mesh.n_tets, bool)
+    is_rep[np.unique(np.concatenate(classes), return_index=True)[1]] = True
+    is_rep = np.split(is_rep, np.cumsum([len(cls) for cls in classes])[:-1])
+    items = [(ro, (tets, rep)) for (ro, tets), rep in zip(sig_blocks, is_rep)]
+    blocks, A_classes, B1_classes, B2_classes = [], [], [], []
+    F, G = np.zeros(dofmap.n_disp), np.zeros(dofmap.n_stress)
+    for (ro, tets), (A_e, B1_e, B2_e, G_e, F_e) in zip(
+            sig_blocks, interp.map_signatures(signature_terms, items)):
         sd = np.stack([space.elements[t].dof_ids for t in tets])
         ud = np.stack([dofmap.disp_elem_dofs[t] for t in tets])
         blocks.append((ro, tets, sd, ud))
-        A_blocks.append(A_e)
-        B1_blocks.append(B1_e)
-        B2_blocks.append(B2_e)
+        A_classes += list(A_e)              # the classes of a block's representatives, in order
+        B1_classes += list(B1_e)
+        B2_classes += list(B2_e)
         if G_e is not None:
             np.add.at(G, sd, G_e)
         if F_e is not None:
             F[ud] = F_e
 
     return BlockSaddleSystem(
-        F=F, G=G, blocks=blocks, A_blocks=A_blocks, B1_blocks=B1_blocks, B2_blocks=B2_blocks,
-        dofmap=dofmap, space=space, material=material, mesh=mesh, orders=orders,
+        F=F, G=G, blocks=blocks, A_classes=A_classes, B1_classes=B1_classes,
+        B2_classes=B2_classes, dofmap=dofmap, space=space, material=material, mesh=mesh,
+        orders=orders, _classes=classes,
     )
 
 
@@ -564,43 +641,38 @@ PCG_RTOL = 1e-8
 PCG_MAX_ITER = 1000
 
 
-def hybrid_operator(system, a11_blocks, pcg=False):
+def hybrid_operator(system, a11, pcg=False):
     """x = H(b): the hybridized solve of K x = b for any right-hand side b.
 
-    The solve reads the block stacks and S only.  K has the element blocks
-    K_e = [[a11, B^T], [B, 0]] with B = [B1_e; -B2_e], in element dof order
-    [stress | displacement | rotation]; a11_blocks, system.B1_blocks and
-    system.B2_blocks give one stack per block of system.blocks.  solve_saddle
-    passes system.A_blocks as a11_blocks, the one-element problems with
-    displacement data, and the inf-sup constant the H(div) Gram stacks of
-    assemble_stress_grams.  E_e maps the stress copies of tet e onto their
-    multipliers with the signs of system.layout; the owner's copy alone takes
-    the stress rows of b and gives the stress value of x.
+    K has the element blocks K_e = [[a11, B^T], [B, 0]] with B = [B1_e;
+    -B2_e], in element dof order [stress | displacement | rotation], one per
+    class of system.classes: a11 and system.B1_classes and B2_classes give
+    one matrix per class.  solve_saddle passes system.A_classes, the
+    one-element problems with displacement data, and the inf-sup constant
+    the representatives' slices of the H(div) Gram stacks of
+    assemble_stress_grams (system.per_class).  E_e maps the stress copies of
+    tet e onto their multipliers with the signs of system.layout; the owner's
+    copy alone takes the stress rows of b and gives the stress value of x.
 
-    The factors and inverses are per class of system.classes, everything else
-    per tet.  Each class's K_c is formed from its representative's slices of
-    the three stacks in the buffer of its inverse, factored (linalg.lu_factor,
-    whose pivot gate names the representative) and inverted in place.
-    _multiplier_system gets the per-tet inverses of one block at a time, as
-    copies of their classes', so S has the bits of per-tet inverses.  H(b) is
-    y_e = K_c^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e -
-    K_c^{-1} E_e^T lambda: per class, two products of K_c^{-1} broadcast over
-    the class's tets, so each tet keeps its own matrix-vector product and
-    its bits (one GEMM per class may round differently).  S is factored once
-    by linalg.spd_factor, or with pcg=True solved on each call by
-    _pcg_solver.
+    The factors and inverses are per class, the multipliers and the rows of
+    b and x per tet (system.class_layout).  Each class's K_c is formed in the
+    buffer of its inverse, factored (linalg.lu_factor, whose pivot gate names
+    the class's representative) and inverted in place.  _multiplier_system
+    gets the per-tet inverses of one block at a time, as copies of their
+    classes', so S has the bits of per-tet inverses.  H(b) is y_e = K_c^{-1}
+    b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e - K_c^{-1} E_e^T
+    lambda: per class, two products of K_c^{-1} broadcast over the class's
+    tets, so each tet keeps its own matrix-vector product and its bits (one
+    GEMM per class may round differently).  S is factored once by
+    linalg.spd_factor, or with pcg=True solved on each call by _pcg_solver.
     """
     n_mult, parts = system.layout
-    cls = np.concatenate(system.classes)
-    where = np.concatenate([np.column_stack([np.full(len(c), b), np.arange(len(c))])
-                            for b, c in enumerate(system.classes)])      # (block, row) per tet
-    members = np.split(where[np.argsort(cls, kind="stable")], np.cumsum(np.bincount(cls))[:-1])
+    reps, local = system.class_layout
     inverses = []
-    for b, k in (w[0] for w in members):             # (block, row) of the representatives
-        a11, B1, B2 = a11_blocks[b][k], system.B1_blocks[b][k], system.B2_blocks[b][k]
-        n, m = len(a11), len(B1)
+    for a11_c, B1, B2, (b, k) in zip(a11, system.B1_classes, system.B2_classes, reps, strict=True):
+        n, m = len(a11_c), len(B1)
         K = np.zeros((n + 2 * m, n + 2 * m))
-        K[:n, :n] = a11
+        K[:n, :n] = a11_c
         K[n:n + m, :n] = B1
         np.negative(B2, out=K[n + m:, :n])
         K[:n, n:] = K[n:, :n].T
@@ -618,9 +690,6 @@ def hybrid_operator(system, a11_blocks, pcg=False):
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
     del S                       # the factor path keeps only the factor
-    # per class, the (glob, mult, sign) rows of its tets, in block order
-    local = [[np.concatenate([stack[b][w[w[:, 0] == b, 1]] for b in np.unique(w[:, 0])])
-              for stack in zip(*parts)] for w in members]
     g_ids = np.concatenate([mult.ravel() for _, mult, _ in local])
 
     def apply(b):
@@ -653,7 +722,7 @@ def solve_saddle(system):
     ||rhs||) <= 1e-9 fails.
     """
     rhs = system.full_rhs()
-    H = hybrid_operator(system, system.A_blocks, pcg=system.layout[0] >= PCG_MIN_MULTIPLIERS)
+    H = hybrid_operator(system, system.A_classes, pcg=system.layout[0] >= PCG_MIN_MULTIPLIERS)
     x = H(rhs)
     x += H(rhs - system.matvec(x))
     resid = np.linalg.norm(system.matvec(x) - rhs) / (1.0 + np.linalg.norm(rhs))

@@ -32,12 +32,14 @@ def infsup_constant(mesh, orders, material=None, system=None):
     S = B M_h^{-1} B^T is the Schur complement of B = [B1; -B2] against the
     H(div) Gram M_h of the stress space and D is the L2 mass of the
     displacement/rotation pair (vq_mass_diag): the numerical inf-sup test
-    of Chapelle & Bathe (1993).  S is never formed.  hybrid_operator built
-    on the H(div) Gram stacks of assemble_stress_grams in place of A_e,
-    and factored once per element class (BlockSaddleSystem.classes), solves
-    [[M_h, B^T], [B, 0]] [x; y] = [0; g], whose displacement and rotation
-    rows are y = -S^{-1} g, and linalg.sym_eig_min runs
-    shift-invert Lanczos on g -> S^{-1} g.  When every element block and
+    of Chapelle & Bathe (1993).  S is never formed.  hybrid_operator,
+    factored once per element class (BlockSaddleSystem.classes) on the class
+    representatives' slices of the per-tet H(div) Gram stacks of
+    assemble_stress_grams in place of A_e, solves [[M_h, B^T], [B, 0]] [x;
+    y] = [0; g], whose displacement and rotation rows are y = -S^{-1} g, and
+    linalg.sym_eig_min runs shift-invert Lanczos on g -> S^{-1} g.  The
+    Gram stacks stay per tet because the global Grams are scattered from
+    them; B1_e and B2_e are read per class.  When every element block and
     the multiplier system factor, that saddle matrix is nonsingular, so B
     has full row rank and S is SPD.
     """
@@ -45,7 +47,7 @@ def infsup_constant(mesh, orders, material=None, system=None):
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
     _, _, hdiv_stacks = system.stress_grams
-    H = assembly.hybrid_operator(system, hdiv_stacks)
+    H = assembly.hybrid_operator(system, system.per_class(hdiv_stacks))
     pad = np.zeros(system.dofmap.n_stress)
 
     def schur_inv(g):
@@ -68,9 +70,10 @@ def kernel_coercivity(mesh, orders, material, system=None):
     ratio is the smallest eigenvalue of the pencil A x = lam M_h x on
     ker C, C = [B1; B2], with M_h the H(div) Gram of the stress space.  No
     kernel basis is formed: the stress rows of H([g; 0; 0]), H =
-    hybrid_operator(system, system.A_blocks), are the x in ker C that
-    minimizes <A x, x>/2 - <g, x> there, so g -> x is the inverse of A on
-    the kernel, and linalg.sym_eig_min runs shift-invert Lanczos on it.
+    hybrid_operator(system, system.A_classes) with one A_e per element
+    class, are the x in ker C that minimizes <A x, x>/2 - <g, x> there, so
+    g -> x is the inverse of A on the kernel, and linalg.sym_eig_min runs
+    shift-invert Lanczos on it.
     When every element block and the multiplier system factor, K is
     nonsingular, so C has full row rank and the kernel has dimension
     n_stress - n_disp - n_rot.  On the kernel the divergence vanishes
@@ -81,7 +84,7 @@ def kernel_coercivity(mesh, orders, material, system=None):
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
     dof = system.dofmap
-    H = assembly.hybrid_operator(system, system.A_blocks)
+    H = assembly.hybrid_operator(system, system.A_classes)
     pad = np.zeros(dof.n_disp + dof.n_rot)
 
     def kernel_inv(g):

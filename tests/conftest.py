@@ -83,3 +83,15 @@ def random_matrix_poly(rng, deg, scale=1.0):
     return interp.FieldSample.from_poly(
         scale * rng.standard_normal((3, 3, mo.count(3, deg))), deg
     )
+
+
+def per_tet_matvec(system, x):
+    """K x from the per-tet stacks A_blocks, B1_blocks and B2_blocks: stacked
+    products per block of system.blocks, one np.bincount."""
+    globs, ys = [glob for glob, _, _ in system.layout[1]], []
+    for glob, A, B1, B2 in zip(globs, system.A_blocks, system.B1_blocks, system.B2_blocks):
+        xs, xu, xp = np.split(x[glob, None], [A.shape[1], A.shape[1] + B1.shape[1]], axis=1)
+        ys.append(np.hstack([A @ xs + np.swapaxes(B1, 1, 2) @ xu - np.swapaxes(B2, 1, 2) @ xp,
+                             B1 @ xs, -(B2 @ xs)]))
+    return np.bincount(np.concatenate([glob.ravel() for glob in globs]),
+                       np.concatenate([y.ravel() for y in ys]), len(x))

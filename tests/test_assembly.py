@@ -327,11 +327,11 @@ def test_solve_saddle_refinement_meets_residual_gate_at_r3(cube1, material):
 
 
 def _zero_element_block(system, t):
-    """Zero tet t's slices of the A_e, B1_e and B2_e stacks, so that its K_e is 0."""
-    for (_, tets, _, _), *stacks in zip(system.blocks, system.A_blocks, system.B1_blocks,
-                                        system.B2_blocks):
-        for stack in stacks:
-            stack[tets == t] = 0.0
+    """Zero the A_e, B1_e and B2_e of tet t's class, so that its K_e is 0."""
+    c = next(cls[tets == t][0] for (_, tets, _, _), cls in zip(system.blocks, system.classes)
+             if t in tets)
+    for stack in (system.A_classes, system.B1_classes, system.B2_classes):
+        stack[c][...] = 0.0
 
 
 def test_singular_element_block_names_its_tet(cube1, material):
@@ -369,7 +369,7 @@ def test_hybrid_operator_factors_each_element_block_bit_for_bit(request, monkeyp
     factored, lu_factor = [], linalg.lu_factor
     monkeypatch.setattr(linalg, "lu_factor",
                         lambda K: factored.append(np.array(K)) or lu_factor(K))
-    assembly.hybrid_operator(system, a11_blocks)
+    assembly.hybrid_operator(system, system.per_class(a11_blocks))
     want = [element_block(system, t, a11_e) for (_, tets, _, _), stack in
             zip(system.blocks, a11_blocks) for t, a11_e in zip(tets, stack)]
     assert len(factored) == len(want) == mesh.n_tets
@@ -390,11 +390,11 @@ def test_hybrid_operator_matches_dense_saddle_solve(request, material, mesh_name
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     if a11 == "compliance":
-        H = assembly.hybrid_operator(system, system.A_blocks)
+        H = assembly.hybrid_operator(system, system.A_classes)
         K = system.full_matrix()
     else:
         Ml2, Mdiv, hdiv = system.stress_grams
-        H = assembly.hybrid_operator(system, hdiv)
+        H = assembly.hybrid_operator(system, system.per_class(hdiv))
         K = sp.bmat([[Ml2 + Mdiv, system.B1.T, -system.B2.T],
                      [system.B1, None, None], [-system.B2, None, None]])
     rng = np.random.default_rng(7)

@@ -1,0 +1,84 @@
+"""The element matrices A_e, B1_e and B2_e kept once per congruence class."""
+
+import numpy as np
+import pytest
+
+from afw3d import assembly, stability_lab
+from afw3d.mesh import OrderMap
+from conftest import per_tet_matvec
+
+MAPS = pytest.mark.parametrize("orders_of", [lambda mesh: OrderMap.uniform(mesh, 1),
+                                             lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)],
+                               ids=["r1", "random"])
+STACKS = ("A_blocks", "B1_blocks", "B2_blocks")
+
+
+def _one_class_per_tet(blocks):
+    sizes = np.cumsum([0] + [len(blk[1]) for blk in blocks])
+    return [np.arange(lo, hi) for lo, hi in zip(sizes[:-1], sizes[1:])]
+
+
+def _assemble(cube2, orders_of, material):
+    case = stability_lab.default_convergence_case(material)
+    return assembly.assemble(cube2, orders_of(cube2), material, case.f, boundary_g=case.u)
+
+
+@MAPS
+def test_derived_stacks_equal_stacks_formed_per_tet(monkeypatch, cube2, material, orders_of):
+    system = _assemble(cube2, orders_of, material)
+    monkeypatch.setattr(assembly, "_class_table",
+                        lambda mesh, ws, blocks: _one_class_per_tet(blocks))
+    per_tet = _assemble(cube2, orders_of, material)
+    assert len(system.A_classes) < len(per_tet.A_classes) == cube2.n_tets
+    for name in STACKS:
+        got, want = getattr(system, name), getattr(per_tet, name)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.strides == b.strides and np.array_equal(a, b)
+    assert np.array_equal(system.F, per_tet.F) and np.array_equal(system.G, per_tet.G)
+
+
+@MAPS
+def test_class_matvec_equals_the_per_tet_products_bit_for_bit(cube2, material, orders_of, rng):
+    system = _assemble(cube2, orders_of, material)
+    # the slices' memory layout fixes the bits: A_e column-major, B1_e and B2_e row-major
+    assert all(A.flags.f_contiguous for A in system.A_classes)
+    assert all(B.flags.c_contiguous for B in system.B1_classes + system.B2_classes)
+    x = rng.standard_normal(system.dofmap.n_total)
+    want = per_tet_matvec(system, x)
+    assert np.abs(want).max() > 0
+    assert np.array_equal(system.matvec(x), want)
+    # the class layout follows a reassigned class table
+    system.classes = _one_class_per_tet(system.blocks)
+    assert len(system.A_classes) == len(system.class_layout[1]) == cube2.n_tets
+    assert np.array_equal(system.matvec(x), want)
+
+
+def test_solve_and_lab_build_no_per_tet_stacks(cube2, material):
+    case = stability_lab.default_convergence_case(material)
+    system, _ = assembly.solve_case(cube2, OrderMap.uniform(cube2, 1), case)
+    assert len(system.A_classes) == 6
+    orders = OrderMap.uniform(cube2, 0)
+    lab = assembly.assemble(cube2, orders, material, None)
+    stability_lab.infsup_constant(cube2, orders, material, lab)
+    stability_lab.kernel_coercivity(cube2, orders, material, lab)
+    for s in (system, lab):
+        assert not set(STACKS) & set(vars(s))
+
+
+def test_zeroed_class_matrix_names_its_representative(cube2, material):
+    # the class of most tets whose representative is not the first tet of its block
+    system = assembly.assemble(cube2, OrderMap.uniform(cube2, 1), material, None)
+    reps = system.class_layout[0]
+    sizes = np.bincount(np.concatenate(system.classes))
+    c = max(np.flatnonzero(reps[:, 1] > 0), key=lambda c: sizes[c])
+    b, k = reps[c]
+    rep = system.blocks[b][1][k]
+    assert sizes[c] > 1
+    for stack in (system.A_classes, system.B1_classes, system.B2_classes):
+        stack[c][...] = 0.0
+    with pytest.raises(assembly.FactorizationBreakdown, match=rf"tet {rep} is singular"):
+        assembly.solve_saddle(system)
+    zeroed = [t for (_, tets, _, _), stack in zip(system.blocks, system.A_blocks)
+              for t, A in zip(tets, stack) if not A.any()]
+    assert len(zeroed) == sizes[c] and rep in zeroed

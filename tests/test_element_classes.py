@@ -17,6 +17,10 @@ def _a11(system, a11):
     return system.A_blocks if a11 == "compliance" else system.stress_grams[2]
 
 
+def _a11_classes(system, a11):
+    return system.A_classes if a11 == "compliance" else system.per_class(system.stress_grams[2])
+
+
 def _representatives(system):
     """The first tet of each class, in block order."""
     cls = np.concatenate(system.classes)
@@ -31,7 +35,7 @@ def test_lu_factor_runs_once_per_class(request, monkeypatch, material, mesh_name
     system = assembly.assemble(mesh, OrderMap.uniform(mesh, 1), material, None)
     calls, lu_factor = [], linalg.lu_factor
     monkeypatch.setattr(linalg, "lu_factor", lambda K: calls.append(len(K)) or lu_factor(K))
-    assembly.hybrid_operator(system, system.A_blocks)
+    assembly.hybrid_operator(system, system.A_classes)
     assert len(calls) == n_classes < mesh.n_tets
     assert len(_representatives(system)) == n_classes
 
@@ -55,7 +59,7 @@ def test_each_tet_gets_the_inverse_of_its_own_block_bit_for_bit(monkeypatch, cub
     a11_blocks = _a11(system, a11)
     kept, lu_inverse = [], linalg.lu_inverse
     monkeypatch.setattr(linalg, "lu_inverse", lambda f: kept.append(lu_inverse(f)) or kept[-1])
-    assembly.hybrid_operator(system, a11_blocks)
+    assembly.hybrid_operator(system, system.per_class(a11_blocks))
     assert len(kept) < cube2.n_tets
     for (_, tets, _, _), stack, cls in zip(system.blocks, a11_blocks, system.classes):
         for t, a11_e, c in zip(tets, stack, cls):
@@ -71,11 +75,10 @@ def test_shared_class_inverses_leave_the_operator_bit_for_bit(cube2, material, o
     # H from the class table against H with every tet its own class, and
     # against a sparse direct solve of the saddle matrix with the same a11
     system = assembly.assemble(cube2, orders_of(cube2), material, None)
-    a11_blocks = _a11(system, a11)
-    H = assembly.hybrid_operator(system, a11_blocks)
+    H = assembly.hybrid_operator(system, _a11_classes(system, a11))
     sizes = np.cumsum([0] + [len(tets) for _, tets, _, _ in system.blocks])
     system.classes = [np.arange(lo, hi) for lo, hi in zip(sizes[:-1], sizes[1:])]
-    H_per_tet = assembly.hybrid_operator(system, a11_blocks)
+    H_per_tet = assembly.hybrid_operator(system, _a11_classes(system, a11))
     M = system.A if a11 == "compliance" else system.stress_grams[0] + system.stress_grams[1]
     K = sp.bmat([[M, system.B1.T, -system.B2.T], [system.B1, None, None],
                  [-system.B2, None, None]], format="csc")
@@ -92,9 +95,7 @@ def test_singular_representative_names_its_tet(cube2, material):
     system = assembly.assemble(cube2, OrderMap.uniform(cube2, 1), material, None)
     cls = np.concatenate(system.classes)
     rep = _representatives(system)[np.bincount(cls).argmax()]     # a class of several tets
-    for (_, tets, _, _), *stacks in zip(system.blocks, system.A_blocks, system.B1_blocks,
-                                        system.B2_blocks):
-        for stack in stacks:
-            stack[tets == rep] = 0.0
+    for stack in (system.A_classes, system.B1_classes, system.B2_classes):
+        stack[np.bincount(cls).argmax()][...] = 0.0
     with pytest.raises(assembly.FactorizationBreakdown, match=rf"tet {rep} is singular"):
-        assembly.hybrid_operator(system, system.A_blocks)
+        assembly.hybrid_operator(system, system.A_classes)
