@@ -23,10 +23,12 @@ orders, face signs and Jacobians are bit-equal have bit-equal A_e, B1_e,
 B2_e and K_e.  The class table is built before the block terms, and
 assemble forms A_e, B1_e and B2_e for each class's representative only;
 hybrid_operator factors and inverts one K_e per class, and matvec applies
-each class's matrices to all of its tets.  On cube n = 3, r = 1 that is 48
-classes for 162 tets, on cube n = 2 six for 48.  F, G and the layout stay
-per tet; the per-tet stacks A_blocks, B1_blocks and B2_blocks are derived
-on first read, and the solve and the stability lab never read them.  The
+each class's matrices to all of its tets.  Cube meshes have bit-equal A on
+congruent tets (SimplicialMesh.affine builds A from lattice offsets), so
+at r = 1 cube n = 3 has 6 classes for 162 tets, n = 5 six for 750 and n = 2
+six for 48.  F, G and the layout stay per tet; the per-tet stacks
+A_blocks, B1_blocks and B2_blocks are derived on first read, and the solve
+and the stability lab never read them.  The
 factorizations stay serial, because the inverse holds the GIL: scipy
 1.17's dgetri wrapper keeps it, while dgetrf and dgetrs release it.  On
 two threads, 32 matrices with n = 228 and one BLAS thread, dgetri ran
@@ -103,9 +105,11 @@ def _class_table(mesh, ws, blocks):
     fall into one class when their face vertex orders (Workspace.face_perms),
     face signs (mesh.tet_face_sign) and Jacobians mesh.affine.A are
     bit-equal; then their dual bases, element stacks and K_e are bit-equal
-    too.  The signs follow from the other two for a tet that is not nearly
-    flat, so they split no class on the meshes measured, but they make the
-    equality hold by construction.  Classes are numbered in order of their
+    too.  On a lattice mesh, such as a unit cube mesh, A is built from
+    integer offsets, so congruent tets fall into one class whatever n is
+    (6 per signature on a cube).  The signs follow from the other two for a
+    tet that is not nearly flat, so they split no class on the meshes
+    measured, but they make the equality hold by construction.  Classes are numbered in order of their
     first tet in block order, the class's representative."""
     out, n_classes = [], 0
     for _, run in groupby(blocks, key=lambda blk: blk[0]):
@@ -558,9 +562,12 @@ def _multiplier_pattern(n_mult, parts):
 
 
 def _multiplier_system(n_mult, parts, inverses):
-    """S = sum_e E_e K_e^{-1} E_e^T from the stacked inverses, written straight
-    into the arrays of a canonical CSR matrix (_multiplier_pattern), each of
-    exactly S.nnz entries.  The tets of a block with the same number of
+    """S = sum_e E_e K_e^{-1} E_e^T, written straight into the arrays of a
+    canonical CSR matrix (_multiplier_pattern), each of exactly S.nnz
+    entries.  inverses holds per block a pair (stack, ids): the block's tets
+    have the inverses stack[ids], which hybrid_operator passes as its
+    signature's stack of class inverses and the block's class ids, so no
+    per-tet copy is made.  The tets of a block with the same number of
     shared copies are filled together: the shared rows and columns of their
     K_e^{-1} times the sign products, added by np.add.at to data, which
     starts at -0.0, the identity of addition.  An entry is its one term or
@@ -568,13 +575,13 @@ def _multiplier_system(n_mult, parts, inverses):
     same entries built through COO triplets."""
     indptr, pair_of, col = _multiplier_pattern(n_mult, parts)
     data, indices = np.full(indptr[-1], -0.0), np.empty(indptr[-1], np.int32)
-    for inv, (_, mult, sign) in zip(inverses, parts):
+    for (stack, ids), (_, mult, sign) in zip(inverses, parts, strict=True):
         n_sh = np.count_nonzero(sign, axis=1)
         for n in np.unique(n_sh[n_sh > 0]):
             kk = np.flatnonzero(n_sh == n)
             J = np.nonzero(sign[kk])[1].reshape(-1, n)      # (tets, n) shared copies
             m, s = mult[kk[:, None], J], sign[kk[:, None], J]
-            vals = inv[kk[:, None, None], J[:, :, None], J[:, None, :]]
+            vals = stack[ids[kk][:, None, None], J[:, :, None], J[:, None, :]]
             vals *= s[:, :, None] * s[:, None, :]
             dest = col[pair_of[m], (s < 0).astype(np.intp), :n]
             dest += indptr[m][:, :, None]
@@ -655,36 +662,45 @@ def hybrid_operator(system, a11, pcg=False):
     copy alone takes the stress rows of b and gives the stress value of x.
 
     The factors and inverses are per class, the multipliers and the rows of
-    b and x per tet (system.class_layout).  Each class's K_c is formed in the
-    buffer of its inverse, factored (linalg.lu_factor, whose pivot gate names
-    the class's representative) and inverted in place.  _multiplier_system
-    gets the per-tet inverses of one block at a time, as copies of their
-    classes', so S has the bits of per-tet inverses.  H(b) is y_e = K_c^{-1}
-    b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e - K_c^{-1} E_e^T
-    lambda: per class, two products of K_c^{-1} broadcast over the class's
-    tets, so each tet keeps its own matrix-vector product and its bits (one
-    GEMM per class may round differently).  S is factored once by
+    b and x per tet (system.class_layout).  The classes of one signature are
+    numbered contiguously, and their inverses are one stack per signature.
+    Each class's K_c is formed in its slice of that stack, factored
+    (linalg.lu_factor, whose pivot gate names the class's representative)
+    and inverted in place.  _multiplier_system reads each block's inverses
+    from its signature's stack through the block's class ids, so no per-tet
+    copy is made and S has the bits of per-tet inverses.  H(b) is y_e =
+    K_c^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e -
+    K_c^{-1} E_e^T lambda: per class, two products of K_c^{-1} broadcast
+    over the class's tets, so each tet keeps its own matrix-vector product
+    and its bits (one GEMM per class may round differently).  S is factored once by
     linalg.spd_factor, or with pcg=True solved on each call by _pcg_solver.
     """
     n_mult, parts = system.layout
     reps, local = system.class_layout
-    inverses = []
-    for a11_c, B1, B2, (b, k) in zip(a11, system.B1_classes, system.B2_classes, reps, strict=True):
-        n, m = len(a11_c), len(B1)
-        K = np.zeros((n + 2 * m, n + 2 * m))
-        K[:n, :n] = a11_c
-        K[n:n + m, :n] = B1
-        np.negative(B2, out=K[n + m:, :n])
-        K[:n, n:] = K[n:, :n].T
-        try:
-            K[...] = linalg.lu_inverse(linalg.lu_factor(K))
-        except linalg.SingularMatrix as exc:
-            raise FactorizationBreakdown(
-                f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
-            ) from exc
-        inverses.append(K)
-    S = _multiplier_system(n_mult, parts, (np.stack([inverses[c] for c in block_cls])
-                                           for block_cls in system.classes))
+    items = zip(a11, system.B1_classes, system.B2_classes, reps, strict=True)
+    stacks = []             # per signature, the inverses of its classes, which are contiguous
+    # a class's signature is that of its representative's block
+    for _, run in groupby(items, key=lambda item: system.blocks[item[3][0]][0]):
+        run = list(run)
+        n, m = len(run[0][0]), len(run[0][1])
+        stacks.append(np.zeros((len(run), n + 2 * m, n + 2 * m)))
+        for K, (a11_c, B1, B2, (b, k)) in zip(stacks[-1], run):
+            K[:n, :n] = a11_c
+            K[n:n + m, :n] = B1
+            np.negative(B2, out=K[n + m:, :n])
+            K[:n, n:] = K[n:, :n].T
+            try:
+                K[...] = linalg.lu_inverse(linalg.lu_factor(K))
+            except linalg.SingularMatrix as exc:
+                raise FactorizationBreakdown(
+                    f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
+                ) from exc
+    inverses = [K for stack in stacks for K in stack]
+    sizes = [len(stack) for stack in stacks]
+    sig = np.repeat(np.arange(len(stacks)), sizes)         # the stack of each class
+    first = np.cumsum([0] + sizes)                          # the class id of each stack's first
+    S = _multiplier_system(n_mult, parts, [(stacks[sig[cls[0]]], cls - first[sig[cls[0]]])
+                                           for cls in system.classes])
     try:
         S_solve = _pcg_solver(system, S) if pcg else linalg.spd_factor(S).solve
     except linalg.SingularMatrix as exc:
@@ -739,7 +755,7 @@ def split_solution(system, x):
         coeffs = system._per_tet([x[offset + ud].reshape(len(tets), 3, -1)
                                   @ ps.volume_modes(ro.tet)[:, 0, :]
                                   for ro, tets, _, ud in system.blocks])
-        fields.append(DiscreteField(system.mesh, system.orders, "compose", degs, coeffs))
+        fields.append(DiscreteField(system.mesh, "compose", degs, coeffs))
     return tuple(fields)
 
 

@@ -269,7 +269,6 @@ class DiscreteField:
     """
 
     mesh: object
-    orders: object
     kind: str
     degs: list
     coeffs: list
@@ -379,7 +378,6 @@ class DiscreteField:
     def copy_with(self, coeffs, kind=None, degs=None):
         return DiscreteField(
             mesh=self.mesh,
-            orders=self.orders,
             kind=self.kind if kind is None else kind,
             degs=self.degs if degs is None else degs,
             coeffs=coeffs,
@@ -887,7 +885,7 @@ def project_l2_p3(mesh, orders, f, ws=None):
             for t, c in zip(block, np.swapaxes(fv, 1, 2) @ P):
                 coeffs[t] = c
     degs = [int(r) for r in orders.tet_orders]
-    return DiscreteField(mesh, orders, "compose", degs, coeffs)
+    return DiscreteField(mesh, "compose", degs, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -986,7 +984,7 @@ def elementwise_to_global(mesh, orders, kind, degs, per_elem):
     Checks interface continuity of the relevant trace (normal for flux
     kinds, tangential for the edge kind) at face quadrature points.
     """
-    df = DiscreteField(mesh, orders, kind, list(degs), list(per_elem))
+    df = DiscreteField(mesh, kind, list(degs), list(per_elem))
     err, scale = conformity_error(df)
     if err > CONFORMITY_TOL * max(scale, 1.0):
         raise ConformityViolation(
@@ -1049,7 +1047,7 @@ def clement(mesh, W, orders=None):
     c = np.zeros((mesh.n_tets, 9, mo.count(3, 1)))
     c[:, :, 0] = vertex_vals[:, 0]
     c[:, :, mo.coordinate_index(3)] = np.swapaxes(vertex_vals[:, 1:] - vertex_vals[:, :1], 1, 2)
-    return DiscreteField(mesh, orders, "compose", [1] * mesh.n_tets, list(c))
+    return DiscreteField(mesh, "compose", [1] * mesh.n_tets, list(c))
 
 
 def lift_linear_into_op1(ws, tets, lin_field):
@@ -1247,7 +1245,7 @@ class StressSpace:
     def field(self, dofs):
         """The stress field of a global dof vector, as a piola DiscreteField."""
         return DiscreteField(
-            self.mesh, self.orders, "piola", [el.deg for el in self.elements],
+            self.mesh, "piola", [el.deg for el in self.elements],
             [self.coeffs_from_dofs(t, dofs[el.dof_ids]) for t, el in enumerate(self.elements)],
         )
 

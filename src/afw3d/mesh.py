@@ -121,9 +121,24 @@ class SimplicialMesh:
     def affine(self):
         """Affine maps of the reference tet onto all tets as one AffineStack,
         built once from vertices[tets]: A has the columns p1 - p0, p2 - p0,
-        p3 - p0 and b = p0; rho = 3 |T| / (surface area)."""
+        p3 - p0 and b = p0; rho = 3 |T| / (surface area).
+
+        On a lattice, where every coordinate is fl(k/N) for integers k and one
+        N, A is D / N from the integer edge offsets D instead (_lattice), so
+        congruent tets get bit-equal A, det and A_inv, and so share one element
+        class (assembly._class_table); p_j - p_0 of fl(1/3)-spaced vertices
+        differ in the last bit between translates.  On dyadic coordinates
+        (N a power of two) D / N equals p_j - p_0 bit for bit.  vertices, b, h
+        and rho are those of the vertices either way."""
         p = self.vertices[self.tets]                            # (T, 4, 3)
-        A = np.ascontiguousarray(np.swapaxes(p[:, 1:] - p[:, :1], 1, 2))
+        diff = np.ascontiguousarray(np.swapaxes(p[:, 1:] - p[:, :1], 1, 2))
+        lattice = _lattice(self.vertices)
+        if lattice is None:
+            A = diff
+        else:
+            k, N = lattice
+            kt = k[self.tets]                                   # (T, 4, 3) integer-valued
+            A = np.ascontiguousarray(np.swapaxes(kt[:, 1:] - kt[:, :1], 1, 2)) / N
         det = np.linalg.det(A)
         edge = p[:, _EDGE_VERTS[:, 0]] - p[:, _EDGE_VERTS[:, 1]]
         q = p[:, _FACE_VERTS]                                   # (T, face, vertex, xyz)
@@ -135,7 +150,7 @@ class SimplicialMesh:
             b=p[:, 0].copy(),
             det=det,
             h=np.linalg.norm(edge, axis=-1).max(axis=1),
-            rho=3.0 * (np.abs(det) / 6.0) / areas,
+            rho=3.0 * (np.abs(np.linalg.det(diff)) / 6.0) / areas,
         )
 
     @cached_property
@@ -151,6 +166,20 @@ class SimplicialMesh:
 
 _FACE_VERTS = np.array(reftet.FACE_VERTS)
 _EDGE_VERTS = np.array(reftet.EDGE_VERTS)
+
+
+def _lattice(vertices):
+    """(k, N): integer-valued k with vertices == k / N exactly, for N = rint(1 /
+    the smallest nonzero |coordinate|), or None when the vertices are off that
+    lattice or |k| reaches 2^52, from where differences of k could round."""
+    nonzero = np.abs(vertices[vertices != 0])
+    N = np.rint(1.0 / nonzero.min()) if nonzero.size and nonzero.min() >= 2.0**-52 else 0.0
+    if N < 1:
+        return None
+    k = np.rint(vertices * N)
+    if np.abs(k).max() >= 2.0**52 or not np.array_equal(k / N, vertices):
+        return None
+    return k, N
 
 
 def _subsimplices(tets, local):

@@ -35,9 +35,9 @@ def element_block(system, t, a11):
     return np.block([[a11, B.T], [B, np.zeros((len(B), len(B)))]])
 
 
-def element_inverses(system):
-    """Per block of system.blocks, the stack of np.linalg.inv of each tet's K_e with a11 = A_e."""
-    return [np.stack([np.linalg.inv(element_block(system, t, system.A_loc[t]))
+def element_inverses(system, inv=np.linalg.inv):
+    """Per block of system.blocks, the stack of inv of each tet's K_e with a11 = A_e."""
+    return [np.stack([inv(element_block(system, t, system.A_loc[t]))
                       for t in tets]) for _, tets, _, _ in system.blocks]
 
 

@@ -5,12 +5,17 @@ import scipy.sparse.linalg as spla
 
 from afw3d import assembly, linalg
 from afw3d.mesh import OrderMap, unit_cube_mesh
-from conftest import element_block
+from conftest import element_block, element_inverses
 
 
 @pytest.fixture(scope="module")
 def cube3():
     return unit_cube_mesh(3)
+
+
+@pytest.fixture(scope="module")
+def cube5():
+    return unit_cube_mesh(5)
 
 
 def _a11(system, a11):
@@ -29,7 +34,7 @@ def _representatives(system):
     return tets[first]
 
 
-@pytest.mark.parametrize("mesh_name, n_classes", [("cube2", 6), ("cube3", 48)])
+@pytest.mark.parametrize("mesh_name, n_classes", [("cube2", 6), ("cube3", 6), ("cube5", 6)])
 def test_lu_factor_runs_once_per_class(request, monkeypatch, material, mesh_name, n_classes):
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, OrderMap.uniform(mesh, 1), material, None)
@@ -99,3 +104,27 @@ def test_singular_representative_names_its_tet(cube2, material):
         stack[np.bincount(cls).argmax()][...] = 0.0
     with pytest.raises(assembly.FactorizationBreakdown, match=rf"tet {rep} is singular"):
         assembly.hybrid_operator(system, system.A_classes)
+
+
+@pytest.mark.parametrize("mesh_name, orders_of",
+                         [("cube2", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)),
+                          ("cube3", lambda mesh: OrderMap.uniform(mesh, 1))],
+                         ids=["cube2-random", "cube3-r1"])
+def test_S_read_through_the_class_table_has_the_bits_of_per_tet_inverses(
+        request, monkeypatch, material, mesh_name, orders_of):
+    # the S that hybrid_operator builds from its per-signature stacks of class
+    # inverses against S from a stack of per-tet inverses, each lu_factor plus
+    # lu_inverse of the tet's own np.block
+    mesh = request.getfixturevalue(mesh_name)
+    system = assembly.assemble(mesh, orders_of(mesh), material, None)
+    built, multiplier_system = [], assembly._multiplier_system
+    monkeypatch.setattr(assembly, "_multiplier_system",
+                        lambda *args: built.append(multiplier_system(*args)) or built[-1])
+    assembly.hybrid_operator(system, system.A_classes)
+    n_mult, parts = system.layout
+    inverses = element_inverses(system, lambda K: linalg.lu_inverse(linalg.lu_factor(K)))
+    want = multiplier_system(n_mult, parts, [(inv, np.arange(len(inv))) for inv in inverses])
+    (got,) = built
+    assert len(system.A_classes) < mesh.n_tets
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))

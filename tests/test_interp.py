@@ -24,7 +24,7 @@ def test_project_reproduces_members(single_tet, rng):
     om = OrderMap.uniform(single_tet, 2)
     ws = Workspace(single_tet, om)
     c = rng.standard_normal((3, mo.count(3, 2)))
-    f = DiscreteField(single_tet, om, "compose", [2], [c])
+    f = DiscreteField(single_tet, "compose", [2], [c])
     out = interp.project_l2_p3(single_tet, om, f.as_sample(), ws)
     assert np.abs(out.coeffs[0] - c).max() < 1e-12
 
@@ -152,7 +152,7 @@ def test_op2minus_reproduces_members(single_tet, ws1, rng):
     sys2, sys1 = interp.reference_systems(ro)
     for _ in range(5):
         c = _random_member(sys2, rng)
-        df = DiscreteField(single_tet, om, "op2", [ro.tet + 1], [c])
+        df = DiscreteField(single_tet, "op2", [ro.tet + 1], [c])
         out = interp.interp_p2minus(ws1, 0, df.as_sample())
         assert np.abs(out - c).max() < 1e-10 * max(1, np.abs(c).max())
 
@@ -162,7 +162,7 @@ def test_op1minus_reproduces_members(single_tet, ws1, rng):
     _, sys1 = interp.reference_systems(ro)
     for _ in range(5):
         c = _random_member(sys1, rng)
-        df = DiscreteField(single_tet, ws1.orders, "op1", [ro.tet + 2], [c])
+        df = DiscreteField(single_tet, "op1", [ro.tet + 2], [c])
         out = interp.interp_p1minus(ws1, 0, df.as_sample())
         assert np.abs(out - c).max() < 1e-10 * max(1, np.abs(c).max())
 
@@ -191,7 +191,7 @@ def test_projection_property_independent_of_t(single_tet, rng):
             continue
         sysm.lu = linalg.lu_factor(sysm.matrix)
         for c in members:
-            df = DiscreteField(single_tet, om, "op2", [ro.tet + 1], [c])
+            df = DiscreteField(single_tet, "op2", [ro.tet + 1], [c])
             rhs = interp._rhs_2minus(ws, 0, sysm, interp._pullback_op2(df.as_sample(), ws.amaps[0]))
             x = linalg.lu_apply(sysm.lu, rhs)
             out = np.einsum("b,bcn->cn", x, sysm.basis.coeffs)
@@ -335,7 +335,7 @@ def test_op1_scaling_bound(rng):
         om = OrderMap.uniform(mesh, 1)
         ws = Workspace(mesh, om)
         c = interp.interp_p1minus(ws, 0, W)
-        df = DiscreteField(mesh, om, "op1", [3], [c])
+        df = DiscreteField(mesh, "op1", [3], [c])
         rule = quadrature.rule_for(3, 8)
         amap = ws.amaps[0]
         jac = df.jacobian_ref(0, rule.points)

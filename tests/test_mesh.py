@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,3 +182,56 @@ def test_affine_stack_matches_the_per_tet_maps(cube1, rng):
         assert np.array_equal(aff.b[t], amap.b) and aff.det[t] == amap.det
         assert np.allclose(x[i], amap.apply(xhat), atol=1e-15)
     assert np.allclose(aff.pull(tets, x), xhat[None], atol=1e-14)
+
+
+@pytest.fixture
+def vertex_difference_affine(monkeypatch):
+    """mesh -> the AffineStack of a fresh copy of mesh with A = p_j - p_0, the
+    rule for meshes off a lattice."""
+    def build(mesh):
+        with monkeypatch.context() as patch:
+            patch.setattr(msh, "_lattice", lambda vertices: None)
+            return dataclasses.replace(mesh).affine
+    return build
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cube_jacobians_are_integer_offsets_over_n(n, vertex_difference_affine):
+    mesh = unit_cube_mesh(n)
+    aff, diff = mesh.affine, vertex_difference_affine(mesh)
+    k = np.rint(mesh.vertices * n).astype(np.int64)[mesh.tets]
+    assert np.array_equal(aff.A, np.swapaxes(k[:, 1:] - k[:, :1], 1, 2) / n)
+    assert not np.array_equal(aff.A, diff.A)
+    assert np.abs(aff.A - diff.A).max() <= np.spacing(1.0) / 2     # one rounding of a coordinate
+    assert len(np.unique(aff.A.reshape(-1, 9), axis=0)) == 6       # one A per congruence type
+    for name in ("b", "h", "rho"):
+        assert np.array_equal(getattr(aff, name), getattr(diff, name))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: unit_cube_mesh(1), lambda: unit_cube_mesh(2), lambda: unit_cube_mesh(4),
+    lambda: refine_uniform(refine_uniform(unit_cube_mesh(1))),
+], ids=["cube1", "cube2", "cube4", "nested2"])
+def test_dyadic_meshes_keep_the_vertex_difference_bits(build, vertex_difference_affine):
+    mesh = build()
+    aff, want = mesh.affine, vertex_difference_affine(mesh)
+    for f in dataclasses.fields(aff):
+        assert np.array_equal(getattr(aff, f.name), getattr(want, f.name))
+
+
+def test_a_vertex_off_the_lattice_keeps_the_vertex_differences(vertex_difference_affine):
+    cube = unit_cube_mesh(3)
+    vertices = cube.vertices.copy()
+    vertices[21, 0] += 1e-3                      # the interior vertex (1/3, 1/3, 1/3)
+    mesh = build_complex(vertices, cube.tets)
+    aff, want = mesh.affine, vertex_difference_affine(mesh)
+    for f in dataclasses.fields(aff):
+        assert np.array_equal(getattr(aff, f.name), getattr(want, f.name))
+    assert not np.array_equal(aff.A, cube.affine.A)
+
+
+def test_a_cube_read_back_from_its_file_keeps_its_lattice_jacobians(tmp_path):
+    cube = unit_cube_mesh(3)
+    write_mesh(tmp_path / "cube3.txt", cube)
+    mesh, _ = read_mesh(tmp_path / "cube3.txt")
+    assert np.array_equal(mesh.affine.A, cube.affine.A)

@@ -100,7 +100,7 @@ def _member(ws, kind, bases, rng):
     """(random coefficients x per tet, the field sum_b x_b basis_b of kind)."""
     x = [rng.standard_normal(b.dim) for b in bases]
     coeffs = [np.einsum("b,bcn->cn", xt, b.coeffs) for xt, b in zip(x, bases)]
-    return x, interp.DiscreteField(ws.mesh, ws.orders, kind, [b.deg for b in bases], coeffs)
+    return x, interp.DiscreteField(ws.mesh, kind, [b.deg for b in bases], coeffs)
 
 
 def test_stress_rhs_of_a_member_is_its_signed_moments(mixed_ws):
