@@ -137,10 +137,6 @@ class BlockSaddleSystem:
     The per-tet stacks A_blocks, B1_blocks and B2_blocks, one per block, and
     the views A_loc[t], B1_loc[t] and B2_loc[t], A, B1, B2, full_matrix() and
     the stress Grams are derived on first use.
-
-    classes may be reassigned to a finer table, whose numbering follows the
-    same rule (tests give every tet its own class): the class matrices are
-    then gathered at the new classes' representatives.
     """
 
     F: np.ndarray              # <f, v>
@@ -154,21 +150,7 @@ class BlockSaddleSystem:
     material: object
     mesh: object
     orders: object
-    _classes: list             # per block, the (tets,) class of each tet
-
-    @property
-    def classes(self):
-        """Per block, the (tets,) class of each tet (_class_table)."""
-        return self._classes
-
-    @classes.setter
-    def classes(self, table):
-        old, self._classes = self._classes, table
-        self.__dict__.pop("class_layout", None)
-        ids = [old[b][k] for b, k in self.class_layout[0]]
-        for name in ("A_classes", "B1_classes", "B2_classes"):
-            mats = getattr(self, name)
-            setattr(self, name, [mats[c] for c in ids])
+    classes: list              # per block, the (tets,) class of each tet (_class_table)
 
     def per_class(self, stacks):
         """One matrix per class: its representative's slice of per-block stacks."""
@@ -497,7 +479,7 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
     return BlockSaddleSystem(
         F=F, G=G, blocks=blocks, A_classes=A_classes, B1_classes=B1_classes,
         B2_classes=B2_classes, dofmap=dofmap, space=space, material=material, mesh=mesh,
-        orders=orders, _classes=classes,
+        orders=orders, classes=classes,
     )
 
 
@@ -542,7 +524,7 @@ def _multiplier_pattern(n_mult, parts):
     1) is entry col[pair, side, c] of each of its rows."""
     shared = [sign != 0 for _, _, sign in parts]
     width = max(int(sh.sum(1).max()) for sh in shared)      # most shared copies of a tet
-    first = np.cumsum([0] + [len(sh) for sh in shared])     # number of a block's first tet
+    first = np.cumsum([0] + [len(sh) for sh in shared])     # number of a part's first tet
     n_tets = first[-1]
     cols = np.full((n_tets, width), n_mult, np.int32)       # a tet's multipliers in copy order
     tet_of = np.empty((2, n_mult), np.int64)                # a multiplier's owner and other tet
@@ -564,24 +546,25 @@ def _multiplier_pattern(n_mult, parts):
 def _multiplier_system(n_mult, parts, inverses):
     """S = sum_e E_e K_e^{-1} E_e^T, written straight into the arrays of a
     canonical CSR matrix (_multiplier_pattern), each of exactly S.nnz
-    entries.  inverses holds per block a pair (stack, ids): the block's tets
-    have the inverses stack[ids], which hybrid_operator passes as its
-    signature's stack of class inverses and the block's class ids, so no
-    per-tet copy is made.  The tets of a block with the same number of
-    shared copies are filled together: the shared rows and columns of their
-    K_e^{-1} times the sign products, added by np.add.at to data, which
-    starts at -0.0, the identity of addition.  An entry is its one term or
-    the sum of its two, so S is bit-identical to the canonical matrix of the
-    same entries built through COO triplets."""
+    entries.  parts are (glob, mult, sign) rows of tets, and inverses holds
+    one inverse per part, broadcast over its tets: a class's K_c^{-1} for its
+    rows of class_layout (hybrid_operator), or a stack of per-tet inverses.
+    The tets of a part with the same number of shared copies are filled
+    together: the shared rows and columns of their K_e^{-1} times the sign
+    products, added by np.add.at to data, which starts at -0.0, the identity
+    of addition.  An entry is its one term or the sum of its two, so S is
+    bit-identical to the canonical matrix of the same entries built through
+    COO triplets, whatever order the parts come in."""
     indptr, pair_of, col = _multiplier_pattern(n_mult, parts)
     data, indices = np.full(indptr[-1], -0.0), np.empty(indptr[-1], np.int32)
-    for (stack, ids), (_, mult, sign) in zip(inverses, parts, strict=True):
+    for inv, (_, mult, sign) in zip(inverses, parts, strict=True):
+        inv = np.broadcast_to(inv, (len(sign),) + inv.shape[-2:])
         n_sh = np.count_nonzero(sign, axis=1)
         for n in np.unique(n_sh[n_sh > 0]):
             kk = np.flatnonzero(n_sh == n)
             J = np.nonzero(sign[kk])[1].reshape(-1, n)      # (tets, n) shared copies
             m, s = mult[kk[:, None], J], sign[kk[:, None], J]
-            vals = stack[ids[kk][:, None, None], J[:, :, None], J[:, None, :]]
+            vals = inv[kk[:, None, None], J[:, :, None], J[:, None, :]]
             vals *= s[:, :, None] * s[:, None, :]
             dest = col[pair_of[m], (s < 0).astype(np.intp), :n]
             dest += indptr[m][:, :, None]
@@ -662,45 +645,38 @@ def hybrid_operator(system, a11, pcg=False):
     copy alone takes the stress rows of b and gives the stress value of x.
 
     The factors and inverses are per class, the multipliers and the rows of
-    b and x per tet (system.class_layout).  The classes of one signature are
-    numbered contiguously, and their inverses are one stack per signature.
-    Each class's K_c is formed in its slice of that stack, factored
-    (linalg.lu_factor, whose pivot gate names the class's representative)
-    and inverted in place.  _multiplier_system reads each block's inverses
-    from its signature's stack through the block's class ids, so no per-tet
-    copy is made and S has the bits of per-tet inverses.  H(b) is y_e =
+    b and x per tet (system.class_layout).  Each class's K_c is formed in its
+    own buffer, factored (linalg.lu_factor, whose pivot gate names the
+    class's representative) and its inverse written back into that buffer:
+    linalg.lu_inverse returns a column-major array, and the row-major
+    buffer fixes the order in which each product of apply sums.
+    _multiplier_system reads each class's inverse for its tets' rows of
+    class_layout, so S has the bits of per-tet inverses.  H(b) is y_e =
     K_c^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e -
     K_c^{-1} E_e^T lambda: per class, two products of K_c^{-1} broadcast
     over the class's tets, so each tet keeps its own matrix-vector product
-    and its bits (one GEMM per class may round differently).  S is factored once by
-    linalg.spd_factor, or with pcg=True solved on each call by _pcg_solver.
+    and its bits (one GEMM per class may round differently).  S is factored
+    once by linalg.spd_factor, or with pcg=True solved on each call by
+    _pcg_solver.
     """
-    n_mult, parts = system.layout
+    n_mult = system.layout[0]
     reps, local = system.class_layout
-    items = zip(a11, system.B1_classes, system.B2_classes, reps, strict=True)
-    stacks = []             # per signature, the inverses of its classes, which are contiguous
-    # a class's signature is that of its representative's block
-    for _, run in groupby(items, key=lambda item: system.blocks[item[3][0]][0]):
-        run = list(run)
-        n, m = len(run[0][0]), len(run[0][1])
-        stacks.append(np.zeros((len(run), n + 2 * m, n + 2 * m)))
-        for K, (a11_c, B1, B2, (b, k)) in zip(stacks[-1], run):
-            K[:n, :n] = a11_c
-            K[n:n + m, :n] = B1
-            np.negative(B2, out=K[n + m:, :n])
-            K[:n, n:] = K[n:, :n].T
-            try:
-                K[...] = linalg.lu_inverse(linalg.lu_factor(K))
-            except linalg.SingularMatrix as exc:
-                raise FactorizationBreakdown(
-                    f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
-                ) from exc
-    inverses = [K for stack in stacks for K in stack]
-    sizes = [len(stack) for stack in stacks]
-    sig = np.repeat(np.arange(len(stacks)), sizes)         # the stack of each class
-    first = np.cumsum([0] + sizes)                          # the class id of each stack's first
-    S = _multiplier_system(n_mult, parts, [(stacks[sig[cls[0]]], cls - first[sig[cls[0]]])
-                                           for cls in system.classes])
+    inverses = []
+    for a11_c, B1, B2, (b, k) in zip(a11, system.B1_classes, system.B2_classes, reps, strict=True):
+        n, m = len(a11_c), len(B1)
+        K = np.zeros((n + 2 * m, n + 2 * m))
+        K[:n, :n] = a11_c
+        K[n:n + m, :n] = B1
+        np.negative(B2, out=K[n + m:, :n])
+        K[:n, n:] = K[n:, :n].T
+        try:
+            K[...] = linalg.lu_inverse(linalg.lu_factor(K))
+        except linalg.SingularMatrix as exc:
+            raise FactorizationBreakdown(
+                f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
+            ) from exc
+        inverses.append(K)
+    S = _multiplier_system(n_mult, local, inverses)
     try:
         S_solve = _pcg_solver(system, S) if pcg else linalg.spd_factor(S).solve
     except linalg.SingularMatrix as exc:

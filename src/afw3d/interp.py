@@ -949,7 +949,7 @@ def _glue_blocks(ws, kind, shift, element_coeffs):
         for t, c in zip(block, block_coeffs):
             coeffs[t] = c
     degs = [int(r) + shift for r in ws.orders.tet_orders]
-    return elementwise_to_global(ws.mesh, ws.orders, kind, degs, coeffs)
+    return elementwise_to_global(ws.mesh, kind, degs, coeffs)
 
 
 def _interp_trimmed_global(kind, mesh, orders, U, ws=None):
@@ -978,7 +978,7 @@ CONFORMITY_TOL = 1e-10        # trace jump relative to max(field scale, 1)
 CONFORMITY_RULE_DEG = 4       # face rule of the trace-jump check
 
 
-def elementwise_to_global(mesh, orders, kind, degs, per_elem):
+def elementwise_to_global(mesh, kind, degs, per_elem):
     """Glue per-element coefficient arrays into a conforming DiscreteField.
 
     Checks interface continuity of the relevant trace (normal for flux
@@ -1028,7 +1028,7 @@ def conformity_error(df):
 CLEMENT_QUAD_DEG = 6
 
 
-def clement(mesh, W, orders=None):
+def clement(mesh, W):
     """Patch-average interpolant onto continuous piecewise linears.
 
     The vertex value is the mean of W over the union of elements touching
@@ -1073,7 +1073,7 @@ def interp_p1minus_stabilized(mesh, orders, W, ws=None):
     while staying uniformly bounded in H1.
     """
     ws = Workspace(mesh, orders) if ws is None else ws
-    R = clement(mesh, W, orders)
+    R = clement(mesh, W)
     diff = (W if isinstance(W, FieldSample) else W.as_sample()) - R.as_sample()
     return _glue_blocks(ws, "op1", 2, lambda tets: (
         interp_p1minus(ws, tets, diff) + lift_linear_into_op1(ws, tets, R)))

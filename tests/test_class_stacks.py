@@ -39,19 +39,23 @@ def test_derived_stacks_equal_stacks_formed_per_tet(monkeypatch, cube2, material
 
 
 @MAPS
-def test_class_matvec_equals_the_per_tet_products_bit_for_bit(cube2, material, orders_of, rng):
+def test_class_matvec_equals_the_per_tet_products_bit_for_bit(monkeypatch, cube2, material,
+                                                              orders_of, rng):
     system = _assemble(cube2, orders_of, material)
     # the slices' memory layout fixes the bits: A_e column-major, B1_e and B2_e row-major
+    # (and the class inverses row-major for apply's products: test_element_classes)
     assert all(A.flags.f_contiguous for A in system.A_classes)
     assert all(B.flags.c_contiguous for B in system.B1_classes + system.B2_classes)
     x = rng.standard_normal(system.dofmap.n_total)
     want = per_tet_matvec(system, x)
     assert np.abs(want).max() > 0
     assert np.array_equal(system.matvec(x), want)
-    # the class layout follows a reassigned class table
-    system.classes = _one_class_per_tet(system.blocks)
-    assert len(system.A_classes) == len(system.class_layout[1]) == cube2.n_tets
-    assert np.array_equal(system.matvec(x), want)
+    # every tet its own class, its matrices formed on their own
+    monkeypatch.setattr(assembly, "_class_table",
+                        lambda mesh, ws, blocks: _one_class_per_tet(blocks))
+    per_tet = _assemble(cube2, orders_of, material)
+    assert len(per_tet.A_classes) == len(per_tet.class_layout[1]) == cube2.n_tets
+    assert np.array_equal(per_tet.matvec(x), want)
 
 
 def test_solve_and_lab_build_no_per_tet_stacks(cube2, material):

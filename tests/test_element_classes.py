@@ -76,14 +76,17 @@ def test_each_tet_gets_the_inverse_of_its_own_block_bit_for_bit(monkeypatch, cub
 @pytest.mark.parametrize("orders_of", [lambda mesh: OrderMap.uniform(mesh, 1),
                                        lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)],
                          ids=["r1", "random"])
-def test_shared_class_inverses_leave_the_operator_bit_for_bit(cube2, material, orders_of, a11):
+def test_shared_class_inverses_leave_the_operator_bit_for_bit(monkeypatch, cube2, material,
+                                                              orders_of, a11):
     # H from the class table against H with every tet its own class, and
     # against a sparse direct solve of the saddle matrix with the same a11
     system = assembly.assemble(cube2, orders_of(cube2), material, None)
     H = assembly.hybrid_operator(system, _a11_classes(system, a11))
     sizes = np.cumsum([0] + [len(tets) for _, tets, _, _ in system.blocks])
-    system.classes = [np.arange(lo, hi) for lo, hi in zip(sizes[:-1], sizes[1:])]
-    H_per_tet = assembly.hybrid_operator(system, _a11_classes(system, a11))
+    monkeypatch.setattr(assembly, "_class_table", lambda mesh, ws, blocks: [
+        np.arange(lo, hi) for lo, hi in zip(sizes[:-1], sizes[1:])])
+    per_tet = assembly.assemble(cube2, orders_of(cube2), material, None)
+    H_per_tet = assembly.hybrid_operator(per_tet, _a11_classes(per_tet, a11))
     M = system.A if a11 == "compliance" else system.stress_grams[0] + system.stress_grams[1]
     K = sp.bmat([[M, system.B1.T, -system.B2.T], [system.B1, None, None],
                  [-system.B2, None, None]], format="csc")
@@ -106,15 +109,19 @@ def test_singular_representative_names_its_tet(cube2, material):
         assembly.hybrid_operator(system, system.A_classes)
 
 
-@pytest.mark.parametrize("mesh_name, orders_of",
-                         [("cube2", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)),
-                          ("cube3", lambda mesh: OrderMap.uniform(mesh, 1))],
-                         ids=["cube2-random", "cube3-r1"])
+SHARED_CLASSES = pytest.mark.parametrize(
+    "mesh_name, orders_of",
+    [("cube2", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)),
+     ("cube3", lambda mesh: OrderMap.uniform(mesh, 1))],
+    ids=["cube2-random", "cube3-r1"])
+
+
+@SHARED_CLASSES
 def test_S_read_through_the_class_table_has_the_bits_of_per_tet_inverses(
         request, monkeypatch, material, mesh_name, orders_of):
-    # the S that hybrid_operator builds from its per-signature stacks of class
-    # inverses against S from a stack of per-tet inverses, each lu_factor plus
-    # lu_inverse of the tet's own np.block
+    # the S that hybrid_operator builds from its class inverses and the class
+    # rows of class_layout against S from a stack of per-tet inverses, each
+    # lu_factor plus lu_inverse of the tet's own np.block
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     built, multiplier_system = [], assembly._multiplier_system
@@ -123,8 +130,22 @@ def test_S_read_through_the_class_table_has_the_bits_of_per_tet_inverses(
     assembly.hybrid_operator(system, system.A_classes)
     n_mult, parts = system.layout
     inverses = element_inverses(system, lambda K: linalg.lu_inverse(linalg.lu_factor(K)))
-    want = multiplier_system(n_mult, parts, [(inv, np.arange(len(inv))) for inv in inverses])
+    want = multiplier_system(n_mult, parts, inverses)
     (got,) = built
     assert len(system.A_classes) < mesh.n_tets
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@SHARED_CLASSES
+def test_kept_class_inverses_are_row_major(request, monkeypatch, material, mesh_name, orders_of):
+    mesh = request.getfixturevalue(mesh_name)
+    system = assembly.assemble(mesh, orders_of(mesh), material, None)
+    kept, multiplier_system = [], assembly._multiplier_system
+    monkeypatch.setattr(assembly, "_multiplier_system", lambda n_mult, parts, inverses:
+                        kept.extend(inverses) or multiplier_system(n_mult, parts, inverses))
+    assembly.hybrid_operator(system, system.A_classes)
+    assert len(kept) == len(system.A_classes) < mesh.n_tets
+    # lu_inverse returns column-major arrays; apply's products sum in the order of
+    # row-major inverses, which the reports' bits were fixed with
+    assert all(inv.flags.c_contiguous for inv in kept)

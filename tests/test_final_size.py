@@ -24,8 +24,7 @@ def test_multiplier_system_owns_exactly_its_entries(request, material, mesh_name
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout
     inverses = element_inverses(system)
-    S = assembly._multiplier_system(
-        n_mult, parts, [(inv, np.arange(len(inv))) for inv in inverses])
+    S = assembly._multiplier_system(n_mult, parts, inverses)
     for a in (S.data, S.indices):
         assert a.size == S.nnz
         assert a.base is None or a.base.size == S.nnz      # no longer array behind a view

@@ -147,7 +147,6 @@ def _random_member(sysm, rng):
 
 
 def test_op2minus_reproduces_members(single_tet, ws1, rng):
-    om = ws1.orders
     ro = ws1.ref_orders(0)
     sys2, sys1 = interp.reference_systems(ro)
     for _ in range(5):
@@ -357,7 +356,7 @@ def test_elementwise_to_global_single_tet(single_tet, ws1, rng):
     U = random_matrix_poly(rng, 2)
     c = interp.interp_p2minus(ws1, 0, U)
     df = interp.elementwise_to_global(
-        single_tet, ws1.orders, "op2", [3], [c]
+        single_tet, "op2", [3], [c]
     )
     assert np.abs(df.coeffs[0] - c).max() == 0.0
 
@@ -380,7 +379,7 @@ def test_discontinuous_input_rejected(two_tets, ws2, rng):
     c1 = rng.standard_normal((9, mo.count(3, ro1.tet + 1)))
     with pytest.raises(interp.ConformityViolation):
         interp.elementwise_to_global(
-            two_tets, ws2.orders, "op2",
+            two_tets, "op2",
             [ro0.tet + 1, ro1.tet + 1], [c0, c1],
         )
 
@@ -389,9 +388,8 @@ def test_discontinuous_input_rejected(two_tets, ws2, rng):
 # Clement smoother and stabilized interpolant
 
 def test_clement_constant(two_tets, rng):
-    om = OrderMap.uniform(two_tets, 1)
     C = FieldSample.constant(rng.standard_normal((3, 3)))
-    R = interp.clement(two_tets, C, om)
+    R = interp.clement(two_tets, C)
     pts = np.array([[0.1, 0.2, 0.3], [0.25, 0.25, 0.25]])
     for t in range(2):
         assert np.abs(R.evaluate_ref(t, pts) - C.value(np.zeros((2, 3)))).max() < 1e-13
@@ -399,10 +397,9 @@ def test_clement_constant(two_tets, rng):
 
 def test_clement_linear_patch_centroid(cube1):
     # vertex value of a linear field equals its value at the patch centroid
-    om = OrderMap.uniform(cube1, 0)
     G = np.array([[0.3, -0.2, 0.5], [0.1, 0.7, -0.4], [0.2, 0.0, 0.9]])
     W = FieldSample.from_poly(_linear_matrix_coeffs(G), 1)
-    R = interp.clement(cube1, W, om)
+    R = interp.clement(cube1, W)
     rule = quadrature.rule_for(3, 2)
     sums = np.zeros((cube1.n_vertices, 3))
     vols = np.zeros(cube1.n_vertices)
@@ -445,8 +442,7 @@ def test_clement_h_estimate_across_levels(material):
     consts = []
     for n in [1, 2, 4]:
         mesh = unit_cube_mesh(n)
-        om = OrderMap.uniform(mesh, 0)
-        R = interp.clement(mesh, W, om)
+        R = interp.clement(mesh, W)
         worst = 0.0
         for t in range(mesh.n_tets):
             amap = affine_of(mesh, t)
@@ -611,9 +607,8 @@ def test_block_l2_norm_matches_per_tet_loop_on_mixed_orders(cube2, rng):
 
 
 def test_block_l2_norm_passes_tet_hints_on_a_subset(cube2, rng):
-    om = OrderMap.uniform(cube2, 0)
     W = random_matrix_poly(rng, 2)
-    R = interp.clement(cube2, W, om)
+    R = interp.clement(cube2, W)
     subset = [0, 5, 17, 30, 47]
     got = interp.l2_norm(cube2, W - R.as_sample(), 6, tets=subset)
     want = _per_tet_l2(cube2, lambda t, x, xh: W.value(x) - _discrete_values(R, t, xh), 6, subset)

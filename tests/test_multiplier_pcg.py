@@ -55,8 +55,7 @@ def test_face_blocks_and_coarse_matrix_are_blocks_of_S(request, monkeypatch, mat
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout
     inverses = element_inverses(system)
-    S = assembly._multiplier_system(
-        n_mult, parts, [(inv, np.arange(len(inv))) for inv in inverses])
+    S = assembly._multiplier_system(n_mult, parts, inverses)
     dense = S.toarray()
     blocks = assembly._face_blocks(system, S)
     ids = np.concatenate([i.ravel() for i, _ in blocks])
@@ -87,8 +86,7 @@ def test_multiplier_system_is_the_canonical_matrix_of_its_triplets(cube1, materi
         triplets.append((inv[pair] * (s_i * s_j), m_i, m_j))
     vals, rows, cols = (np.concatenate(c) for c in zip(*triplets))
     want = sp.csc_matrix((vals, (rows, cols)), shape=(n_mult, n_mult))
-    got = sp.csc_matrix(assembly._multiplier_system(
-        n_mult, parts, [(inv, np.arange(len(inv))) for inv in inverses]))
+    got = sp.csc_matrix(assembly._multiplier_system(n_mult, parts, inverses))
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
