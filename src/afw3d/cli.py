@@ -18,8 +18,8 @@ Exit codes:
   3  a numerical failure stopped the run: FactorizationBreakdown (an
      element block or the multiplier system does not factor, PCG on the
      multiplier system does not converge, or the solve misses its residual
-     gate), SingularMomentSystem, NoAdmissibleT, ConformityViolation or
-     DegreeTooHigh (one line on stderr).
+     gate), SingularMomentSystem, ConformityViolation or DegreeTooHigh
+     (one line on stderr).
 """
 
 import argparse
@@ -51,7 +51,6 @@ EXIT_NUMERICAL_FAILURE = 3
 NUMERICAL_FAILURES = (
     assembly.FactorizationBreakdown,
     interp.SingularMomentSystem,
-    interp.NoAdmissibleT,
     interp.ConformityViolation,
     quadrature.DegreeTooHigh,
 )

@@ -1,13 +1,13 @@
 """Projection and interpolation operators on tetrahedral meshes.
 
 Implements the elementwise L2 projection, the commuting full-space stress
-interpolant, the two trimmed-family moment interpolants (with the
-homotopy parameter t that blends curl-image against gradient-complement
-auxiliary moments), the Clement patch-average smoother, and the
-stabilized combination of the last two.  Physical elements are handled by
-pulling fields back to the reference tet; the pullbacks used are the ones
-that intertwine each operator with its reference version, so one moment
-matrix factorization per order signature serves every element.
+interpolant, the two trimmed-family moment interpolants (whose auxiliary
+moments test against the gradient complement), the Clement patch-average
+smoother, and the stabilized combination of the last two.  Physical
+elements are handled by pulling fields back to the reference tet; the
+pullbacks used are the ones that intertwine each operator with its
+reference version, so one moment matrix factorization per order signature
+serves every element.
 
 A DiscreteField stores, per element, reference-coordinate monomial
 coefficients plus a transform kind that says how reference values push
@@ -46,8 +46,8 @@ vertex orders) key, which StressSpace factors and inverts once per key.
 One builder, moment_matrix, forms the reference moment matrices of the
 stress element and of both trimmed interpolants: face rows from
 polyspace.trace against per-face test tables, divergence rows against the
-zero-mean modes and volume rows against a family (the auxiliary h(t) of the
-trimmed systems, the divergence-free interior of the stress element).
+zero-mean modes and volume rows against a family (the gradient complement
+of the trimmed systems, the divergence-free interior of the stress element).
 moment_rhs forms their right-hand sides from the pulled-back field on the
 face rule laid out per tet; the two tets of a face map it to the same points
 up to roundoff, so the interpolants conform to roundoff (elementwise_to_global).
@@ -74,15 +74,9 @@ class DimensionMismatch(Exception):
     pass
 
 
-class NoAdmissibleT(Exception):
-    pass
-
-
 class ConformityViolation(Exception):
     pass
 
-
-T_GRID = np.arange(65) / 64.0
 
 # whether each reference face frame's normal points out of the reference tet
 _REF_OUTWARD_SIGN = np.array([1 if fr.normal @ (fr.origin - reftet.VERTICES.mean(axis=0)) > 0 else -1
@@ -672,7 +666,7 @@ def _lu_factor(M, what):
 
 @dataclass
 class MomentSystem:
-    """Square moment matrix over a trimmed-space basis at parameter t.
+    """Square moment matrix over a trimmed-space basis.
 
     Rows are grouped face / divergence / auxiliary, in that order
     (moment_matrix); the columns follow the reference basis of the target
@@ -681,7 +675,6 @@ class MomentSystem:
 
     kind: str                 # "2minus" or "1minus"
     orders: object
-    t: float
     matrix: np.ndarray
     groups: dict              # name -> slice
     basis: object             # PolyBasis (matrix-valued)
@@ -692,92 +685,38 @@ class MomentSystem:
         return self.matrix.shape[0]
 
 
-def _aux_families(r):
-    """(curl-image block, gradient-complement block) embedded at degree r."""
-    return tuple(mo.embed(b.coeffs, 3, b.deg, max(r, 0))
-                 for b in (ps.curl_image_basis(r), ps.complement_g_basis(r)))
-
-
-def _aux_family(orders, t):
-    """h(t) = (1-t) f + t g, the auxiliary family of the trimmed systems, at degree r(T)."""
-    fam_f, fam_g = _aux_families(orders.tet)
-    return ps.PolyBasis("aux", 9, max(orders.tet, 0), (1.0 - t) * fam_f + t * fam_g)
+def _aux_family(r):
+    """The auxiliary family of the trimmed systems: the gradient complement
+    (polyspace.complement_g_basis), embedded at degree r(T)."""
+    g = ps.complement_g_basis(r)
+    return ps.PolyBasis("aux", 9, max(r, 0), mo.embed(g.coeffs, 3, g.deg, max(r, 0)))
 
 
 _TRACE_KIND = {"2minus": "normal", "1minus": "tangential-face"}
 
 
-def _moment_rows(kind, orders, t):
-    """(matrix, row groups, basis) of the kind's conditions at parameter t:
-    face traces against P_{rF}(F;V) in the face-frame modes, and auxiliary
-    rows against h(t)."""
+def build_moment_system(kind, orders):
+    """Square matrix of the kind's trimmed interpolation conditions: face
+    traces against P_{rF}(F;V) in the face-frame modes, and auxiliary rows
+    against the gradient complement."""
     basis = ps.to_matrix_rows(ps.basis_variable("lambda2_minus", orders.shifted(1)) if kind == "2minus"
                               else ps.basis_lambda1_minus_edge_zero(orders.shifted(2)))
     deg = basis.deg
     tables = [ps.ref_face_gram(f, deg) @ mo.embed(ps.scalar_face_modes(f, rf)[:, 0, :], 2, rf, deg).T
               for f, rf in enumerate(orders.faces)]
     M, face_slices, div_slice, aux_slice = moment_matrix(
-        basis, orders.tet, _TRACE_KIND[kind], tables, (1, 1, 1, 1), _aux_family(orders, t),
+        basis, orders.tet, _TRACE_KIND[kind], tables, (1, 1, 1, 1), _aux_family(orders.tet),
         f"{kind} system for orders {orders}")
     groups = {"face": slice(0, face_slices[-1].stop), "div": div_slice, "aux": aux_slice}
-    return M, groups, basis
-
-
-def build_moment_system(kind, orders, t):
-    """Square matrix of the kind's trimmed interpolation conditions at t."""
-    return MomentSystem(kind, orders, t, *_moment_rows(kind, orders, t))
-
-
-_moment_rows_2minus = partial(_moment_rows, "2minus")
-build_moment_system_2minus = partial(build_moment_system, "2minus")
-build_moment_system_1minus = partial(build_moment_system, "1minus")
-
-
-def _equilibrated_logdet(M):
-    """log|det| of M with its rows scaled to unit max norm; -inf if singular."""
-    if M.shape[0] == 0:
-        return 0.0
-    scale = np.abs(M).max(axis=1)
-    if np.any(scale == 0.0):
-        return -np.inf
-    sign, logmag = linalg.det_sign_and_logmag(M / scale[:, None])
-    return -np.inf if sign == 0 else logmag
-
-
-@lru_cache(maxsize=None)
-def select_t(orders):
-    """Deterministic homotopy parameter for one order signature.
-
-    Scans t over {j/64} and keeps the t maximizing the smaller of the two
-    row-equilibrated log-determinants, so both moment systems are safely
-    invertible at the returned value.  Without auxiliary rows (r <= 1)
-    neither system depends on t, and 0.0 is returned.
-    """
-    if isinstance(orders, int):
-        orders = ps.RefOrders.uniform(orders)
-    if ps.curl_dim(orders.tet) == 0:
-        return 0.0
-    ends = [
-        (build_moment_system(kind, orders, 0.0).matrix, build_moment_system(kind, orders, 1.0).matrix)
-        for kind in ("2minus", "1minus")
-    ]
-    best_t, best_score = None, -np.inf
-    for t in T_GRID:
-        score = min(_equilibrated_logdet((1.0 - t) * Mf + t * Mg) for Mf, Mg in ends)
-        if score > best_score:
-            best_t, best_score = float(t), score
-    if best_t is None or not np.isfinite(best_score):
-        raise NoAdmissibleT(f"all grid values of t are singular for {orders}")
-    return best_t
+    return MomentSystem(kind, orders, M, groups, basis)
 
 
 @lru_cache(maxsize=None)
 def reference_systems(orders):
-    """(2minus, 1minus) moment systems at the selected t, LU-factored."""
-    t = select_t(orders)
-    systems = tuple(build_moment_system(kind, orders, t) for kind in ("2minus", "1minus"))
+    """(2minus, 1minus) moment systems, LU-factored."""
+    systems = tuple(build_moment_system(kind, orders) for kind in ("2minus", "1minus"))
     for s in systems:
-        s.lu = _lu_factor(s.matrix, f"{s.kind} system at t={t} for orders {orders}")
+        s.lu = _lu_factor(s.matrix, f"{s.kind} system for orders {orders}")
     return systems
 
 
@@ -910,21 +849,16 @@ def _pullback(kind, U, aff):
     return FieldSample((3, 3), pulled(U.value, K), pulled(U.jacobian, KJ))
 
 
-_pullback_op2 = partial(_pullback, "op2")
-
-
 def _rhs(ws, t, sysm, Uhat):
     """Right-hand side of sysm's conditions for the pulled-back field on tet
     t, or (len(t), dim) on the tets t of one signature (moment_rhs)."""
     orders = sysm.orders
     rhs = moment_rhs(ws, np.atleast_1d(t), Uhat, orders.tet, _TRACE_KIND[sysm.kind],
                      lambda f, perm: _frame_mode_values(f, perm, orders.faces[f], ws.face_deg),
-                     (1, 1, 1, 1), _aux_family(orders, sysm.t), sysm.dim,
+                     (1, 1, 1, 1), _aux_family(orders.tet), sysm.dim,
                      f"{sysm.kind} system for orders {orders}")
     return rhs if np.ndim(t) else rhs[0]
 
-
-_rhs_2minus = _rhs
 
 # trimmed kind -> (index in reference_systems, pushforward, degree - r(T))
 _TRIMMED = {"2minus": (0, "op2", 1), "1minus": (1, "op1", 2)}

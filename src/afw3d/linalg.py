@@ -82,16 +82,6 @@ def lu_inverse(factor):
     return inv
 
 
-def det_sign_and_logmag(A):
-    """(sign, log|det|) of a square matrix; (0, -inf) when singular."""
-    A = np.asarray(A, dtype=float)
-    sign, logmag = np.linalg.slogdet(A)
-    sign = int(round(sign))
-    if sign == 0:
-        return 0, -np.inf
-    return sign, float(logmag)
-
-
 def least_squares(A, b):
     """Minimum-residual solution of an overdetermined full-rank system."""
     A = np.asarray(A, dtype=float)

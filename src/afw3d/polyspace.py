@@ -3,7 +3,8 @@
 Builds explicit bases (coefficient rows over the monomial frame) for the
 full, trimmed, ring (zero-trace) and variable-order trace-constrained
 families of scalar/vector/matrix polynomial spaces, plus the curl-image
-family and its complement used by the auxiliary interpolation moments.
+family and its gradient complement; the auxiliary interpolation moments
+test against the complement.
 
 Space tags follow the exterior-calculus naming:
 

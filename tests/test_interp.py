@@ -69,73 +69,39 @@ def test_project_galerkin_orthogonality(single_tet, rng):
 
 
 # ---------------------------------------------------------------------------
-# moment systems and homotopy parameter
+# moment systems
 
 def test_moment_systems_square_and_t0_nonsingular():
+    # linalg.lu_factor raises SingularMatrix on a singular matrix
     for r in range(0, 3):
-        sysm = interp.build_moment_system_2minus(ps.RefOrders.uniform(r), 0.0)
-        assert sysm.matrix.shape[0] == sysm.matrix.shape[1]
-        sign, _ = linalg.det_sign_and_logmag(sysm.matrix)
-        assert sign != 0
-        assert sysm.groups["face"].start == 0  # row order: face, div, aux
-
-
-def test_det_polynomial_in_t(rng):
-    # determinant sampled on a grid is a nonzero polynomial of t
-    ro = ps.RefOrders(3, (2, 3, 1, 2), (1, 1, 1, 1, 1, 1))
-    k = ps.curl_dim(ro.tet)
-    M0, _, _ = interp._moment_rows_2minus(ro, 0.0)
-    M1, _, _ = interp._moment_rows_2minus(ro, 1.0)
-    ts = np.linspace(0, 1, 33)
-    dets = []
-    for t in ts:
-        sign, logmag = linalg.det_sign_and_logmag((1 - t) * M0 + t * M1)
-        dets.append(sign * np.exp(logmag - 40))
-    dets = np.array(dets)
-    assert np.abs(dets).max() > 0
-    # fit a polynomial of degree k (the aux block is affine in t)
-    fit = np.polynomial.polynomial.polyfit(ts, dets, min(k, 32))
-    recon = np.polynomial.polynomial.polyval(ts, fit)
-    assert np.abs(recon - dets).max() < 1e-8 * np.abs(dets).max()
+        for kind in ("2minus", "1minus"):
+            sysm = interp.build_moment_system(kind, ps.RefOrders.uniform(r))
+            assert sysm.kind == kind
+            assert sysm.matrix.shape[0] == sysm.matrix.shape[1]
+            linalg.lu_factor(sysm.matrix)
+            assert sysm.groups["face"].start == 0  # row order: face, div, aux
+            assert sysm.groups["aux"].stop - sysm.groups["aux"].start == ps.curl_dim(r)
 
 
 def test_select_t_r0_all_grid_admissible():
+    # r = 0 has no auxiliary rows; both systems are nonsingular
     ro = ps.RefOrders.uniform(0)
     assert ps.curl_dim(0) == 0
-    for t in [0.0, 0.25, 1.0]:
-        s2 = interp.build_moment_system_2minus(ro, t)
-        s1 = interp.build_moment_system_1minus(ro, t)
-        assert linalg.det_sign_and_logmag(s2.matrix)[0] != 0
-        assert linalg.det_sign_and_logmag(s1.matrix)[0] != 0
+    for kind in ("2minus", "1minus"):
+        sysm = interp.build_moment_system(kind, ro)
+        assert sysm.groups["aux"].stop == sysm.groups["aux"].start
+        linalg.lu_factor(sysm.matrix)
 
 
 def test_select_t_deterministic_and_nonsingular():
+    # the systems are a function of the orders alone, and reference_systems
+    # LU-factors both (_lu_factor raises if one is singular)
     for r in [0, 1, 2]:
         ro = ps.RefOrders.uniform(r)
-        t1 = interp.select_t(ro)
-        t2 = interp.select_t(ro)
-        assert t1 == t2
-        s2, s1 = interp.reference_systems(ro)
-        assert linalg.det_sign_and_logmag(s2.matrix)[0] != 0
-        assert linalg.det_sign_and_logmag(s1.matrix)[0] != 0
-
-
-def test_select_t_accepts_plain_int():
-    assert interp.select_t(1) == interp.select_t(ps.RefOrders.uniform(1))
-
-
-def test_select_t_is_zero_without_auxiliary_rows():
-    # r <= 1 has no auxiliary rows, so t is not scanned; r = 2 scans to 1.0
-    from afw3d.mesh import unit_cube_mesh
-
-    mesh = unit_cube_mesh(1)
-    om = OrderMap.random(mesh, 0, 2, seed=1)
-    sigs = {om.ref_orders(mesh, t) for t in range(mesh.n_tets)}
-    low = [ro for ro in sigs if ro.tet <= 1]
-    high = [ro for ro in sigs if ro.tet == 2]
-    assert len(low) == 3 and len(high) == 2
-    assert all(interp.select_t(ro) == 0.0 for ro in low + [ps.RefOrders.uniform(1)])
-    assert all(interp.select_t(ro) == 1.0 for ro in high + [ps.RefOrders.uniform(2)])
+        for kind, sysm in zip(("2minus", "1minus"), interp.reference_systems(ro)):
+            assert sysm.kind == kind and sysm.lu is not None
+            again = interp.build_moment_system(kind, ro)
+            assert np.array_equal(again.matrix, sysm.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +138,6 @@ def test_idempotence(two_tets, ws2, rng):
     df2 = interp.interp_p2minus_global(two_tets, ws2.orders, df.as_sample(), ws2)
     for a, b in zip(df.coeffs, df2.coeffs):
         assert np.abs(a - b).max() < 1e-11 * max(1.0, np.abs(a).max())
-
-
-def test_projection_property_independent_of_t(single_tet, rng):
-    # admissible t values all reproduce space members identically
-    om = OrderMap.uniform(single_tet, 1)
-    ws = Workspace(single_tet, om)
-    ro = ws.ref_orders(0)
-    members = []
-    base = interp.build_moment_system_2minus(ro, 0.25)
-    for _ in range(3):
-        members.append(_random_member(base, rng))
-    for t in [0.0, 0.25, 0.5, 0.75, 1.0]:
-        sysm = interp.build_moment_system_2minus(ro, t)
-        sign, _ = linalg.det_sign_and_logmag(sysm.matrix)
-        if sign == 0:
-            continue
-        sysm.lu = linalg.lu_factor(sysm.matrix)
-        for c in members:
-            df = DiscreteField(single_tet, "op2", [ro.tet + 1], [c])
-            rhs = interp._rhs_2minus(ws, 0, sysm, interp._pullback_op2(df.as_sample(), ws.amaps[0]))
-            x = linalg.lu_apply(sysm.lu, rhs)
-            out = np.einsum("b,bcn->cn", x, sysm.basis.coeffs)
-            assert np.abs(out - c).max() < 1e-10 * max(1, np.abs(c).max())
 
 
 def interp_p2minus_physical(ws, t, U):
@@ -262,11 +205,10 @@ def interp_p2minus_physical(ws, t, U):
         for l in range(3):
             rows.append(np.einsum("q,bq->b", rule.weights * eta, div_phys[:, l, :]))
             rhs.append(np.sum(rule.weights * eta * divU[:, l]))
-    # aux rows: A h(xhat, t) A^{-1}
-    fam_f, fam_g = interp._aux_families(rt)
-    if fam_f.shape[0]:
-        fam = (1.0 - sys2.t) * fam_f + sys2.t * fam_g
-        hv = mo.evaluate(fam, 3, max(rt, 0), rule.points)   # (k,9,q)
+    # aux rows: A g(xhat) A^{-1}
+    fam = interp._aux_family(rt)
+    if fam.dim:
+        hv = mo.evaluate(fam.coeffs, 3, fam.deg, rule.points)   # (k,9,q)
         hv = np.moveaxis(hv.reshape(-1, 3, 3, hv.shape[-1]), -1, 1)
         h_phys = np.einsum("ij,kqjl,lm->kqim", A, hv, Ainv)
         for k in range(h_phys.shape[0]):

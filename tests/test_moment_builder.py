@@ -1,7 +1,7 @@
 """The one moment-matrix builder of the trimmed and stress element systems,
-the homotopy parameter t selected from its trimmed matrices, the cached
-edge tables its bases are built from, and the right-hand sides of the same
-systems."""
+whose trimmed auxiliary rows test against the gradient complement, the
+cached edge tables its bases are built from, and the right-hand sides of the
+same systems."""
 
 from dataclasses import replace
 
@@ -11,49 +11,33 @@ import pytest
 from afw3d import interp, monomials as mo, polyspace as ps
 from afw3d.mesh import OrderMap, unit_cube_mesh
 
-# select_t of every signature of OrderMap.random(unit_cube_mesh(1), 0, 3,
-# seed), as j with t = j / 64, recorded before the trimmed rows moved to
-# moment_matrix.  Over these maps the best score of the t scan leads the
-# runner-up by at least 2.07e-4 (tet 3, faces (3, 2, 2, 3), t = 1.0).
-SELECTED_T = {
-    0: {(0, (0, 0, 0, 0), (0, 0, 0, 0, 0, 0)): 0,
-        (1, (1, 0, 1, 1), (1, 0, 0, 1, 1, 0)): 0,
-        (1, (1, 1, 0, 1), (0, 1, 0, 1, 0, 1)): 0,
-        (2, (2, 1, 2, 2), (2, 0, 1, 2, 2, 1)): 64,
-        (2, (2, 2, 2, 1), (1, 0, 2, 1, 2, 2)): 64,
-        (3, (3, 2, 2, 3), (2, 2, 0, 3, 2, 2)): 64},
-    1: {(0, (0, 0, 0, 0), (0, 0, 0, 0, 0, 0)): 0,
-        (1, (1, 1, 1, 1), (1, 1, 0, 1, 1, 1)): 0,
-        (2, (2, 0, 2, 1), (1, 0, 0, 1, 2, 0)): 64,
-        (3, (3, 0, 3, 3), (3, 0, 0, 3, 3, 0)): 64,
-        (3, (3, 1, 3, 3), (3, 0, 1, 3, 3, 1)): 21},
-    2: {(0, (0, 0, 0, 0), (0, 0, 0, 0, 0, 0)): 0,
-        (1, (1, 1, 0, 1), (0, 1, 0, 1, 0, 1)): 0,
-        (1, (1, 1, 1, 1), (1, 0, 1, 1, 1, 1)): 0,
-        (1, (1, 1, 1, 1), (1, 1, 0, 1, 1, 1)): 0,
-        (3, (3, 0, 1, 3), (1, 0, 0, 3, 1, 0)): 12,
-        (3, (3, 1, 3, 1), (1, 0, 1, 1, 3, 1)): 18},
-    3: {(0, (0, 0, 0, 0), (0, 0, 0, 0, 0, 0)): 0,
-        (3, (3, 0, 0, 3), (0, 0, 0, 3, 0, 0)): 8,
-        (3, (3, 0, 3, 0), (0, 0, 0, 0, 3, 0)): 64},
-}
 
-
-@pytest.mark.parametrize("seed", sorted(SELECTED_T))
-def test_select_t_matches_the_recorded_table(cube1, seed):
-    om = OrderMap.random(cube1, 0, 3, seed=seed)
-    sigs = {om.ref_orders(cube1, t) for t in range(cube1.n_tets)}
-    got = {(ro.tet, ro.faces, ro.edges): interp.select_t(ro) * 64 for ro in sigs}
-    assert got == SELECTED_T[seed]
+@pytest.mark.parametrize("seed", range(4))
+def test_trimmed_systems_factor_and_reproduce_members(cube1, seed):
+    # these maps reach r = 3 signatures with edges below their local faces,
+    # e.g. tet 3, faces (3, 1, 3, 3), edges (3, 0, 1, 3, 3, 1)
+    ws = interp.Workspace(cube1, OrderMap.random(cube1, 0, 3, seed=seed))
+    for ro in ws.signature_groups:
+        assert all(s.lu is not None for s in interp.reference_systems(ro))
+    rng = np.random.default_rng(seed)
+    for which, (push, interpolant) in enumerate([("op2", interp.interp_p2minus),
+                                                  ("op1", interp.interp_p1minus)]):
+        systems = [interp.reference_systems(ws.ref_orders(t))[which] for t in range(cube1.n_tets)]
+        x, member = _member(ws, push, [s.basis for s in systems], rng)
+        for tets in ws.signature_groups.values():
+            got = interpolant(ws, tets, member.as_sample())
+            for t, c in zip(tets, got):
+                want = np.einsum("b,bcn->cn", x[t], systems[t].basis.coeffs)
+                assert np.abs(c - want).max() < 1e-10 * max(1, np.abs(want).max())
 
 
 def test_builder_rejects_a_non_square_system(monkeypatch):
-    families = interp._aux_families
-    monkeypatch.setattr(interp, "_aux_families",
-                        lambda r: tuple(np.concatenate([f, f[:1]]) for f in families(r)))
+    family = interp._aux_family
+    monkeypatch.setattr(interp, "_aux_family", lambda r: replace(
+        family(r), coeffs=np.concatenate([family(r).coeffs, family(r).coeffs[:1]])))
     n = 3 * ps.dim_lambda2_minus(3)
     with pytest.raises(interp.DimensionMismatch, match=rf"2minus system for .* is {n + 1}x{n}"):
-        interp.build_moment_system_2minus(ps.RefOrders.uniform(2), 1.0)
+        interp.build_moment_system("2minus", ps.RefOrders.uniform(2))
 
 
 @pytest.mark.filterwarnings("ignore:Diagonal number")
