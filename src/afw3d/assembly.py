@@ -26,9 +26,9 @@ hybrid_operator factors and inverts one K_e per class, and matvec applies
 each class's matrices to all of its tets.  Cube meshes have bit-equal A on
 congruent tets (SimplicialMesh.affine builds A from lattice offsets), so
 at r = 1 cube n = 3 has 6 classes for 162 tets, n = 5 six for 750 and n = 2
-six for 48.  F, G and the layout stay per tet; the per-tet stacks
-A_blocks, B1_blocks and B2_blocks are derived on first read, and the solve
-and the stability lab never read them.  The
+six for 48.  F, G and the layout stay per tet.  assemble_stress_grams
+forms the lab's L2 and div Grams per class too, and the global matrices
+are scattered from the class matrices over each class's tets.  The
 factorizations stay serial, because the inverse holds the GIL: scipy
 1.17's dgetri wrapper keeps it, while dgetrf and dgetrs release it.  On
 two threads, 32 matrices with n = 228 and one BLAS thread, dgetri ran
@@ -88,8 +88,12 @@ class DofMap:
         return self.n_stress + self.n_disp + self.n_rot
 
 
-def _scatter(stacks, row_dofs, col_dofs, shape):
-    """CSR sum of dense block stacks: entry (k, i, j) goes to (row_dofs[k, i], col_dofs[k, j])."""
+def _scatter(mats, row_dofs, col_dofs, shape):
+    """CSR sum of one dense matrix per class broadcast over the class's tets:
+    entry (i, j) of mats[c] goes to (row_dofs[c][k, i], col_dofs[c][k, j])
+    for each tet k of class c."""
+    stacks = [np.broadcast_to(m, (len(rd),) + m.shape)
+              for m, rd in zip(mats, row_dofs, strict=True)]
     rows = [np.broadcast_to(rd[:, :, None], s.shape).ravel() for s, rd in zip(stacks, row_dofs)]
     cols = [np.broadcast_to(cd[:, None, :], s.shape).ravel() for s, cd in zip(stacks, col_dofs)]
     vals = [s.ravel() for s in stacks]
@@ -134,9 +138,8 @@ class BlockSaddleSystem:
     column-major slices and B1_e and B2_e row-major ones (see matvec).  F, G
     and the layout stay per tet.  The hybridized solve (hybrid_operator) and
     matvec read only the class matrices, the class table and the layout.
-    The per-tet stacks A_blocks, B1_blocks and B2_blocks, one per block, and
-    the views A_loc[t], B1_loc[t] and B2_loc[t], A, B1, B2, full_matrix() and
-    the stress Grams are derived on first use.
+    A, B1, B2, full_matrix() and the stress Grams are scattered from the
+    class matrices on first use.
     """
 
     F: np.ndarray              # <f, v>
@@ -152,38 +155,11 @@ class BlockSaddleSystem:
     orders: object
     classes: list              # per block, the (tets,) class of each tet (_class_table)
 
-    def per_class(self, stacks):
-        """One matrix per class: its representative's slice of per-block stacks."""
-        return [stacks[b][k] for b, k in self.class_layout[0]]
-
-    def _per_block(self, mats):
-        """Per block, the stack of its tets' class matrices, whose slices keep
-        the class matrices' memory layout."""
-        out = []
-        for cls in self.classes:
-            m = mats[cls[0]]
-            stack = (np.empty((len(cls),) + m.shape) if m.flags.c_contiguous
-                     else np.empty((len(cls),) + m.shape[::-1]).swapaxes(1, 2))
-            out.append(np.stack([mats[c] for c in cls], out=stack))
-        return out
-
-    A_blocks = cached_property(lambda self: self._per_block(self.A_classes))
-    B1_blocks = cached_property(lambda self: self._per_block(self.B1_classes))
-    B2_blocks = cached_property(lambda self: self._per_block(self.B2_classes))
-
-    def _per_tet(self, stacks):
-        views = [m for stack in stacks for m in stack]
-        return [views[k] for k in np.argsort(np.concatenate([b[1] for b in self.blocks]))]
-
-    A_loc = cached_property(lambda self: self._per_tet(self.A_blocks))
-    B1_loc = cached_property(lambda self: self._per_tet(self.B1_blocks))
-    B2_loc = cached_property(lambda self: self._per_tet(self.B2_blocks))
-
     @cached_property
     def A(self):
         """<compliance sigma, tau>"""
-        sds = [sd for _, _, sd, _ in self.blocks]
-        return _scatter(self.A_blocks, sds, sds, (self.dofmap.n_stress,) * 2)
+        sds = [sd for sd, _ in self.class_dofs]
+        return _scatter(self.A_classes, sds, sds, (self.dofmap.n_stress,) * 2)
 
     @cached_property
     def stress_grams(self):
@@ -193,14 +169,14 @@ class BlockSaddleSystem:
     @cached_property
     def B1(self):
         """<div tau, u>"""
-        _, _, sds, uds = zip(*self.blocks)
-        return _scatter(self.B1_blocks, uds, sds, (self.dofmap.n_disp, self.dofmap.n_stress))
+        sds, uds = zip(*self.class_dofs)
+        return _scatter(self.B1_classes, uds, sds, (self.dofmap.n_disp, self.dofmap.n_stress))
 
     @cached_property
     def B2(self):
         """<s2 tau, q>"""
-        _, _, sds, uds = zip(*self.blocks)
-        return _scatter(self.B2_blocks, uds, sds, (self.dofmap.n_rot, self.dofmap.n_stress))
+        sds, uds = zip(*self.class_dofs)
+        return _scatter(self.B2_classes, uds, sds, (self.dofmap.n_rot, self.dofmap.n_stress))
 
     @cached_property
     def layout(self):
@@ -241,6 +217,14 @@ class BlockSaddleSystem:
             reps.append(where[order[np.r_[0, cut]]])
             rows += zip(*(np.split(np.concatenate(stack)[order], cut) for stack in zip(*parts)))
         return np.concatenate(reps), rows
+
+    @cached_property
+    def class_dofs(self):
+        """Per class, the (tets, n) global stress ids and displacement ids of
+        its tets in block order, read from class_layout."""
+        n = self.dofmap.n_stress
+        return [(glob[:, :len(A)], glob[:, len(A):len(A) + len(B1)] - n) for (glob, _, _), A, B1
+                in zip(self.class_layout[1], self.A_classes, self.B1_classes, strict=True)]
 
     def matvec(self, x):
         """K x = sum_e P_e^T K_e P_e x: per class, its matrices broadcast over
@@ -484,25 +468,32 @@ def assemble(mesh, orders, material, f, boundary_g=None, space=None, ws=None):
 
 
 def assemble_stress_grams(system):
-    """(L2 Gram, div Gram, H(div) stacks) of the stress space.  The Grams are
-    global; the H(div) stacks are their element sums, one per block of
-    system.blocks, which stability_lab.infsup_constant passes to
-    hybrid_operator."""
-    space = system.space
+    """(L2 Gram, div Gram, H(div) matrices) of the stress space.  As assemble
+    forms A_e, each signature's item of interp.map_signatures forms the L2
+    and div Grams of its class representatives only, in stacks of at most
+    BLOCK_ENTRIES entries.  The global Grams are scattered from these class
+    matrices; the H(div) matrices are their sums, one per class, which
+    stability_lab.infsup_constant passes to hybrid_operator."""
+    space, det = system.space, system.mesh.affine.det
+    reps = [(system.blocks[b][0], system.blocks[b][1][k]) for b, k in system.class_layout[0]]
+    items = [(ro, chunk) for ro, run in groupby(reps, key=lambda rep: rep[0])
+             for chunk in interp.tet_blocks([t for _, t in run], ps.stress_basis(ro).dim ** 2,
+                                            BLOCK_ENTRIES)]
 
-    def signature_grams(ro, sig_tets):
-        """(L2, div) stacks of the blocks of signature ro, from its raw Grams."""
+    def signature_grams(ro, chunks):
+        """(L2, div) stacks of the chunks of signature ro, from its raw Grams."""
         _, G4, divG, _, _ = _raw_gram_data(ro)
 
-        def block_grams(tets):
+        def chunk_grams(tets):
             X, M_raw = _l2_grams(space, G4, tets)
             XT = np.swapaxes(X, 1, 2)
-            return XT @ M_raw @ X, XT @ (divG / space.mesh.affine.det[tets, None, None]) @ X
+            return XT @ M_raw @ X, XT @ (divG / det[tets, None, None]) @ X
 
-        return interp.map_blocks(block_grams, sig_tets)
+        return interp.map_blocks(chunk_grams, chunks)
 
-    L2s, divs = zip(*interp.map_signatures(signature_grams, system.blocks))
-    sds = [sd for _, _, sd, _ in system.blocks]
+    L2s, divs = ([m for stack in stacks for m in stack]
+                 for stacks in zip(*interp.map_signatures(signature_grams, items)))
+    sds = [sd for sd, _ in system.class_dofs]
     shape = (system.dofmap.n_stress,) * 2
     hdiv = [l2 + dv for l2, dv in zip(L2s, divs)]
     return _scatter(L2s, sds, sds, shape), _scatter(divs, sds, sds, shape), hdiv
@@ -639,10 +630,10 @@ def hybrid_operator(system, a11, pcg=False):
     class of system.classes: a11 and system.B1_classes and B2_classes give
     one matrix per class.  solve_saddle passes system.A_classes, the
     one-element problems with displacement data, and the inf-sup constant
-    the representatives' slices of the H(div) Gram stacks of
-    assemble_stress_grams (system.per_class).  E_e maps the stress copies of
-    tet e onto their multipliers with the signs of system.layout; the owner's
-    copy alone takes the stress rows of b and gives the stress value of x.
+    the H(div) Grams per class of assemble_stress_grams.  E_e maps the
+    stress copies of tet e onto their multipliers with the signs of
+    system.layout; the owner's copy alone takes the stress rows of b and
+    gives the stress value of x.
 
     The factors and inverses are per class, the multipliers and the rows of
     b and x per tet (system.class_layout).  Each class's K_c is formed in its
@@ -723,14 +714,20 @@ def solve_saddle(system):
     return split_solution(system, x)
 
 
+def _per_tet(blocks, stacks):
+    """The slices of per-block stacks, one per tet of blocks, in tet order."""
+    views = [m for stack in stacks for m in stack]
+    return [views[k] for k in np.argsort(np.concatenate([b[1] for b in blocks]))]
+
+
 def split_solution(system, x):
     """(sigma_h, u_h, p_h) DiscreteFields from a solution vector."""
     d, degs = system.dofmap, [int(r) for r in system.orders.tet_orders]
     fields = [system.space.field(x[:d.n_stress])]
     for offset in (d.n_stress, d.n_stress + d.n_disp):    # rotation ids equal displacement ones
-        coeffs = system._per_tet([x[offset + ud].reshape(len(tets), 3, -1)
-                                  @ ps.volume_modes(ro.tet)[:, 0, :]
-                                  for ro, tets, _, ud in system.blocks])
+        coeffs = _per_tet(system.blocks, [x[offset + ud].reshape(len(tets), 3, -1)
+                                          @ ps.volume_modes(ro.tet)[:, 0, :]
+                                          for ro, tets, _, ud in system.blocks])
         fields.append(DiscreteField(system.mesh, "compose", degs, coeffs))
     return tuple(fields)
 

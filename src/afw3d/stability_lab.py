@@ -33,21 +33,18 @@ def infsup_constant(mesh, orders, material=None, system=None):
     H(div) Gram M_h of the stress space and D is the L2 mass of the
     displacement/rotation pair (vq_mass_diag): the numerical inf-sup test
     of Chapelle & Bathe (1993).  S is never formed.  hybrid_operator,
-    factored once per element class (BlockSaddleSystem.classes) on the class
-    representatives' slices of the per-tet H(div) Gram stacks of
-    assemble_stress_grams in place of A_e, solves [[M_h, B^T], [B, 0]] [x;
-    y] = [0; g], whose displacement and rotation rows are y = -S^{-1} g, and
-    linalg.sym_eig_min runs shift-invert Lanczos on g -> S^{-1} g.  The
-    Gram stacks stay per tet because the global Grams are scattered from
-    them; B1_e and B2_e are read per class.  When every element block and
-    the multiplier system factor, that saddle matrix is nonsingular, so B
-    has full row rank and S is SPD.
+    factored once per element class (BlockSaddleSystem.classes) on the
+    H(div) Grams per class of assemble_stress_grams in place of A_e, solves
+    [[M_h, B^T], [B, 0]] [x; y] = [0; g], whose displacement and rotation
+    rows are y = -S^{-1} g, and linalg.sym_eig_min runs shift-invert
+    Lanczos on g -> S^{-1} g.  When every element block and the multiplier
+    system factor, that saddle matrix is nonsingular, so B has full row
+    rank and S is SPD.
     """
     material = tensor_ops.Material(1.0, 1.0) if material is None else material
     if system is None:
         system = assembly.assemble(mesh, orders, material, None)
-    _, _, hdiv_stacks = system.stress_grams
-    H = assembly.hybrid_operator(system, system.per_class(hdiv_stacks))
+    H = assembly.hybrid_operator(system, system.stress_grams[2])
     pad = np.zeros(system.dofmap.n_stress)
 
     def schur_inv(g):

@@ -6,7 +6,7 @@ from afw3d import assembly, interp, monomials as mo, polyspace as ps, quadrature
 from afw3d.assembly import ManufacturedCase
 from afw3d.interp import FieldSample, Workspace
 from afw3d.mesh import OrderMap, affine_of, unit_cube_mesh
-from conftest import element_block, element_inverses
+from conftest import class_stacks, element_block, element_inverses
 
 
 def test_dof_counts_single_tet(single_tet):
@@ -365,11 +365,12 @@ def test_hybrid_operator_factors_each_element_block_bit_for_bit(request, monkeyp
 
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
-    a11_blocks = system.A_blocks if a11 == "compliance" else system.stress_grams[2]
+    a11_classes = system.A_classes if a11 == "compliance" else system.stress_grams[2]
+    a11_blocks, _ = class_stacks(system, a11_classes)
     factored, lu_factor = [], linalg.lu_factor
     monkeypatch.setattr(linalg, "lu_factor",
                         lambda K: factored.append(np.array(K)) or lu_factor(K))
-    assembly.hybrid_operator(system, system.per_class(a11_blocks))
+    assembly.hybrid_operator(system, a11_classes)
     want = [element_block(system, t, a11_e) for (_, tets, _, _), stack in
             zip(system.blocks, a11_blocks) for t, a11_e in zip(tets, stack)]
     assert len(factored) == len(want) == mesh.n_tets
@@ -394,7 +395,7 @@ def test_hybrid_operator_matches_dense_saddle_solve(request, material, mesh_name
         K = system.full_matrix()
     else:
         Ml2, Mdiv, hdiv = system.stress_grams
-        H = assembly.hybrid_operator(system, system.per_class(hdiv))
+        H = assembly.hybrid_operator(system, hdiv)
         K = sp.bmat([[Ml2 + Mdiv, system.B1.T, -system.B2.T],
                      [system.B1, None, None], [-system.B2, None, None]])
     rng = np.random.default_rng(7)
@@ -506,14 +507,16 @@ def test_blocked_assembly_matches_per_tet_loop(cube1, material):
     case = stability_lab.default_convergence_case(material)
     system = assembly.assemble(cube1, om, material, case.f, boundary_g=case.u)
     A, B1, B2, F, G = _per_tet_assembly(cube1, om, material, case.f, case.u, system.space)
+    A_loc, B1_loc, B2_loc = (class_stacks(system, mats)[1] for mats in
+                             (system.A_classes, system.B1_classes, system.B2_classes))
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     for t in range(cube1.n_tets):
-        assert close(system.A_loc[t], A[t])
-        assert close(system.B1_loc[t], B1[t])
-        assert close(system.B2_loc[t], B2[t])
+        assert close(A_loc[t], A[t])
+        assert close(B1_loc[t], B1[t])
+        assert close(B2_loc[t], B2[t])
     assert close(system.F, F) and close(system.G, G)
 
 
@@ -544,7 +547,7 @@ def test_raw_grams_are_made_once_per_signature_and_kept_by_nobody(cube1, materia
     gc.collect()
     assert len(refs) == 8 * len(blocks_of)
     assert all(ref() is None for ref in refs)
-    assert len(system.A_blocks) == len(system.blocks)       # the system is still alive
+    assert len(class_stacks(system, system.A_classes)[0]) == len(system.blocks)   # still alive
 
 
 @pytest.mark.parametrize(

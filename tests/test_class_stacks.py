@@ -5,12 +5,11 @@ import pytest
 
 from afw3d import assembly, stability_lab
 from afw3d.mesh import OrderMap
-from conftest import per_tet_matvec
+from conftest import class_stacks, per_tet_matvec
 
 MAPS = pytest.mark.parametrize("orders_of", [lambda mesh: OrderMap.uniform(mesh, 1),
                                              lambda mesh: OrderMap.random(mesh, 0, 2, seed=1)],
                                ids=["r1", "random"])
-STACKS = ("A_blocks", "B1_blocks", "B2_blocks")
 
 
 def _one_class_per_tet(blocks):
@@ -30,12 +29,23 @@ def test_derived_stacks_equal_stacks_formed_per_tet(monkeypatch, cube2, material
                         lambda mesh, ws, blocks: _one_class_per_tet(blocks))
     per_tet = _assemble(cube2, orders_of, material)
     assert len(system.A_classes) < len(per_tet.A_classes) == cube2.n_tets
-    for name in STACKS:
-        got, want = getattr(system, name), getattr(per_tet, name)
+
+    def expanded(s):
+        """A_e, B1_e, B2_e and the H(div) Grams of s, as per-block stacks."""
+        return [class_stacks(s, mats)[0] for mats in
+                (s.A_classes, s.B1_classes, s.B2_classes, s.stress_grams[2])]
+
+    for got, want in zip(expanded(system), expanded(per_tet)):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.strides == b.strides and np.array_equal(a, b)
     assert np.array_equal(system.F, per_tet.F) and np.array_equal(system.G, per_tet.G)
+    # the global matrices scattered from the class matrices, array for array
+    for got, want in [(system.A, per_tet.A), (system.B1, per_tet.B1), (system.B2, per_tet.B2),
+                      (system.stress_grams[0], per_tet.stress_grams[0]),
+                      (system.stress_grams[1], per_tet.stress_grams[1])]:
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @MAPS
@@ -58,16 +68,20 @@ def test_class_matvec_equals_the_per_tet_products_bit_for_bit(monkeypatch, cube2
     assert np.array_equal(per_tet.matvec(x), want)
 
 
-def test_solve_and_lab_build_no_per_tet_stacks(cube2, material):
+def test_solve_and_lab_build_no_per_tet_stacks(monkeypatch, cube2, material):
     case = stability_lab.default_convergence_case(material)
     system, _ = assembly.solve_case(cube2, OrderMap.uniform(cube2, 1), case)
     assert len(system.A_classes) == 6
     orders = OrderMap.uniform(cube2, 0)
     lab = assembly.assemble(cube2, orders, material, None)
+    # the lab's stress Grams are formed for the class representatives only
+    gram_tets, l2_grams = [], assembly._l2_grams
+    monkeypatch.setattr(assembly, "_l2_grams",
+                        lambda space, G4, tets: gram_tets.append(len(tets)) or
+                        l2_grams(space, G4, tets))
     stability_lab.infsup_constant(cube2, orders, material, lab)
     stability_lab.kernel_coercivity(cube2, orders, material, lab)
-    for s in (system, lab):
-        assert not set(STACKS) & set(vars(s))
+    assert sum(gram_tets) == len(lab.A_classes) == 6 < cube2.n_tets
 
 
 def test_zeroed_class_matrix_names_its_representative(cube2, material):
@@ -83,6 +97,7 @@ def test_zeroed_class_matrix_names_its_representative(cube2, material):
         stack[c][...] = 0.0
     with pytest.raises(assembly.FactorizationBreakdown, match=rf"tet {rep} is singular"):
         assembly.solve_saddle(system)
-    zeroed = [t for (_, tets, _, _), stack in zip(system.blocks, system.A_blocks)
+    zeroed = [t for (_, tets, _, _), stack in zip(system.blocks,
+                                                  class_stacks(system, system.A_classes)[0])
               for t, A in zip(tets, stack) if not A.any()]
     assert len(zeroed) == sizes[c] and rep in zeroed

@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from afw3d import assembly, linalg
 from afw3d.mesh import OrderMap, unit_cube_mesh
-from conftest import element_block, element_inverses
+from conftest import class_stacks, element_block, element_inverses
 
 
 @pytest.fixture(scope="module")
@@ -18,12 +18,8 @@ def cube5():
     return unit_cube_mesh(5)
 
 
-def _a11(system, a11):
-    return system.A_blocks if a11 == "compliance" else system.stress_grams[2]
-
-
 def _a11_classes(system, a11):
-    return system.A_classes if a11 == "compliance" else system.per_class(system.stress_grams[2])
+    return system.A_classes if a11 == "compliance" else system.stress_grams[2]
 
 
 def _representatives(system):
@@ -61,10 +57,10 @@ def test_each_tet_gets_the_inverse_of_its_own_block_bit_for_bit(monkeypatch, cub
     # the class inverse that hybrid_operator keeps for each tet against
     # lu_factor plus lu_inverse of that tet's own np.block
     system = assembly.assemble(cube2, orders_of(cube2), material, None)
-    a11_blocks = _a11(system, a11)
+    a11_blocks, _ = class_stacks(system, _a11_classes(system, a11))
     kept, lu_inverse = [], linalg.lu_inverse
     monkeypatch.setattr(linalg, "lu_inverse", lambda f: kept.append(lu_inverse(f)) or kept[-1])
-    assembly.hybrid_operator(system, system.per_class(a11_blocks))
+    assembly.hybrid_operator(system, _a11_classes(system, a11))
     assert len(kept) < cube2.n_tets
     for (_, tets, _, _), stack, cls in zip(system.blocks, a11_blocks, system.classes):
         for t, a11_e, c in zip(tets, stack, cls):

@@ -37,7 +37,7 @@ def test_assemble_and_norms_equal_the_serial_loop(monkeypatch, block_calls, n, o
     assert max(block_calls) > 1                     # some call went through the worker pool
     if n == 3:
         assert len(system.blocks) == 6
-    for name in ("A_blocks", "B1_blocks", "B2_blocks"):
+    for name in ("A_classes", "B1_classes", "B2_classes"):
         a, b = getattr(system, name), getattr(serial, name)
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
     assert np.array_equal(system.F, serial.F) and np.array_equal(system.G, serial.G)

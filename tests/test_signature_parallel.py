@@ -61,7 +61,7 @@ def test_signature_items_equal_the_serial_build(monkeypatch, block_calls):
     for key, elem in space.systems.items():
         assert np.array_equal(elem.C, serial_space.systems[key].C)
         assert np.array_equal(elem.X, serial_space.systems[key].X)
-    for name in ("A_blocks", "B1_blocks", "B2_blocks"):
+    for name in ("A_classes", "B1_classes", "B2_classes"):
         a, b = getattr(system, name), getattr(serial, name)
         assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
     assert np.array_equal(system.F, serial.F) and np.array_equal(system.G, serial.G)
