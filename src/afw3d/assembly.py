@@ -49,13 +49,15 @@ displacement data, is inverted densely, once per class; the multipliers
 solve the symmetric positive definite S = sum_e E_e K_e^{-1} E_e^T, and
 the element fields are recovered by products per class.  One refinement
 step follows, and the relative residual must stay below 1e-9.  Below
-PCG_MIN_MULTIPLIERS multipliers S is factored once by a sparse direct
-solver; from there on its fill costs more than conjugate gradients, and S
-is solved by PCG with a two-level preconditioner: the inverses of its
-diagonal face blocks plus a Galerkin coarse solve on the first test mode
-of each face (Gopalakrishnan & Tan 2009; Cockburn, Dubois, Gopalakrishnan
-& Tan 2014).  The stability lab's eigensolvers apply the operator 50-70
-times and keep the factor.
+PCG_MIN_MULTIPLIERS multipliers S is assembled and factored once by a
+sparse direct solver; from there on its fill costs more than conjugate
+gradients, and S is solved by PCG with a two-level preconditioner: the
+inverses of its diagonal face blocks plus a Galerkin coarse solve on the
+first test mode of each face (Gopalakrishnan & Tan 2009; Cockburn, Dubois,
+Gopalakrishnan & Tan 2014).  The PCG path never builds S: its products,
+face blocks and coarse matrix are sums of the per-class terms E_e K_c^{-1}
+E_e^T.  The stability lab's eigensolvers apply the operator 50-70 times and
+keep the factor.
 """
 
 from dataclasses import dataclass
@@ -336,7 +338,8 @@ def _l2_grams(space, G4, tets):
 
 def _boundary_raw(ws, ro, tets, g):
     """(len(tets), nb): int_{boundary faces of the tet} g . (psi_b n) for the
-    raw basis psi_b = (1/J) psihat_b A^T of signature ro.  The (tet, face)
+    raw basis psi_b = (1/J) psihat_b A^T of signature ro, contracted as
+    psihat_b (A^T n / J), so the basis is never mapped.  The (tet, face)
     pairs go in blocks whose basis values hold at most BLOCK_ENTRIES entries."""
     mesh, aff = ws.mesh, ws.mesh.affine
     basis = ps.stress_basis(ro)
@@ -352,9 +355,10 @@ def _boundary_raw(ws, ro, tets, g):
         xhat = aff.pull(t, pts).reshape(-1, 3)
         bref = mo.evaluate(basis.coeffs, 3, ro.tet + 1, xhat).reshape(nb, 3, 3, len(t), q)
         bref = bref.transpose(3, 0, 4, 1, 2)                          # (pairs, b, q, j, k)
-        bphys = np.einsum("pbqjk,plk->pbqjl", bref, aff.A[t])
-        bphys /= aff.det[t, None, None, None, None]
-        bn = np.einsum("pbqjl,pl->pbqj", bphys, interp._outward_normal(mesh, t, lf[sel]))
+        # psi_b n = psihat_b (A^T n / J): v = A^T n / J once per pair
+        v = np.einsum("plk,pl->pk", aff.A[t], interp._outward_normal(mesh, t, lf[sel]))
+        v /= aff.det[t, None]
+        bn = np.einsum("pbqjk,pk->pbqj", bref, v)
         np.add.at(out, k[sel], np.einsum("pq,pbqj,pqj->pb", w, bn, gv))
     return out
 
@@ -537,9 +541,12 @@ def _multiplier_pattern(n_mult, parts):
 def _multiplier_system(n_mult, parts, inverses):
     """S = sum_e E_e K_e^{-1} E_e^T, written straight into the arrays of a
     canonical CSR matrix (_multiplier_pattern), each of exactly S.nnz
-    entries.  parts are (glob, mult, sign) rows of tets, and inverses holds
-    one inverse per part, broadcast over its tets: a class's K_c^{-1} for its
-    rows of class_layout (hybrid_operator), or a stack of per-tet inverses.
+    entries.  Only the factor path builds S: hybrid_operator without pcg,
+    which solve_saddle takes below PCG_MIN_MULTIPLIERS and the stability lab
+    always takes.  parts are (glob, mult, sign) rows of tets, and inverses
+    holds one inverse per part, broadcast over its tets: a class's K_c^{-1}
+    for its rows of class_layout (hybrid_operator), or a stack of per-tet
+    inverses.
     The tets of a part with the same number of shared copies are filled
     together: the shared rows and columns of their K_e^{-1} times the sign
     products, added by np.add.at to data, which starts at -0.0, the identity
@@ -564,34 +571,116 @@ def _multiplier_system(n_mult, parts, inverses):
     return sp.csr_matrix((data, indices, indptr), shape=(n_mult, n_mult))
 
 
-def _face_blocks(system, S):
+def _multiplier_product(n_mult, local, inverses):
+    """v -> S v per class, with S never formed.  Per class, V is the leading
+    block of K_c^{-1} up to the last column that carries a multiplier in any
+    of its tets, a view: the face rows lead each element's dof order.  The
+    product gathers v at all copies with their signs at once, makes one GEMM
+    per class over its tets' rows of that gather and sums with one
+    np.bincount.  It sums in another order than S @ v, so the two agree to
+    roundoff.  The gather and the GEMMs' output are two buffers kept
+    between calls, so calls must not overlap."""
+    VTs, mults, signs = [], [], []
+    for inv, (_, mult, sign) in zip(inverses, local, strict=True):
+        cols = np.flatnonzero(sign.any(0))
+        if len(cols):
+            w = cols[-1] + 1
+            VTs.append(inv[:w, :w].T)
+            mults.append(mult[:, :w])
+            signs.append(sign[:, :w])
+    ids = np.concatenate([mult.ravel() for mult in mults])
+    signs = np.concatenate([sign.ravel() for sign in signs])
+    x, y = np.empty(len(ids)), np.empty(len(ids))
+    cut = np.cumsum([mult.size for mult in mults])[:-1]
+    rows = [(VT, xc.reshape(mult.shape), yc.reshape(mult.shape)) for VT, mult, xc, yc
+            in zip(VTs, mults, np.split(x, cut), np.split(y, cut), strict=True)]
+
+    def product(v):
+        np.multiply(signs, np.append(v, 0.0)[ids], out=x)      # 0 at the unshared id
+        for VT, xc, yc in rows:
+            np.matmul(xc, VT, out=yc)
+        np.multiply(y, signs, out=y)
+        return np.bincount(ids, y, n_mult + 1)[:n_mult]
+
+    return product
+
+
+def _class_faces(system, inverses):
+    """(inverse, face slices, mult, sign) per class: the row slices of its
+    elements' local faces (StressElement.face_slices of its representative)
+    and the mult and sign rows of its tets (class_layout)."""
+    reps, local = system.class_layout
+    for inv, (b, k), (_, mult, sign) in zip(inverses, reps, local, strict=True):
+        yield inv, system.space.elements[system.blocks[b][1][k]].face_slices, mult, sign
+
+
+def _face_blocks(system, inverses):
     """[(ids, D)] per face-block size m: the (faces, m) multiplier ids of the
     interior faces with m dofs and the (faces, m, m) diagonal blocks of S at
-    them, gathered from S.  The multipliers are the interior face dofs in
-    face order, each face's as (mode, component)."""
+    them.  The multipliers are the interior face dofs in face order, each
+    face's as (mode, component), and a tet's rows of one local face hold its
+    face's multipliers in that order.  So a face's block is the sum of its
+    two tets' sub-blocks K_c^{-1}[F, F] at their face rows F, views of the
+    class inverses; a tet's copies on one face share its sign, so the sign
+    products are +1.  Two tets of one class are translates and never share
+    a face at the same local face, so each scatter has distinct faces.  Each
+    entry is the sum of the same two terms as S's, bit for bit."""
+    n_mult = system.layout[0]
     size = np.diff(system.space.face_offset)[~system.mesh.boundary_face]
     start = np.cumsum(size) - size
-    blocks = []
-    for m in np.unique(size):
-        ids = start[size == m, None] + np.arange(m)
-        rows, cols = np.broadcast_arrays(ids[:, :, None], ids[:, None, :])
-        blocks.append((ids, np.asarray(S[rows.ravel(), cols.ravel()]).reshape(rows.shape)))
-    return blocks
+    pos = np.empty(n_mult, np.intp)                 # a face's row in its size group
+    blocks = {}
+    for m in np.unique(size).tolist():
+        first = start[size == m]
+        pos[first] = np.arange(len(first))
+        blocks[m] = (first[:, None] + np.arange(m), np.full((len(first), m, m), -0.0))
+    for inv, slices, mult, _ in _class_faces(system, inverses):
+        for sl in slices:
+            first = mult[:, sl.start]
+            first = first[first < n_mult]
+            if len(first):
+                blocks[sl.stop - sl.start][1][pos[first]] += inv[sl, sl]
+    return list(blocks.values())
 
 
-def _pcg_solver(system, S):
+def _coarse_matrix(system, inverses, coarse_ids):
+    """R_0 S R_0^T, CSC, for the sorted multiplier ids coarse_ids, the first 3
+    of each interior face: per class, the rows and columns of K_c^{-1} at the
+    first 3 rows of each local face, times the sign products, summed as COO
+    triplets over the class's tets.  Each entry is one term or the sum of
+    two, as in S, so the matrix has S's entries bit for bit and its
+    pattern."""
+    n_mult, n_c = system.layout[0], len(coarse_ids)
+    cid = np.full(n_mult + 1, n_c)
+    cid[coarse_ids] = np.arange(n_c)
+    vals, rows, cols = [], [], []
+    for inv, slices, mult, sign in _class_faces(system, inverses):
+        J = np.concatenate([np.arange(sl.start, sl.start + 3) for sl in slices])
+        c, s = cid[mult[:, J]], sign[:, J]
+        pair = (s != 0)[:, :, None] & (s != 0)[:, None, :]
+        vals.append((inv[np.ix_(J, J)] * (s[:, :, None] * s[:, None, :]))[pair])
+        rows.append(np.broadcast_to(c[:, :, None], pair.shape)[pair])
+        cols.append(np.broadcast_to(c[:, None, :], pair.shape)[pair])
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_c, n_c))
+
+
+def _pcg_solver(system, inverses):
     """g -> S^{-1} g by linalg.pcg to PCG_RTOL, preconditioned by B = sum_F
     R_F^T S_FF^{-1} R_F + R_0^T (R_0 S R_0^T)^{-1} R_0: the inverse of each
     face's diagonal block of S (_face_blocks) plus a Galerkin coarse solve on
     the first 3 multipliers of each face, its first test mode times the 3
     components.  That mode spans nearly the constants: the constant's cosine
-    with it is 0.998, 0.996 and 0.995 at face degrees 1, 2 and 3.  Both the
-    face blocks and the coarse matrix are read from S, and the coarse matrix
-    is factored by linalg.spd_factor.  PCG that does not converge in
-    PCG_MAX_ITER iterations is a FactorizationBreakdown."""
-    groups = [(ids, np.linalg.inv(D)) for ids, D in _face_blocks(system, S)]
+    with it is 0.998, 0.996 and 0.995 at face degrees 1, 2 and 3.  S is
+    never formed: the products (_multiplier_product), the face blocks and
+    the coarse matrix (_coarse_matrix) are built from the class inverses,
+    and the coarse matrix is factored by linalg.spd_factor.  PCG that does
+    not converge in PCG_MAX_ITER iterations is a FactorizationBreakdown."""
+    n_mult, local = system.layout[0], system.class_layout[1]
+    groups = [(ids, np.linalg.inv(D)) for ids, D in _face_blocks(system, inverses)]
     coarse_ids = np.sort(np.concatenate([ids[:, :3].ravel() for ids, _ in groups]))
-    coarse = linalg.spd_factor(S[coarse_ids][:, coarse_ids])
+    coarse = linalg.spd_factor(_coarse_matrix(system, inverses, coarse_ids))
+    product = _multiplier_product(n_mult, local, inverses)
 
     def precond(r):
         z = np.empty_like(r)
@@ -602,7 +691,7 @@ def _pcg_solver(system, S):
 
     def solve(g):
         try:
-            return linalg.pcg(S, g, precond, PCG_RTOL, PCG_MAX_ITER)
+            return linalg.pcg(product, g, precond, PCG_RTOL, PCG_MAX_ITER)
         except linalg.NoConvergence as exc:
             raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
 
@@ -610,16 +699,46 @@ def _pcg_solver(system, S):
 
 
 # solve_saddle solves S by PCG (_pcg_solver) from this many multipliers on,
-# and by linalg.spd_factor below it.  Measured on one BLAS thread over cube
-# n = 2..4, r = 0..2 and the nested variable-order levels 1, 2: PCG made
-# solve_saddle slower at 648 to 2,430 multipliers (on par at 2,160, r = 2)
-# and no slower from 4,860 on (on par at 6,048, r = 0).
+# and builds S and factors it by linalg.spd_factor below it.  Measured with
+# the per-class products on one BLAS thread over cube n = 2..4, r = 0..3
+# and the nested variable-order levels 1, 2: PCG made solve_saddle slower
+# at 648 multipliers and on nested level 1 (1,284 multipliers, 47 classes
+# for 48 tets), on par at 2,430 (r = 0), 1.15-1.85x faster at 1,296 to 3,240
+# on cubes, and 1.5-4.9x faster from 4,860 on.  The switch was set against
+# CSR products, when PCG was no faster below 4,860; it stays, so the
+# reports below it keep the factor's bits.
 PCG_MIN_MULTIPLIERS = 4000
 # The relative residual of each PCG solve of S.  Over that ladder it leaves
 # the residual gate of solve_saddle at <= 4.3e-12, 230x below its 1e-9;
 # 1e-7 left 5.4e-10.
 PCG_RTOL = 1e-8
 PCG_MAX_ITER = 1000
+
+
+def _class_inverses(system, a11):
+    """Per class, K_c^{-1} of K_c = [[a11_c, B^T], [B, 0]] with B = [B1_c;
+    -B2_c] (hybrid_operator), row-major.  K_c is formed in its own buffer,
+    factored (linalg.lu_factor, whose pivot gate names the class's
+    representative) and its inverse written back into that buffer:
+    linalg.lu_inverse returns a column-major array, and the row-major buffer
+    fixes the order in which each product of hybrid_operator's apply sums."""
+    inverses = []
+    for a11_c, B1, B2, (b, k) in zip(a11, system.B1_classes, system.B2_classes,
+                                     system.class_layout[0], strict=True):
+        n, m = len(a11_c), len(B1)
+        K = np.zeros((n + 2 * m, n + 2 * m))
+        K[:n, :n] = a11_c
+        K[n:n + m, :n] = B1
+        np.negative(B2, out=K[n + m:, :n])
+        K[:n, n:] = K[n:, :n].T
+        try:
+            K[...] = linalg.lu_inverse(linalg.lu_factor(K))
+        except linalg.SingularMatrix as exc:
+            raise FactorizationBreakdown(
+                f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
+            ) from exc
+        inverses.append(K)
+    return inverses
 
 
 def hybrid_operator(system, a11, pcg=False):
@@ -635,44 +754,24 @@ def hybrid_operator(system, a11, pcg=False):
     system.layout; the owner's copy alone takes the stress rows of b and
     gives the stress value of x.
 
-    The factors and inverses are per class, the multipliers and the rows of
-    b and x per tet (system.class_layout).  Each class's K_c is formed in its
-    own buffer, factored (linalg.lu_factor, whose pivot gate names the
-    class's representative) and its inverse written back into that buffer:
-    linalg.lu_inverse returns a column-major array, and the row-major
-    buffer fixes the order in which each product of apply sums.
-    _multiplier_system reads each class's inverse for its tets' rows of
-    class_layout, so S has the bits of per-tet inverses.  H(b) is y_e =
-    K_c^{-1} b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e -
-    K_c^{-1} E_e^T lambda: per class, two products of K_c^{-1} broadcast
-    over the class's tets, so each tet keeps its own matrix-vector product
-    and its bits (one GEMM per class may round differently).  S is factored
-    once by linalg.spd_factor, or with pcg=True solved on each call by
-    _pcg_solver.
+    The inverses are per class (_class_inverses), the multipliers and the
+    rows of b and x per tet (system.class_layout).  H(b) is y_e = K_c^{-1}
+    b_e, g = sum_e E_e y_e, lambda = S^{-1} g and x_e = y_e - K_c^{-1} E_e^T
+    lambda: per class, two products of K_c^{-1} broadcast over the class's
+    tets, so each tet keeps its own matrix-vector product and its bits (one
+    GEMM per class may round differently).  By default S is built
+    (_multiplier_system, which reads each class's inverse for its tets'
+    rows of class_layout, so S has the bits of per-tet inverses) and
+    factored once by linalg.spd_factor.  With pcg=True S is never built:
+    _pcg_solver solves it on each call from the class inverses.
     """
-    n_mult = system.layout[0]
-    reps, local = system.class_layout
-    inverses = []
-    for a11_c, B1, B2, (b, k) in zip(a11, system.B1_classes, system.B2_classes, reps, strict=True):
-        n, m = len(a11_c), len(B1)
-        K = np.zeros((n + 2 * m, n + 2 * m))
-        K[:n, :n] = a11_c
-        K[n:n + m, :n] = B1
-        np.negative(B2, out=K[n + m:, :n])
-        K[:n, n:] = K[n:, :n].T
-        try:
-            K[...] = linalg.lu_inverse(linalg.lu_factor(K))
-        except linalg.SingularMatrix as exc:
-            raise FactorizationBreakdown(
-                f"element block of tet {system.blocks[b][1][k]} is singular: {exc}"
-            ) from exc
-        inverses.append(K)
-    S = _multiplier_system(n_mult, local, inverses)
+    n_mult, local = system.layout[0], system.class_layout[1]
+    inverses = _class_inverses(system, a11)
     try:
-        S_solve = _pcg_solver(system, S) if pcg else linalg.spd_factor(S).solve
+        S_solve = (_pcg_solver(system, inverses) if pcg else
+                   linalg.spd_factor(_multiplier_system(n_mult, local, inverses)).solve)
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
-    del S                       # the factor path keeps only the factor
     g_ids = np.concatenate([mult.ravel() for _, mult, _ in local])
 
     def apply(b):
@@ -698,7 +797,8 @@ def solve_saddle(system):
     the solve, not an option: on cube n=1, r=3 with the default convergence
     case one pass leaves a relative residual of 6.6e-9 and the step brings
     it to 2.7e-11.  From PCG_MIN_MULTIPLIERS multipliers on, H solves the
-    multiplier system by PCG instead of a factor.  Raises
+    multiplier system by PCG from the class inverses and never builds S;
+    below it S is built and factored.  Raises
     FactorizationBreakdown if an element block (named by its tet) or the
     multiplier system does not factor, if PCG does not converge within
     PCG_MAX_ITER iterations, or if the residual gate ||K x - rhs|| / (1 +

@@ -162,13 +162,13 @@ def spd_factor(S):
         raise SingularMatrix(f"sparse factorization failed: {exc}") from exc
 
 
-def pcg(A, b, precond, rtol, maxiter):
-    """x with ||b - A x|| < rtol ||b|| by conjugate gradients from x = 0, for A
-    symmetric positive definite and precond(r) ~ A^{-1} r symmetric positive
-    definite too (scipy's cg, whose test uses its updated residual).  Raises
-    NoConvergence after maxiter iterations."""
+def pcg(matvec, b, precond, rtol, maxiter):
+    """x with ||b - A x|| < rtol ||b|| by conjugate gradients from x = 0, for
+    matvec(x) = A x with A symmetric positive definite and precond(r) ~
+    A^{-1} r symmetric positive definite too (scipy's cg, whose test uses
+    its updated residual).  Raises NoConvergence after maxiter iterations."""
     n = len(b)
-    M = spla.LinearOperator((n, n), matvec=precond, dtype=float)
+    A, M = (spla.LinearOperator((n, n), matvec=fn, dtype=float) for fn in (matvec, precond))
     x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
     if info:
         raise NoConvergence(f"PCG did not reach {rtol:.0e} relative in {maxiter} iterations")

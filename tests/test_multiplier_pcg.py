@@ -53,11 +53,11 @@ def test_face_blocks_and_coarse_matrix_are_blocks_of_S(request, monkeypatch, mat
                                                        mesh_name, orders_of):
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
-    n_mult, parts = system.layout
-    inverses = element_inverses(system)
+    n_mult, parts = system.layout[0], system.class_layout[1]
+    inverses = assembly._class_inverses(system, system.A_classes)
     S = assembly._multiplier_system(n_mult, parts, inverses)
     dense = S.toarray()
-    blocks = assembly._face_blocks(system, S)
+    blocks = assembly._face_blocks(system, inverses)
     ids = np.concatenate([i.ravel() for i, _ in blocks])
     assert np.array_equal(np.sort(ids), np.arange(n_mult))
     for face_ids, D in blocks:
@@ -66,10 +66,40 @@ def test_face_blocks_and_coarse_matrix_are_blocks_of_S(request, monkeypatch, mat
             assert np.array_equal(block, dense[np.ix_(f, f)])
     factored, spd_factor = [], linalg.spd_factor
     monkeypatch.setattr(linalg, "spd_factor", lambda M: factored.append(M) or spd_factor(M))
-    assembly._pcg_solver(system, S)
+    assembly._pcg_solver(system, inverses)
     coarse = np.sort(np.concatenate([f[:, :3].ravel() for f, _ in blocks]))
     assert len(factored) == 1
     assert np.array_equal(factored[0].toarray(), dense[np.ix_(coarse, coarse)])
+
+
+@pytest.mark.parametrize("mesh_of, orders_of, sizes", [
+    ("cube1", lambda mesh: OrderMap.random(mesh, 0, 2, seed=1), {9, 18, 30}),
+    ("two_tets", lambda mesh: OrderMap.uniform(mesh, 1), {18}),
+    (lambda: unit_cube_mesh(3), lambda mesh: OrderMap.uniform(mesh, 1), {18}),
+    (lambda: unit_cube_mesh(3), lambda mesh: OrderMap.random(mesh, 0, 2, seed=1), {9, 18, 30}),
+], ids=["cube1-random", "two_tets-r1", "cube3-r1", "cube3-random"])
+def test_class_product_is_S_times_v(request, rng, material, mesh_of, orders_of, sizes):
+    mesh = request.getfixturevalue(mesh_of) if isinstance(mesh_of, str) else mesh_of()
+    system = assembly.assemble(mesh, orders_of(mesh), material, None)
+    n_mult, parts = system.layout[0], system.class_layout[1]
+    inverses = assembly._class_inverses(system, system.A_classes)
+    S = assembly._multiplier_system(n_mult, parts, inverses)
+    v = rng.standard_normal(n_mult)
+    got, want = assembly._multiplier_product(n_mult, parts, inverses)(v), S @ v
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert {ids.shape[1] for ids, _ in assembly._face_blocks(system, inverses)} == sizes
+
+
+def test_pcg_solve_builds_no_S(cube1, material, pcg_calls, monkeypatch):
+    def no_S(*args):
+        raise AssertionError("the PCG path built S")
+
+    monkeypatch.setattr(assembly, "_multiplier_system", no_S)
+    case = stability_lab.default_convergence_case(material)
+    system = assembly.assemble(cube1, OrderMap.uniform(cube1, 1), material, case.f,
+                               boundary_g=case.u)
+    assembly.solve_saddle(system)
+    assert pcg_calls == [(system.layout[0],)] * 2
 
 
 def test_multiplier_system_is_the_canonical_matrix_of_its_triplets(cube1, material):
