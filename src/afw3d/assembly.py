@@ -54,10 +54,12 @@ sparse direct solver; from there on its fill costs more than conjugate
 gradients, and S is solved by PCG with a two-level preconditioner: the
 inverses of its diagonal face blocks plus a Galerkin coarse solve on the
 first test mode of each face (Gopalakrishnan & Tan 2009; Cockburn, Dubois,
-Gopalakrishnan & Tan 2014).  The PCG path never builds S: its products,
-face blocks and coarse matrix are sums of the per-class terms E_e K_c^{-1}
-E_e^T.  The stability lab's eigensolvers apply the operator 50-70 times and
-keep the factor.
+Gopalakrishnan & Tan 2014).  Both paths sum the per-class terms E_e
+K_c^{-1} E_e^T, and one builder, _multiplier_system, forms R S R^T from
+them for a set of multiplier ids: all of them for the factor path's S, the
+coarse ids for the PCG path's coarse matrix.  The PCG path never builds S:
+its products and face blocks are sums of the same terms.  The stability
+lab's eigensolvers apply the operator 50-70 times and keep the factor.
 """
 
 from dataclasses import dataclass
@@ -511,64 +513,37 @@ def vq_mass_diag(system):
     return np.concatenate([d, d])      # rotation dofs are numbered as displacement ones
 
 
-def _multiplier_pattern(n_mult, parts):
-    """(indptr, pair_of, col): the canonical CSR pattern of S.  Row mu holds,
-    ascending, the multipliers of the two tets that share mu, so the rows of
-    one pair of tets, pair_of[mu], have the same columns: the multiplier of
-    the c-th shared copy of the pair's owner tet (side 0) or other tet (side
-    1) is entry col[pair, side, c] of each of its rows."""
-    shared = [sign != 0 for _, _, sign in parts]
-    width = max(int(sh.sum(1).max()) for sh in shared)      # most shared copies of a tet
-    first = np.cumsum([0] + [len(sh) for sh in shared])     # number of a part's first tet
-    n_tets = first[-1]
-    cols = np.full((n_tets, width), n_mult, np.int32)       # a tet's multipliers in copy order
-    tet_of = np.empty((2, n_mult), np.int64)                # a multiplier's owner and other tet
-    for (_, mult, sign), sh, t0 in zip(parts, shared, first):
-        k, i = np.nonzero(sh)
-        cols[t0 + k, (np.cumsum(sh, 1) - 1)[k, i]] = mult[k, i]
-        tet_of[(sign[k, i] < 0).astype(np.intp), mult[k, i]] = t0 + k
-    pairs, pair_of = np.unique(tet_of[0] * n_tets + tet_of[1], return_inverse=True)
-    both = np.hstack([cols[t] for t in np.divmod(pairs, n_tets)])     # owner's, then other's
-    order = np.argsort(both, axis=1, kind="stable")
-    srt = np.take_along_axis(both, order, 1)
-    new = (srt < n_mult) & (np.diff(srt, axis=1, prepend=-1) != 0)
-    col = np.empty_like(order)
-    np.put_along_axis(col, order, np.cumsum(new, 1) - 1, 1)
-    indptr = np.concatenate([[0], np.cumsum(new.sum(1)[pair_of])])
-    return indptr, pair_of, col.reshape(len(pairs), 2, width)
-
-
-def _multiplier_system(n_mult, parts, inverses):
-    """S = sum_e E_e K_e^{-1} E_e^T, written straight into the arrays of a
-    canonical CSR matrix (_multiplier_pattern), each of exactly S.nnz
-    entries.  Only the factor path builds S: hybrid_operator without pcg,
-    which solve_saddle takes below PCG_MIN_MULTIPLIERS and the stability lab
-    always takes.  parts are (glob, mult, sign) rows of tets, and inverses
-    holds one inverse per part, broadcast over its tets: a class's K_c^{-1}
-    for its rows of class_layout (hybrid_operator), or a stack of per-tet
-    inverses.
-    The tets of a part with the same number of shared copies are filled
-    together: the shared rows and columns of their K_e^{-1} times the sign
-    products, added by np.add.at to data, which starts at -0.0, the identity
-    of addition.  An entry is its one term or the sum of its two, so S is
-    bit-identical to the canonical matrix of the same entries built through
-    COO triplets, whatever order the parts come in."""
-    indptr, pair_of, col = _multiplier_pattern(n_mult, parts)
-    data, indices = np.full(indptr[-1], -0.0), np.empty(indptr[-1], np.int32)
+def _multiplier_system(n_mult, parts, inverses, ids):
+    """R S R^T, CSC, of S = sum_e E_e K_e^{-1} E_e^T at the sorted multiplier
+    ids: all of them (np.arange(n_mult)) for the factor path of
+    hybrid_operator, which solve_saddle takes below PCG_MIN_MULTIPLIERS and
+    the stability lab always takes, or the coarse ids of _pcg_solver.  parts
+    are (glob, mult, sign) rows of tets, and inverses holds one inverse per
+    part, broadcast over its tets: a class's K_c^{-1} for its rows of
+    class_layout (hybrid_operator), or a stack of per-tet inverses.
+    Per part, J are the columns at which any of its tets has a copy in ids;
+    the rows and columns J of the inverses times the sign products, at the
+    pairs of copies both in ids, are COO triplets, converted once.  An entry
+    is its one term or the sum of its two, so R S R^T has S's entries bit
+    for bit, whatever order the parts come in.  data and indices are copied
+    out of the triplet-sized buffers of the conversion, so each holds
+    exactly nnz entries."""
+    n = len(ids)
+    pos = np.full(n_mult + 1, n, np.int32)         # an id's row; n at every other id
+    pos[ids] = np.arange(n)
+    vals, rows, cols = [], [], []
     for inv, (_, mult, sign) in zip(inverses, parts, strict=True):
-        inv = np.broadcast_to(inv, (len(sign),) + inv.shape[-2:])
-        n_sh = np.count_nonzero(sign, axis=1)
-        for n in np.unique(n_sh[n_sh > 0]):
-            kk = np.flatnonzero(n_sh == n)
-            J = np.nonzero(sign[kk])[1].reshape(-1, n)      # (tets, n) shared copies
-            m, s = mult[kk[:, None], J], sign[kk[:, None], J]
-            vals = inv[kk[:, None, None], J[:, :, None], J[:, None, :]]
-            vals *= s[:, :, None] * s[:, None, :]
-            dest = col[pair_of[m], (s < 0).astype(np.intp), :n]
-            dest += indptr[m][:, :, None]
-            np.add.at(data, dest, vals)
-            indices[dest] = m[:, None, :]
-    return sp.csr_matrix((data, indices, indptr), shape=(n_mult, n_mult))
+        p = pos[mult]
+        J = np.flatnonzero((p < n).any(0))
+        p, s = p[:, J], sign[:, J]
+        pair = (p < n)[:, :, None] & (p < n)[:, None, :]
+        vals.append((inv[..., J[:, None], J] * (s[:, :, None] * s[:, None, :]))[pair])
+        rows.append(np.broadcast_to(p[:, :, None], pair.shape)[pair])
+        cols.append(np.broadcast_to(p[:, None, :], pair.shape)[pair])
+    S = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    S.data, S.indices = S.data.copy(), S.indices.copy()
+    return S
 
 
 def _multiplier_product(n_mult, local, inverses):
@@ -605,22 +580,14 @@ def _multiplier_product(n_mult, local, inverses):
     return product
 
 
-def _class_faces(system, inverses):
-    """(inverse, face slices, mult, sign) per class: the row slices of its
-    elements' local faces (StressElement.face_slices of its representative)
-    and the mult and sign rows of its tets (class_layout)."""
-    reps, local = system.class_layout
-    for inv, (b, k), (_, mult, sign) in zip(inverses, reps, local, strict=True):
-        yield inv, system.space.elements[system.blocks[b][1][k]].face_slices, mult, sign
-
-
 def _face_blocks(system, inverses):
     """[(ids, D)] per face-block size m: the (faces, m) multiplier ids of the
     interior faces with m dofs and the (faces, m, m) diagonal blocks of S at
     them.  The multipliers are the interior face dofs in face order, each
     face's as (mode, component), and a tet's rows of one local face hold its
     face's multipliers in that order.  So a face's block is the sum of its
-    two tets' sub-blocks K_c^{-1}[F, F] at their face rows F, views of the
+    two tets' sub-blocks K_c^{-1}[F, F] at their face rows F (the
+    StressElement.face_slices of the class's representative), views of the
     class inverses; a tet's copies on one face share its sign, so the sign
     products are +1.  Two tets of one class are translates and never share
     a face at the same local face, so each scatter has distinct faces.  Each
@@ -634,35 +601,14 @@ def _face_blocks(system, inverses):
         first = start[size == m]
         pos[first] = np.arange(len(first))
         blocks[m] = (first[:, None] + np.arange(m), np.full((len(first), m, m), -0.0))
-    for inv, slices, mult, _ in _class_faces(system, inverses):
-        for sl in slices:
+    reps, local = system.class_layout
+    for inv, (b, k), (_, mult, _) in zip(inverses, reps, local, strict=True):
+        for sl in system.space.elements[system.blocks[b][1][k]].face_slices:
             first = mult[:, sl.start]
             first = first[first < n_mult]
             if len(first):
                 blocks[sl.stop - sl.start][1][pos[first]] += inv[sl, sl]
     return list(blocks.values())
-
-
-def _coarse_matrix(system, inverses, coarse_ids):
-    """R_0 S R_0^T, CSC, for the sorted multiplier ids coarse_ids, the first 3
-    of each interior face: per class, the rows and columns of K_c^{-1} at the
-    first 3 rows of each local face, times the sign products, summed as COO
-    triplets over the class's tets.  Each entry is one term or the sum of
-    two, as in S, so the matrix has S's entries bit for bit and its
-    pattern."""
-    n_mult, n_c = system.layout[0], len(coarse_ids)
-    cid = np.full(n_mult + 1, n_c)
-    cid[coarse_ids] = np.arange(n_c)
-    vals, rows, cols = [], [], []
-    for inv, slices, mult, sign in _class_faces(system, inverses):
-        J = np.concatenate([np.arange(sl.start, sl.start + 3) for sl in slices])
-        c, s = cid[mult[:, J]], sign[:, J]
-        pair = (s != 0)[:, :, None] & (s != 0)[:, None, :]
-        vals.append((inv[np.ix_(J, J)] * (s[:, :, None] * s[:, None, :]))[pair])
-        rows.append(np.broadcast_to(c[:, :, None], pair.shape)[pair])
-        cols.append(np.broadcast_to(c[:, None, :], pair.shape)[pair])
-    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n_c, n_c))
 
 
 def _pcg_solver(system, inverses):
@@ -673,13 +619,14 @@ def _pcg_solver(system, inverses):
     components.  That mode spans nearly the constants: the constant's cosine
     with it is 0.998, 0.996 and 0.995 at face degrees 1, 2 and 3.  S is
     never formed: the products (_multiplier_product), the face blocks and
-    the coarse matrix (_coarse_matrix) are built from the class inverses,
-    and the coarse matrix is factored by linalg.spd_factor.  PCG that does
-    not converge in PCG_MAX_ITER iterations is a FactorizationBreakdown."""
+    the coarse matrix (_multiplier_system at the coarse ids) are built from
+    the class inverses, and the coarse matrix is factored by
+    linalg.spd_factor.  PCG that does not converge in PCG_MAX_ITER
+    iterations is a FactorizationBreakdown."""
     n_mult, local = system.layout[0], system.class_layout[1]
     groups = [(ids, np.linalg.inv(D)) for ids, D in _face_blocks(system, inverses)]
     coarse_ids = np.sort(np.concatenate([ids[:, :3].ravel() for ids, _ in groups]))
-    coarse = linalg.spd_factor(_coarse_matrix(system, inverses, coarse_ids))
+    coarse = linalg.spd_factor(_multiplier_system(n_mult, local, inverses, coarse_ids))
     product = _multiplier_product(n_mult, local, inverses)
 
     def precond(r):
@@ -760,16 +707,17 @@ def hybrid_operator(system, a11, pcg=False):
     lambda: per class, two products of K_c^{-1} broadcast over the class's
     tets, so each tet keeps its own matrix-vector product and its bits (one
     GEMM per class may round differently).  By default S is built
-    (_multiplier_system, which reads each class's inverse for its tets'
-    rows of class_layout, so S has the bits of per-tet inverses) and
-    factored once by linalg.spd_factor.  With pcg=True S is never built:
-    _pcg_solver solves it on each call from the class inverses.
+    (_multiplier_system at all multiplier ids, which reads each class's
+    inverse for its tets' rows of class_layout, so S has the bits of
+    per-tet inverses) and factored once by linalg.spd_factor.  With pcg=True
+    S is never built: _pcg_solver solves it on each call from the class
+    inverses, and builds only its coarse block.
     """
     n_mult, local = system.layout[0], system.class_layout[1]
     inverses = _class_inverses(system, a11)
     try:
-        S_solve = (_pcg_solver(system, inverses) if pcg else
-                   linalg.spd_factor(_multiplier_system(n_mult, local, inverses)).solve)
+        S_solve = (_pcg_solver(system, inverses) if pcg else linalg.spd_factor(
+            _multiplier_system(n_mult, local, inverses, np.arange(n_mult))).solve)
     except linalg.SingularMatrix as exc:
         raise FactorizationBreakdown(f"multiplier system: {exc}") from exc
     g_ids = np.concatenate([mult.ravel() for _, mult, _ in local])

@@ -47,9 +47,14 @@ def lu_solve(A, b):
 
 
 def lu_factor(A):
-    """Reusable factorization handle; apply with lu_apply."""
+    """Reusable factorization handle; apply with lu_apply.  LAPACK getrf called
+    directly, which gives the bits of scipy.linalg.lu_factor without its
+    warning on an exactly zero pivot: the pivot gate reports that as
+    SingularMatrix."""
     A = np.asarray(A, dtype=float)
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A)
+    if info < 0:
+        raise ValueError(f"getrf: illegal value in argument {-info}")
     pivots = np.abs(np.diag(lu))
     scale = max(np.abs(A).max(), 1.0)
     if pivots.size and pivots.min() <= TOL.pivot * scale:

@@ -126,7 +126,7 @@ def test_S_read_through_the_class_table_has_the_bits_of_per_tet_inverses(
     assembly.hybrid_operator(system, system.A_classes)
     n_mult, parts = system.layout
     inverses = element_inverses(system, lambda K: linalg.lu_inverse(linalg.lu_factor(K)))
-    want = multiplier_system(n_mult, parts, inverses)
+    want = multiplier_system(n_mult, parts, inverses, np.arange(n_mult))
     (got,) = built
     assert len(system.A_classes) < mesh.n_tets
     for name in ("data", "indices", "indptr"):
@@ -138,8 +138,8 @@ def test_kept_class_inverses_are_row_major(request, monkeypatch, material, mesh_
     mesh = request.getfixturevalue(mesh_name)
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     kept, multiplier_system = [], assembly._multiplier_system
-    monkeypatch.setattr(assembly, "_multiplier_system", lambda n_mult, parts, inverses:
-                        kept.extend(inverses) or multiplier_system(n_mult, parts, inverses))
+    monkeypatch.setattr(assembly, "_multiplier_system", lambda n_mult, parts, inverses, ids:
+                        kept.extend(inverses) or multiplier_system(n_mult, parts, inverses, ids))
     assembly.hybrid_operator(system, system.A_classes)
     assert len(kept) == len(system.A_classes) < mesh.n_tets
     # lu_inverse returns column-major arrays; apply's products sum in the order of

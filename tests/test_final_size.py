@@ -24,7 +24,7 @@ def test_multiplier_system_owns_exactly_its_entries(request, material, mesh_name
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout
     inverses = element_inverses(system)
-    S = assembly._multiplier_system(n_mult, parts, inverses)
+    S = assembly._multiplier_system(n_mult, parts, inverses, np.arange(n_mult))
     for a in (S.data, S.indices):
         assert a.size == S.nnz
         assert a.base is None or a.base.size == S.nnz      # no longer array behind a view
@@ -36,7 +36,7 @@ def test_multiplier_system_owns_exactly_its_entries(request, material, mesh_name
             sign[:, :, None], sign[:, None, :], mult[:, :, None], mult[:, None, :]))
         triplets.append((inv[pair] * (s_i * s_j), m_i, m_j))
     vals, rows, cols = (np.concatenate(c) for c in zip(*triplets))
-    want = sp.csr_matrix((vals, (rows, cols)), shape=(n_mult, n_mult))
+    want = sp.csc_matrix((vals, (rows, cols)), shape=(n_mult, n_mult))
     assert want.nnz < len(vals)                 # entries of two tets were summed
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(S, name), getattr(want, name))

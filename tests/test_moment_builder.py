@@ -40,7 +40,6 @@ def test_builder_rejects_a_non_square_system(monkeypatch):
         interp.build_moment_system("2minus", ps.RefOrders.uniform(2))
 
 
-@pytest.mark.filterwarnings("ignore:Diagonal number")
 def test_singular_stress_system_is_a_typed_error(monkeypatch):
     # the divergence-free interior family with its first member repeated
     interior = interp._divfree_interior

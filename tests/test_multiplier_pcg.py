@@ -55,7 +55,7 @@ def test_face_blocks_and_coarse_matrix_are_blocks_of_S(request, monkeypatch, mat
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout[0], system.class_layout[1]
     inverses = assembly._class_inverses(system, system.A_classes)
-    S = assembly._multiplier_system(n_mult, parts, inverses)
+    S = assembly._multiplier_system(n_mult, parts, inverses, np.arange(n_mult))
     dense = S.toarray()
     blocks = assembly._face_blocks(system, inverses)
     ids = np.concatenate([i.ravel() for i, _ in blocks])
@@ -83,7 +83,7 @@ def test_class_product_is_S_times_v(request, rng, material, mesh_of, orders_of, 
     system = assembly.assemble(mesh, orders_of(mesh), material, None)
     n_mult, parts = system.layout[0], system.class_layout[1]
     inverses = assembly._class_inverses(system, system.A_classes)
-    S = assembly._multiplier_system(n_mult, parts, inverses)
+    S = assembly._multiplier_system(n_mult, parts, inverses, np.arange(n_mult))
     v = rng.standard_normal(n_mult)
     got, want = assembly._multiplier_product(n_mult, parts, inverses)(v), S @ v
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -91,15 +91,20 @@ def test_class_product_is_S_times_v(request, rng, material, mesh_of, orders_of, 
 
 
 def test_pcg_solve_builds_no_S(cube1, material, pcg_calls, monkeypatch):
-    def no_S(*args):
-        raise AssertionError("the PCG path built S")
+    # the builder of R S R^T runs on the PCG path for the coarse matrix only
+    sizes, multiplier_system = [], assembly._multiplier_system
 
-    monkeypatch.setattr(assembly, "_multiplier_system", no_S)
+    def recorded(n_mult, parts, inverses, ids):
+        sizes.append(len(ids))
+        return multiplier_system(n_mult, parts, inverses, ids)
+
+    monkeypatch.setattr(assembly, "_multiplier_system", recorded)
     case = stability_lab.default_convergence_case(material)
     system = assembly.assemble(cube1, OrderMap.uniform(cube1, 1), material, case.f,
                                boundary_g=case.u)
     assembly.solve_saddle(system)
     assert pcg_calls == [(system.layout[0],)] * 2
+    assert sizes and all(n < system.layout[0] for n in sizes)
 
 
 def test_multiplier_system_is_the_canonical_matrix_of_its_triplets(cube1, material):
@@ -116,7 +121,7 @@ def test_multiplier_system_is_the_canonical_matrix_of_its_triplets(cube1, materi
         triplets.append((inv[pair] * (s_i * s_j), m_i, m_j))
     vals, rows, cols = (np.concatenate(c) for c in zip(*triplets))
     want = sp.csc_matrix((vals, (rows, cols)), shape=(n_mult, n_mult))
-    got = sp.csc_matrix(assembly._multiplier_system(n_mult, parts, inverses))
+    got = sp.csc_matrix(assembly._multiplier_system(n_mult, parts, inverses, np.arange(n_mult)))
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
